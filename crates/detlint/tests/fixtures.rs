@@ -101,6 +101,35 @@ fn consistent_lock_order_with_scopes_and_drops_is_acyclic() {
 }
 
 #[test]
+fn guard_temporary_held_through_an_if_let_body_is_a_cycle() {
+    let f = fixture("lock_iflet_guard.rs");
+    let analysis = locks::analyze(&[&f], false);
+    assert!(
+        analysis
+            .edges
+            .iter()
+            .any(|e| e.from == "decoded" && e.to == "backing"),
+        "{:?}",
+        analysis.edges
+    );
+    assert_eq!(
+        analysis.cycles,
+        vec![vec!["backing".to_string(), "decoded".to_string()]]
+    );
+}
+
+#[test]
+fn guard_scoped_before_the_if_is_acyclic() {
+    let f = fixture("lock_iflet_scoped.rs");
+    let analysis = locks::analyze(&[&f], false);
+    assert!(analysis.cycles.is_empty(), "{:?}", analysis.edges);
+    // Only evict's backing -> decoded survives.
+    assert_eq!(analysis.edges.len(), 1);
+    assert_eq!(analysis.edges[0].from, "backing");
+    assert_eq!(analysis.edges[0].to, "decoded");
+}
+
+#[test]
 fn lock_unwrap_and_wrapper_bypass_are_flagged() {
     let f = fixture("lock_unwrap.rs");
     // Outside exec only the poison-swallowing form is an error…

@@ -43,6 +43,20 @@ fn workspace_lock_graph_has_the_expected_edges() {
         edges.contains(&("control".into(), "state".into())),
         "missing control -> state: {edges:?}"
     );
+    // The file store takes a fragment's load lock, then the store-wide
+    // backing mutex, then a fragment's decoded slot.  The hit path holds a
+    // decoded slot alone: taking backing under it would deadlock against an
+    // eviction.
+    for (from, to) in [("load", "backing"), ("backing", "decoded")] {
+        assert!(
+            edges.contains(&(from.into(), to.into())),
+            "missing {from} -> {to}: {edges:?}"
+        );
+    }
+    assert!(
+        !edges.contains(&("decoded".into(), "backing".into())),
+        "decoded -> backing: {edges:?}"
+    );
     assert!(analysis.cycles.is_empty(), "{:?}", analysis.cycles);
     assert!(analysis.violations.is_empty(), "{:?}", analysis.violations);
 }

@@ -31,11 +31,22 @@
 //! Every structural assumption is checked at [`FileStore::open`] — magic,
 //! version, checksums, directory bounds — so corruption surfaces as a typed
 //! [`StorageError`] instead of a panic deep inside a query.
+//!
+//! # Many readers at once
+//!
+//! The file stands in for the paper's disks, which many processors read at
+//! the same time, so no fetch holds a store-wide lock for long: a fragment
+//! whose decoded form is resident is handed out from its own slot, and a
+//! fragment that has to be loaded is read (positionally, through one shared
+//! handle), verified and decoded with only its own load lock held.  The
+//! page pool sees the hits later, in the order they happened, before it
+//! next has to choose a victim or report its counters — see [`FileStore`].
 
 use std::collections::BTreeMap;
 use std::fs::File;
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::Write;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use bitmap::{
@@ -134,6 +145,32 @@ fn pages_of(len: u64) -> u64 {
     len.div_ceil(PAGE_SIZE)
 }
 
+/// Fills `buf` from `file` at the absolute `offset`.  A positional read
+/// moves no file cursor, so any number of threads can read through the one
+/// shared handle at once.
+#[cfg(unix)]
+fn read_exact_at(file: &File, buf: &mut [u8], offset: u64) -> std::io::Result<()> {
+    std::os::unix::fs::FileExt::read_exact_at(file, buf, offset)
+}
+
+#[cfg(windows)]
+fn read_exact_at(file: &File, mut buf: &mut [u8], mut offset: u64) -> std::io::Result<()> {
+    use std::io::ErrorKind;
+    use std::os::windows::fs::FileExt;
+    while !buf.is_empty() {
+        match file.seek_read(buf, offset) {
+            Ok(0) => return Err(ErrorKind::UnexpectedEof.into()),
+            Ok(n) => {
+                buf = std::mem::take(&mut buf).split_at_mut(n).1;
+                offset += n as u64;
+            }
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
+}
+
 // ---------------------------------------------------------------------------
 // Little-endian byte codec helpers.
 // ---------------------------------------------------------------------------
@@ -186,20 +223,22 @@ impl<'a> ByteReader<'a> {
         Ok(slice)
     }
 
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], StorageError> {
+        let mut out = [0u8; N];
+        out.copy_from_slice(self.take(N)?);
+        Ok(out)
+    }
+
     fn u8(&mut self) -> Result<u8, StorageError> {
         Ok(self.take(1)?[0])
     }
 
     fn u32(&mut self) -> Result<u32, StorageError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+        Ok(u32::from_le_bytes(self.array()?))
     }
 
     fn u64(&mut self) -> Result<u64, StorageError> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
+        Ok(u64::from_le_bytes(self.array()?))
     }
 
     fn f64(&mut self) -> Result<f64, StorageError> {
@@ -782,35 +821,70 @@ impl Default for FileStoreOptions {
 }
 
 /// Cumulative I/O statistics of a [`FileStore`].
+///
+/// [`FileStore::metrics`] folds in every hit recorded so far before it
+/// reads the counters, so the difference between two snapshots is exact for
+/// the fetches that completed between them.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct FileIoMetrics {
     /// LRU page-pool accounting, directly comparable with the simulated
-    /// subsystem's cache metrics.
+    /// subsystem's cache metrics: every fetch counts each page of its
+    /// fragment as one hit or one miss.
     pub pool: BufferPoolStats,
     /// Segments actually read from the file (cache misses at segment
     /// granularity).
     pub segment_reads: u64,
     /// Bytes actually read from the file.
     pub bytes_read: u64,
-    /// Fragment fetches served entirely from the decoded-fragment cache
-    /// (every page resident, no file access at all).
+    /// Fragment fetches served from the decoded-fragment cache (every page
+    /// resident, no file access by this fetch), including fetches that
+    /// waited for another thread's load of the same fragment.
     pub decoded_cache_hits: u64,
 }
 
-/// Mutable half of the file store: the file handle, the page pool and the
-/// decoded-fragment cache, all under one mutex (a leaf lock — no other lock
-/// is ever taken while it is held).
+/// The replacement state of the file store: the page pool and what follows
+/// from its decisions, under one mutex.  Only misses and
+/// [`FileStore::metrics`] take it, and neither holds it across file I/O,
+/// checksum verification or decoding.
 struct FileBacking {
-    file: File,
     pool: PagePool,
-    /// Fragments whose pages are all resident, kept decoded.  Invalidated
-    /// the moment any of their pages is evicted.
-    decoded: BTreeMap<u64, Arc<ColumnarFragment>>,
     /// Resident page count per fragment.
-    resident: BTreeMap<u64, u64>,
+    resident: Vec<u64>,
+    /// Page hits of fetches that were counted without being replayed into
+    /// `pool` (see [`FileStore::replay_touches`]); reported as pool hits.
+    folded_hits: u64,
     segment_reads: u64,
     bytes_read: u64,
     decoded_cache_hits: u64,
+}
+
+/// One fragment of an open store: where it lies in the file, and the state
+/// of the read path for it.
+struct StoredFragment {
+    entry: FragmentEntry,
+    slot: FragmentSlot,
+}
+
+/// Per-fragment state of the read path.  A cache line of its own, so workers
+/// fetching neighbouring fragments never write to the same line.
+#[derive(Default)]
+#[repr(align(64))]
+struct FragmentSlot {
+    /// Held for the whole of a load (charge, read, verify, decode, publish):
+    /// a second fetch of the same fragment waits here instead of decoding it
+    /// again, and then finds it published.
+    load: Mutex<()>,
+    /// The decoded fragment while every one of its pages is resident.  Set
+    /// and cleared only under the backing mutex, so it always agrees with
+    /// the pool; cleared the moment one of the pages is evicted.
+    decoded: Mutex<Option<Arc<ColumnarFragment>>>,
+    /// Hits served from `decoded` that the pool has not seen yet.  Written
+    /// only under `decoded`; atomic so that a replay can skip untouched slots
+    /// without locking them.
+    touches: AtomicU64,
+    /// [`FileStore::touch_clock`] reading of the latest of those hits.
+    /// Written and read only under `decoded`.
+    last_touch: AtomicU64,
 }
 
 /// A read-only fragment store backed by an `FGMT` file.
@@ -821,13 +895,35 @@ struct FileBacking {
 /// file with their checksums re-verified, and fully resident fragments are
 /// served from a decoded cache without touching the file.
 ///
-/// The store is cheap to share behind [`std::sync::Arc`]; all mutability is
-/// behind an internal mutex.
+/// The store is cheap to share behind [`std::sync::Arc`] and built for many
+/// threads fetching at once (lock order `load` → `backing` → `decoded`):
+///
+/// * A **hit** — the fragment's decoded form is published in its slot — is
+///   an `Arc` clone under the slot's own `decoded` lock plus a note that the
+///   fragment was touched.  It takes no store-wide lock and does not walk
+///   the page pool.
+/// * A **miss** takes the store-wide `backing` mutex twice, briefly: before
+///   the load, to replay the noted hits into the pool and charge the
+///   fragment's pages (evictions unpublish their victims), and after it, to
+///   count the I/O and publish the result if every page is still resident.
+///   The positional reads, FNV-1a verification and decoding in between run
+///   with only the fragment's `load` lock held, so loads of different
+///   fragments overlap and no fragment is ever decoded twice at once.
+///
+/// Replaying the noted hits before every replacement decision and every
+/// [`FileStore::metrics`] read leaves the pool and the counters exactly
+/// where charging each hit page by page would have, for any sequence of
+/// fetches issued one after the other; fetches that overlap in time are
+/// accounted in *some* order, with nothing lost.
 pub struct FileStore {
     path: PathBuf,
     meta: StoreMeta,
     total_rows: u64,
-    directory: Vec<FragmentEntry>,
+    file: File,
+    /// In page-directory order: a fragment's number is its position.
+    fragments: Vec<StoredFragment>,
+    /// Orders the hits of different fragments: each hit takes the next value.
+    touch_clock: AtomicU64,
     backing: Mutex<FileBacking>,
 }
 
@@ -835,7 +931,7 @@ impl std::fmt::Debug for FileStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FileStore")
             .field("path", &self.path)
-            .field("fragments", &self.directory.len())
+            .field("fragments", &self.fragments.len())
             .field("total_rows", &self.total_rows)
             .finish_non_exhaustive()
     }
@@ -871,7 +967,7 @@ impl FileStore {
             ));
         }
         let path = path.as_ref().to_path_buf();
-        let mut file = File::open(&path)?;
+        let file = File::open(&path)?;
         let file_len = file.metadata()?.len();
         if file_len < PAGE_SIZE + TRAILER_LEN {
             return Err(StorageError::Corrupt(format!(
@@ -881,8 +977,7 @@ impl FileStore {
 
         // Trailer.
         let mut trailer = vec![0u8; TRAILER_LEN as usize];
-        file.seek(SeekFrom::End(-(TRAILER_LEN as i64)))?;
-        file.read_exact(&mut trailer)?;
+        read_exact_at(&file, &mut trailer, file_len - TRAILER_LEN)?;
         if trailer[..8] != TRAILER_MAGIC {
             return Err(StorageError::Corrupt(
                 "trailer magic mismatch (file truncated or not an FGMT file)".into(),
@@ -897,8 +992,7 @@ impl FileStore {
 
         // Header page.
         let mut header = vec![0u8; PAGE_SIZE as usize];
-        file.seek(SeekFrom::Start(0))?;
-        file.read_exact(&mut header)?;
+        read_exact_at(&file, &mut header, 0)?;
         if header[..4] != HEADER_MAGIC {
             return Err(StorageError::Corrupt(
                 "header magic mismatch (not an FGMT file)".into(),
@@ -940,7 +1034,7 @@ impl FileStore {
             ));
         }
         let mut metadata = vec![0u8; meta_len as usize];
-        file.read_exact(&mut metadata)?;
+        read_exact_at(&file, &mut metadata, PAGE_SIZE)?;
         if fnv1a(&metadata) != meta_checksum {
             return Err(StorageError::Corrupt("metadata checksum mismatch".into()));
         }
@@ -968,8 +1062,7 @@ impl FileStore {
             ));
         }
         let mut directory_bytes = vec![0u8; dir_len as usize];
-        file.seek(SeekFrom::Start(dir_offset))?;
-        file.read_exact(&mut directory_bytes)?;
+        read_exact_at(&file, &mut directory_bytes, dir_offset)?;
         if fnv1a(&directory_bytes) != dir_checksum {
             return Err(StorageError::Corrupt(
                 "page directory checksum mismatch".into(),
@@ -994,8 +1087,7 @@ impl FileStore {
             for (fragment, entry) in directory.iter().enumerate() {
                 for (index, seg) in entry.segments.iter().enumerate() {
                     buf.resize(seg.len as usize, 0);
-                    file.seek(SeekFrom::Start(seg.offset))?;
-                    file.read_exact(&mut buf)?;
+                    read_exact_at(&file, &mut buf, seg.offset)?;
                     if fnv1a(&buf) != seg.checksum {
                         return Err(StorageError::Corrupt(format!(
                             "checksum mismatch in fragment {fragment}, segment {index}"
@@ -1009,16 +1101,23 @@ impl FileStore {
             path,
             meta,
             total_rows,
-            directory,
+            file,
+            touch_clock: AtomicU64::new(0),
             backing: Mutex::new(FileBacking {
-                file,
                 pool: PagePool::new(options.cache_pages),
-                decoded: BTreeMap::new(),
-                resident: BTreeMap::new(),
+                resident: vec![0; directory.len()],
+                folded_hits: 0,
                 segment_reads: 0,
                 bytes_read: 0,
                 decoded_cache_hits: 0,
             }),
+            fragments: directory
+                .into_iter()
+                .map(|entry| StoredFragment {
+                    entry,
+                    slot: FragmentSlot::default(),
+                })
+                .collect(),
         })
     }
 
@@ -1055,7 +1154,7 @@ impl FileStore {
     /// Number of fragments in the file.
     #[must_use]
     pub fn fragment_count(&self) -> u64 {
-        self.directory.len() as u64
+        self.fragments.len() as u64
     }
 
     /// Total fact rows across all fragments.
@@ -1071,16 +1170,20 @@ impl FileStore {
     /// Panics if `fragment_number` is out of range.
     #[must_use]
     pub fn fragment_rows(&self, fragment_number: u64) -> u64 {
-        self.directory[fragment_number as usize].rows
+        self.fragments[fragment_number as usize].entry.rows
     }
 
     /// Cumulative I/O statistics: page-pool accounting, segments and bytes
-    /// actually read, decoded-cache hits.
+    /// actually read, decoded-cache hits — with every hit served so far
+    /// folded in first.
     #[must_use]
     pub fn metrics(&self) -> FileIoMetrics {
-        let backing = self.backing.plock("file backing");
+        let mut backing = self.backing.plock("file backing");
+        self.replay_touches(&mut backing);
+        let mut pool = backing.pool.stats();
+        pool.hits += backing.folded_hits;
         FileIoMetrics {
-            pool: backing.pool.stats(),
+            pool,
             segment_reads: backing.segment_reads,
             bytes_read: backing.bytes_read,
             decoded_cache_hits: backing.decoded_cache_hits,
@@ -1095,53 +1198,137 @@ impl FileStore {
     /// Returns [`StorageError::Io`] on read failures,
     /// [`StorageError::Decode`] / [`StorageError::Corrupt`] when the stored
     /// bytes fail to decode or fail their checksum, and
-    /// [`StorageError::Config`] when `fragment_number` is out of range.
+    /// [`StorageError::Config`] when `fragment_number` is out of range.  A
+    /// failed load caches nothing: the next fetch of the fragment reads it
+    /// again.
     pub fn read_fragment(
         &self,
         fragment_number: u64,
     ) -> Result<Arc<ColumnarFragment>, StorageError> {
-        let entry = self
-            .directory
-            .get(fragment_number as usize)
-            .ok_or_else(|| {
-                StorageError::Config(format!(
-                    "fragment {fragment_number} out of range (store holds {})",
-                    self.directory.len()
-                ))
-            })?;
+        let number = fragment_number as usize;
+        let StoredFragment { entry, slot } = self.fragments.get(number).ok_or_else(|| {
+            StorageError::Config(format!(
+                "fragment {fragment_number} out of range (store holds {})",
+                self.fragments.len()
+            ))
+        })?;
+        if let Some(fragment) = self.published(slot) {
+            return Ok(fragment);
+        }
+        let _loading = slot.load.plock("fragment load");
+        if let Some(fragment) = self.published(slot) {
+            // Another thread loaded it while this one waited.
+            return Ok(fragment);
+        }
+        {
+            let mut backing = self.backing.plock("file backing");
+            self.replay_touches(&mut backing);
+            self.charge(&mut backing, fragment_number, entry.page_count);
+        }
+        let mut read = FileIoMetrics::default();
+        let loaded = self.load_fragment(fragment_number, entry, &mut read);
         let mut backing = self.backing.plock("file backing");
-        let backing = &mut *backing;
+        backing.segment_reads += read.segment_reads;
+        backing.bytes_read += read.bytes_read;
+        let fragment = Arc::new(loaded?);
+        // Another load may have evicted some of the pages charged above
+        // while this one was reading; then the fragment is handed out but
+        // not kept.
+        if backing.resident.get(number) == Some(&entry.page_count) {
+            *slot.decoded.plock("decoded fragment") = Some(Arc::clone(&fragment));
+        }
+        Ok(fragment)
+    }
 
-        // Charge every page of the fragment to the pool, invalidating the
-        // decoded cache of whichever fragment loses a page.
-        let mut misses = 0u64;
-        for page in 0..entry.page_count {
-            let outcome = backing
-                .pool
-                .request_reporting(PageKey::new(fragment_number, page));
+    /// The hit path: the published decoded form of `slot`'s fragment, if
+    /// any, noting the touch for [`FileStore::replay_touches`].
+    fn published(&self, slot: &FragmentSlot) -> Option<Arc<ColumnarFragment>> {
+        let decoded = slot.decoded.plock("decoded fragment");
+        let fragment = Arc::clone(decoded.as_ref()?);
+        // Noted before `decoded` is released, so an eviction (which clears
+        // `decoded` under the same lock) never leaves a touch behind on an
+        // unpublished slot.  Relaxed: that lock orders every access to the
+        // two slot fields, and the clock only has to hand out distinct,
+        // increasing values.
+        let now = self.touch_clock.fetch_add(1, Ordering::Relaxed);
+        slot.last_touch.store(now, Ordering::Relaxed);
+        slot.touches.fetch_add(1, Ordering::Relaxed);
+        Some(fragment)
+    }
+
+    /// Folds the hits noted since the last replay into the page pool, as if
+    /// each had charged its pages when it happened.  Runs before every
+    /// replacement decision and every metrics read.
+    ///
+    /// A hit never evicts, so only the *latest* hit of a fragment decides
+    /// where its pages stand in the LRU order: that one is charged page by
+    /// page, fragments in the order of their latest hits, and each earlier
+    /// hit is counted as `page_count` pool hits.
+    fn replay_touches(&self, backing: &mut FileBacking) {
+        let mut touched = Vec::new();
+        for (number, StoredFragment { entry, slot }) in (0u64..).zip(&self.fragments) {
+            // A touch this load does not see yet is replayed next time.
+            if slot.touches.load(Ordering::Relaxed) == 0 {
+                continue;
+            }
+            let _decoded = slot.decoded.plock("decoded fragment");
+            touched.push((
+                slot.last_touch.load(Ordering::Relaxed),
+                number,
+                entry.page_count,
+                slot.touches.swap(0, Ordering::Relaxed),
+            ));
+        }
+        touched.sort_unstable();
+        for (_, number, pages, touches) in touched {
+            // All hits: a published fragment has every page resident.
+            self.charge(backing, number, pages);
+            backing.folded_hits += pages * (touches - 1);
+            backing.decoded_cache_hits += touches;
+        }
+    }
+
+    /// Charges every page of fragment `number` to the pool.
+    fn charge(&self, backing: &mut FileBacking, number: u64, pages: u64) {
+        for page in 0..pages {
+            let outcome = backing.pool.request_reporting(PageKey::new(number, page));
             if !outcome.hit {
-                misses += 1;
-                *backing.resident.entry(fragment_number).or_insert(0) += 1;
+                backing.resident[number as usize] += 1;
             }
             if let Some(victim) = outcome.evicted {
-                if let Some(count) = backing.resident.get_mut(&victim.object) {
-                    *count -= 1;
-                    if *count == 0 {
-                        backing.resident.remove(&victim.object);
-                    }
-                }
-                backing.decoded.remove(&victim.object);
+                self.evict_page_of(backing, victim.object as usize);
             }
         }
-        if misses == 0 {
-            if let Some(decoded) = backing.decoded.get(&fragment_number) {
-                backing.decoded_cache_hits += 1;
-                return Ok(Arc::clone(decoded));
-            }
-        }
+    }
 
-        // At least one page (or the decoded form) is missing: read the
-        // fragment's segments from the file.
+    /// Accounts for the eviction of one page of fragment `victim`: a fully
+    /// resident fragment stops being one, so its decoded form goes too.
+    fn evict_page_of(&self, backing: &mut FileBacking, victim: usize) {
+        let StoredFragment { entry, slot } = &self.fragments[victim];
+        let resident = &mut backing.resident[victim];
+        if *resident == entry.page_count {
+            let mut decoded = slot.decoded.plock("decoded fragment");
+            *decoded = None;
+            // Hits of other threads that slipped in after the replay: their
+            // pages were resident when they were served, so they count, but
+            // they come too late to save the fragment.
+            let late = slot.touches.swap(0, Ordering::Relaxed);
+            drop(decoded);
+            backing.folded_hits += entry.page_count * late;
+            backing.decoded_cache_hits += late;
+        }
+        *resident -= 1;
+    }
+
+    /// Reads, verifies and decodes the segments of one fragment.  Touches
+    /// only immutable state and the shared file handle; `read` receives the
+    /// segments and bytes actually read, whether or not the load succeeds.
+    fn load_fragment(
+        &self,
+        fragment_number: u64,
+        entry: &FragmentEntry,
+        read: &mut FileIoMetrics,
+    ) -> Result<ColumnarFragment, StorageError> {
         let dimension_count = self.meta.schema.dimension_count();
         let measure_count = self.meta.schema.fact().measures().len();
         let mut buf = Vec::new();
@@ -1150,10 +1337,9 @@ impl FileStore {
         let mut indices = Vec::with_capacity(dimension_count);
         for (index, seg) in entry.segments.iter().enumerate() {
             buf.resize(seg.len as usize, 0);
-            backing.file.seek(SeekFrom::Start(seg.offset))?;
-            backing.file.read_exact(&mut buf)?;
-            backing.segment_reads += 1;
-            backing.bytes_read += seg.len;
+            read_exact_at(&self.file, &mut buf, seg.offset)?;
+            read.segment_reads += 1;
+            read.bytes_read += seg.len;
             if fnv1a(&buf) != seg.checksum {
                 return Err(StorageError::Corrupt(format!(
                     "checksum mismatch in fragment {fragment_number}, segment {index}"
@@ -1170,18 +1356,12 @@ impl FileStore {
                 )?);
             }
         }
-        let fragment = Arc::new(ColumnarFragment::from_parts(
+        Ok(ColumnarFragment::from_parts(
             fragment_number,
             keys,
             measures,
             indices,
-        ));
-        if backing.resident.get(&fragment_number) == Some(&entry.page_count) {
-            backing
-                .decoded
-                .insert(fragment_number, Arc::clone(&fragment));
-        }
-        Ok(fragment)
+        ))
     }
 
     /// Reads the whole file back into an in-memory [`FragmentStore`] —
@@ -1192,7 +1372,7 @@ impl FileStore {
     ///
     /// Propagates any [`StorageError`] from reading the fragments.
     pub fn materialise(&self) -> Result<FragmentStore, StorageError> {
-        let mut fragments = Vec::with_capacity(self.directory.len());
+        let mut fragments = Vec::with_capacity(self.fragments.len());
         for number in 0..self.fragment_count() {
             fragments.push((*self.read_fragment(number)?).clone());
         }
@@ -1218,8 +1398,95 @@ mod tests {
         FragmentStore::build(&schema, &fragmentation, 99)
     }
 
+    /// 288 fragments in 3 168 pages: enough of both for replacement to matter.
+    fn month_group_store() -> FragmentStore {
+        let schema = apb1_scaled_down();
+        let fragmentation =
+            Fragmentation::parse(&schema, &["time::month", "product::group"]).unwrap();
+        FragmentStore::build(&schema, &fragmentation, 2024)
+    }
+
+    fn open_unverified(path: &Path, cache_pages: usize) -> FileStore {
+        let options = FileStoreOptions {
+            cache_pages,
+            verify: false,
+        };
+        FileStore::open_with(path, options).unwrap()
+    }
+
+    /// `count` fragment numbers from a fixed generator, every other one out
+    /// of the first eighth of the store.
+    fn skewed_fetches(fragments: u64, count: usize, seed: u64) -> Vec<u64> {
+        let mut state = seed;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            state >> 33
+        };
+        (0..count)
+            .map(|i| next() % if i % 2 == 0 { fragments / 8 } else { fragments })
+            .collect()
+    }
+
+    /// The read path as it stood before hits were deferred: every fetch, hit
+    /// or miss, charges its pages to the pool one by one.
+    struct PageByPageModel {
+        pool: PagePool,
+        resident: BTreeMap<u64, u64>,
+        decoded: std::collections::BTreeSet<u64>,
+        segment_reads: u64,
+        bytes_read: u64,
+        decoded_cache_hits: u64,
+    }
+
+    impl PageByPageModel {
+        fn new(cache_pages: usize) -> Self {
+            PageByPageModel {
+                pool: PagePool::new(cache_pages),
+                resident: BTreeMap::new(),
+                decoded: std::collections::BTreeSet::new(),
+                segment_reads: 0,
+                bytes_read: 0,
+                decoded_cache_hits: 0,
+            }
+        }
+
+        fn fetch(&mut self, fragment: u64, entry: &FragmentEntry) {
+            let mut misses = 0u64;
+            for page in 0..entry.page_count {
+                let outcome = self.pool.request_reporting(PageKey::new(fragment, page));
+                if !outcome.hit {
+                    misses += 1;
+                    *self.resident.entry(fragment).or_insert(0) += 1;
+                }
+                if let Some(victim) = outcome.evicted {
+                    *self.resident.get_mut(&victim.object).unwrap() -= 1;
+                    self.decoded.remove(&victim.object);
+                }
+            }
+            if misses == 0 && self.decoded.contains(&fragment) {
+                self.decoded_cache_hits += 1;
+                return;
+            }
+            self.segment_reads += entry.segments.len() as u64;
+            self.bytes_read += entry.segments.iter().map(|seg| seg.len).sum::<u64>();
+            if self.resident.get(&fragment) == Some(&entry.page_count) {
+                self.decoded.insert(fragment);
+            }
+        }
+
+        fn metrics(&self) -> FileIoMetrics {
+            FileIoMetrics {
+                pool: self.pool.stats(),
+                segment_reads: self.segment_reads,
+                bytes_read: self.bytes_read,
+                decoded_cache_hits: self.decoded_cache_hits,
+            }
+        }
+    }
+
     fn temp_path(tag: &str) -> PathBuf {
-        use std::sync::atomic::{AtomicU64, Ordering};
         static COUNTER: AtomicU64 = AtomicU64::new(0);
         let n = COUNTER.fetch_add(1, Ordering::Relaxed);
         std::env::temp_dir().join(format!("fgmt_test_{}_{tag}_{n}.fgmt", std::process::id()))
@@ -1302,6 +1569,178 @@ mod tests {
         assert_eq!(metrics.decoded_cache_hits, 0);
         assert!(metrics.pool.evictions > 0);
         assert_eq!(*a, *b);
+    }
+
+    #[test]
+    fn serial_fetches_account_exactly_like_page_by_page_charging() {
+        let store = month_group_store();
+        let file = TempFile(temp_path("exact"));
+        write_store(&store, &file.0).unwrap();
+        let (total_pages, largest) = {
+            let opened = open_unverified(&file.0, 1);
+            let pages = opened.fragments.iter().map(|f| f.entry.page_count as usize);
+            (pages.clone().sum::<usize>(), pages.max().unwrap())
+        };
+        assert_eq!(total_pages, 3_168);
+        let fetches = skewed_fetches(store.fragment_count(), 6_000, 18);
+        for cache_pages in [
+            1,
+            largest,
+            total_pages / 8,
+            total_pages / 2,
+            2 * total_pages,
+        ] {
+            let opened = open_unverified(&file.0, cache_pages);
+            let mut model = PageByPageModel::new(cache_pages);
+            for (done, &fragment) in fetches.iter().enumerate() {
+                opened.read_fragment(fragment).unwrap();
+                model.fetch(fragment, &opened.fragments[fragment as usize].entry);
+                // Long and short stretches of deferred hits between replays.
+                if [1, 2, 700, 701, 2_900, 6_000].contains(&(done + 1)) {
+                    assert_eq!(
+                        opened.metrics(),
+                        model.metrics(),
+                        "{cache_pages} cache pages, after {} fetches",
+                        done + 1
+                    );
+                }
+            }
+            let metrics = opened.metrics();
+            assert!(metrics.segment_reads > 0);
+            if cache_pages > largest {
+                assert!(metrics.decoded_cache_hits > 0);
+            }
+        }
+    }
+
+    #[test]
+    fn concurrent_fetches_are_correct_and_fully_accounted() {
+        const THREADS: u64 = 4;
+        const RANDOM_FETCHES: usize = 2_000;
+        let store = month_group_store();
+        let file = TempFile(temp_path("stress"));
+        write_store(&store, &file.0).unwrap();
+        let fragments = store.fragment_count();
+        let total_pages = 3_168;
+        for cache_pages in [1, total_pages / 8, 2 * total_pages] {
+            let opened = open_unverified(&file.0, cache_pages);
+            let start = std::sync::Barrier::new(THREADS as usize);
+            let pages_fetched: u64 = std::thread::scope(|scope| {
+                let workers: Vec<_> = (0..THREADS)
+                    .map(|thread| {
+                        let (opened, store, start) = (&opened, &store, &start);
+                        scope.spawn(move || {
+                            // Every thread begins with the same sweep, so all
+                            // of them race for each fragment's first load.
+                            let sweep = 0..fragments;
+                            let random = skewed_fetches(fragments, RANDOM_FETCHES, thread);
+                            start.wait();
+                            sweep
+                                .chain(random)
+                                .map(|fragment| {
+                                    let fetched = opened.read_fragment(fragment).unwrap();
+                                    assert_eq!(*fetched, *store.fragment(fragment));
+                                    opened.fragments[fragment as usize].entry.page_count
+                                })
+                                .sum::<u64>()
+                        })
+                    })
+                    .collect();
+                workers.into_iter().map(|w| w.join().unwrap()).sum()
+            });
+            let metrics = opened.metrics();
+            let fetches = THREADS * (fragments + RANDOM_FETCHES as u64);
+            let segments = opened.fragments[0].entry.segments.len() as u64;
+            assert_eq!(metrics.pool.hits + metrics.pool.misses, pages_fetched);
+            assert_eq!(metrics.segment_reads % segments, 0);
+            assert_eq!(
+                metrics.decoded_cache_hits + metrics.segment_reads / segments,
+                fetches,
+                "{cache_pages} cache pages"
+            );
+            if cache_pages > total_pages {
+                // Nothing is ever evicted, so each fragment is read once —
+                // by whichever thread got to it first.
+                assert_eq!(metrics.segment_reads, fragments * segments);
+                assert_eq!(metrics.pool.misses, total_pages as u64);
+                assert_eq!(metrics.pool.evictions, 0);
+            }
+        }
+    }
+
+    /// Fetches `fragment` from two threads at once and returns both outcomes.
+    fn fetch_from_two_threads(
+        opened: &FileStore,
+        fragment: u64,
+    ) -> [Result<Arc<ColumnarFragment>, StorageError>; 2] {
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            [(), ()]
+                .map(|()| {
+                    scope.spawn(|| {
+                        start.wait();
+                        opened.read_fragment(fragment)
+                    })
+                })
+                .map(|fetch| fetch.join().unwrap())
+        })
+    }
+
+    #[test]
+    fn a_corrupt_segment_fails_every_fetch_of_its_fragment_and_nothing_else() {
+        let store = small_store();
+        let file = TempFile(temp_path("badsegment"));
+        write_store(&store, &file.0).unwrap();
+        let bad = store.fragment_count() - 1;
+        let segment = open_unverified(&file.0, 64).fragments[bad as usize]
+            .entry
+            .segments[0];
+        let mut bytes = std::fs::read(&file.0).unwrap();
+        bytes[segment.offset as usize] ^= 0xFF;
+        std::fs::write(&file.0, &bytes).unwrap();
+
+        let opened = open_unverified(&file.0, 65_536);
+        for outcome in fetch_from_two_threads(&opened, bad) {
+            assert!(
+                matches!(outcome, Err(StorageError::Corrupt(_))),
+                "{outcome:?}"
+            );
+        }
+        // Each of the two read the bad segment itself, and only that one.
+        let metrics = opened.metrics();
+        assert_eq!(metrics.segment_reads, 2);
+        assert_eq!(metrics.bytes_read, 2 * segment.len);
+        assert_eq!(metrics.decoded_cache_hits, 0);
+        // Nothing was published and no lock is left held or poisoned.
+        assert!(matches!(
+            opened.read_fragment(bad),
+            Err(StorageError::Corrupt(_))
+        ));
+        assert_eq!(*opened.read_fragment(0).unwrap(), *store.fragment(0));
+        assert_eq!(*opened.read_fragment(0).unwrap(), *store.fragment(0));
+        assert_eq!(opened.metrics().decoded_cache_hits, 1);
+    }
+
+    #[test]
+    fn a_file_truncated_under_the_open_store_fails_only_the_lost_fragments() {
+        let store = small_store();
+        let file = TempFile(temp_path("cut"));
+        write_store(&store, &file.0).unwrap();
+        let opened = FileStore::open(&file.0).unwrap();
+        let lost = store.fragment_count() - 1;
+        let keep = opened.fragments[lost as usize].entry.segments[0].offset;
+        File::options()
+            .write(true)
+            .open(&file.0)
+            .unwrap()
+            .set_len(keep)
+            .unwrap();
+
+        for outcome in fetch_from_two_threads(&opened, lost) {
+            assert!(matches!(outcome, Err(StorageError::Io(_))), "{outcome:?}");
+        }
+        assert_eq!(opened.metrics().segment_reads, 0, "nothing could be read");
+        assert_eq!(*opened.read_fragment(0).unwrap(), *store.fragment(0));
     }
 
     #[test]
