@@ -9,8 +9,6 @@
 //! The suggested counter-measures are a prime number of disks or a
 //! gap-modified allocation.
 
-use serde::{Deserialize, Serialize};
-
 use crate::layout::PhysicalAllocation;
 
 /// Number of distinct disks that hold the given fact fragments under an
@@ -126,7 +124,7 @@ pub fn load_imbalance(loads: &[f64]) -> f64 {
 
 /// Summary of how well an allocation supports a set of strided access
 /// patterns (one per query type of interest).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeclusteringAnalysis {
     /// Number of disks analysed.
     pub disks: u64,

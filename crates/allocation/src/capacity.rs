@@ -6,15 +6,13 @@
 //! [`CapacityReport`] computes how many bytes of fact and bitmap data each
 //! disk receives under an allocation and how balanced the distribution is.
 
-use serde::{Deserialize, Serialize};
-
 use mdhf::Fragmentation;
 use schema::{PageSizing, StarSchema};
 
 use crate::layout::PhysicalAllocation;
 
 /// Storage assigned to one disk.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct DiskUsage {
     /// Bytes of fact-fragment data.
     pub fact_bytes: f64,
@@ -35,7 +33,7 @@ impl DiskUsage {
 }
 
 /// Capacity accounting of a full allocation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CapacityReport {
     per_disk: Vec<DiskUsage>,
 }

@@ -1,10 +1,8 @@
 //! Round-robin and staggered round-robin disk placement (§4, §4.6, Figure 2).
 
-use serde::{Deserialize, Serialize};
-
 /// Where the bitmap fragments of a fact fragment are placed relative to the
 /// fact fragment's disk.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BitmapPlacement {
     /// Staggered round robin (Figure 2): the `k` bitmap fragments of fact
     /// fragment on disk `j` go to disks `j+1, …, j+k (mod d)`, so that all
@@ -17,7 +15,7 @@ pub enum BitmapPlacement {
 
 /// A physical allocation of fact fragments and bitmap fragments onto `d`
 /// disks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PhysicalAllocation {
     disks: u64,
     bitmap_placement: BitmapPlacement,

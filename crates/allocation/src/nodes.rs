@@ -32,13 +32,11 @@
 //! assert!(NodePlacement::shared_disk(4, 3).is_local(0, 7));
 //! ```
 
-use serde::{Deserialize, Serialize};
-
 use crate::analysis::disk_load_shares;
 use crate::layout::PhysicalAllocation;
 
 /// How the nodes of a [`NodePlacement`] reach each other's disks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NodeStrategy {
     /// Each node owns its disks exclusively; remote pages travel over the
     /// interconnect and pay a per-page network charge.
@@ -51,7 +49,7 @@ pub enum NodeStrategy {
 /// A two-level placement: `nodes × disks_per_node` disks, fragment placement
 /// delegated to a wrapped [`PhysicalAllocation`], disk `d` owned by node
 /// `d / disks_per_node`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NodePlacement {
     nodes: u64,
     strategy: NodeStrategy,

@@ -1,168 +1,74 @@
-//! Compares the current CI run's `BENCH_*.json` outputs against a baseline
-//! (the previous successful run's artifacts, or the committed
-//! `bench/baseline/` snapshot on a first run) and fails on a performance
-//! regression.
+//! The exact regression gate over the `BENCH_*.json` reports.
 //!
 //! ```text
-//! bench_regression_check --baseline <dir|file> --current <dir|file> \
-//!     [--tolerance 0.15]
+//! bench_regression_check --baseline <dir|file> --current <dir|file>
 //! ```
 //!
-//! For every `BENCH_*.json` present in `--current`, the checker looks for a
-//! file of the same name under `--baseline` (missing baselines are skipped
-//! with a note — a brand-new bench cannot regress).  From each file it
-//! extracts every numeric field and aggregates the *comparable metrics*:
-//!
-//! * **higher-is-better** — fields named `qps` (mean over all occurrences),
-//! * **lower-is-better** — the latency fields `latency_mean_ms`,
-//!   `latency_p95_ms`, `latency_p99_ms` and `latency_p999_ms`, so the gate
-//!   covers the tail of the distribution, not just its centre.
-//!
-//! A metric regresses when it moves against its direction by more than the
-//! tolerance (default ±15 %).  Aggregating to per-file means keeps the gate
-//! robust against single noisy sweep points while still catching the
-//! across-the-board slowdowns a perf regression produces.  The process
-//! exits non-zero if any metric in any file regressed.
-//!
-//! JSON parsing is a minimal scanner for `"key": <number>` pairs — every
-//! compared file is produced by this repository's own bench binaries, so a
-//! full JSON parser (and the dependency it would drag in) is unnecessary.
+//! For every `BENCH_*.json` under `--current`, the file of the same name
+//! under `--baseline` (default: the committed `bench/baseline/`) must exist
+//! and equal the current file with its `"wall"` objects removed
+//! ([`bench_support::report::without_wall`]) byte for byte.  A changed,
+//! missing or extra deterministic field fails; a deliberate change updates
+//! the baseline in the same commit.  Wall-clock numbers are not compared
+//! here at all: `benchmark compare` is the wall-clock gate.
 
-use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use bench_support::arg_value;
+use bench_support::report::without_wall;
 
-/// Metric fields where larger current values are better.
-const HIGHER_IS_BETTER: [&str; 1] = ["qps"];
-/// Metric fields where smaller current values are better.
-const LOWER_IS_BETTER: [&str; 4] = [
-    "latency_mean_ms",
-    "latency_p95_ms",
-    "latency_p99_ms",
-    "latency_p999_ms",
-];
-
-/// Extracts every `"key": <number>` pair from a JSON document, in order.
-fn numeric_fields(json: &str) -> Vec<(String, f64)> {
-    let mut fields = Vec::new();
-    let bytes = json.as_bytes();
-    let mut i = 0;
-    while i < bytes.len() {
-        if bytes[i] != b'"' {
-            i += 1;
+/// Every line on which `current`'s deterministic part differs from the
+/// baseline, narrowed to the differing members where the lines line up.
+fn differences(baseline: &str, current: &str) -> Vec<String> {
+    let current = without_wall(current);
+    let (baseline_lines, current_lines) = (baseline.lines().count(), current.lines().count());
+    let mut out = Vec::new();
+    if baseline_lines != current_lines {
+        out.push(format!(
+            "baseline has {baseline_lines} lines, current run {current_lines}"
+        ));
+    }
+    for (number, (expected, actual)) in baseline.lines().zip(current.lines()).enumerate() {
+        if expected == actual {
             continue;
         }
-        // A quoted string: find its end (bench JSON never escapes quotes).
-        let start = i + 1;
-        let Some(len) = json[start..].find('"') else {
-            break;
-        };
-        let key = &json[start..start + len];
-        i = start + len + 1;
-        // Only `"key":` followed by a numeric literal counts.
-        let rest = json[i..].trim_start();
-        let Some(rest) = rest.strip_prefix(':') else {
-            continue;
-        };
-        let rest = rest.trim_start();
-        let end = rest
-            .find(|c: char| !(c.is_ascii_digit() || "+-.eE".contains(c)))
-            .unwrap_or(rest.len());
-        if end > 0 {
-            if let Ok(value) = rest[..end].parse::<f64>() {
-                fields.push((key.to_string(), value));
+        let (expected_members, actual_members): (Vec<&str>, Vec<&str>) =
+            (expected.split(", ").collect(), actual.split(", ").collect());
+        if expected_members.len() == actual_members.len() {
+            for (e, a) in expected_members.iter().zip(&actual_members) {
+                if e != a {
+                    out.push(format!("line {}: baseline {e} / current {a}", number + 1));
+                }
             }
+        } else {
+            out.push(format!(
+                "line {}: fields differ\n     baseline {expected}\n     current  {actual}",
+                number + 1
+            ));
         }
     }
-    fields
+    out
 }
 
-/// Mean of every occurrence of each comparable metric in a document.
-fn metric_means(json: &str) -> BTreeMap<String, f64> {
-    let mut sums: BTreeMap<String, (f64, u64)> = BTreeMap::new();
-    for (key, value) in numeric_fields(json) {
-        if HIGHER_IS_BETTER.contains(&key.as_str()) || LOWER_IS_BETTER.contains(&key.as_str()) {
-            let entry = sums.entry(key).or_insert((0.0, 0));
-            entry.0 += value;
-            entry.1 += 1;
-        }
-    }
-    sums.into_iter()
-        .map(|(key, (sum, count))| (key, sum / count as f64))
-        .collect()
-}
-
-/// One metric comparison: `Ok` row text, or `Err` regression description.
-fn compare_metric(
-    key: &str,
-    baseline: f64,
-    current: f64,
-    tolerance: f64,
-) -> Result<String, String> {
-    let higher_better = HIGHER_IS_BETTER.contains(&key);
-    let change = if baseline.abs() > f64::EPSILON {
-        current / baseline - 1.0
+/// Compares one current file against the baseline of the same name.
+fn check_file(baseline: &Path, current_path: &Path) -> Vec<String> {
+    let name = current_path.file_name().unwrap_or_default();
+    let baseline_path = if baseline.is_file() {
+        baseline.to_path_buf()
     } else {
-        0.0
+        baseline.join(name)
     };
-    let regressed = if higher_better {
-        current < baseline * (1.0 - tolerance)
-    } else {
-        current > baseline * (1.0 + tolerance)
+    let Ok(baseline_json) = std::fs::read_to_string(&baseline_path) else {
+        return vec![format!(
+            "no readable baseline at {} — commit one with the bench",
+            baseline_path.display()
+        )];
     };
-    let row = format!(
-        "{key:>16}: baseline {baseline:>12.3}  current {current:>12.3}  ({change:+.1}%)",
-        change = change * 100.0
-    );
-    if regressed {
-        Err(format!(
-            "{row}  REGRESSION (direction: {}, tolerance ±{:.0}%)",
-            if higher_better {
-                "higher is better"
-            } else {
-                "lower is better"
-            },
-            tolerance * 100.0
-        ))
-    } else {
-        Ok(row)
+    match std::fs::read_to_string(current_path) {
+        Ok(current_json) => differences(&baseline_json, &current_json),
+        Err(err) => vec![format!("cannot read {}: {err}", current_path.display())],
     }
-}
-
-/// Compares one current file against its baseline; returns regressions.
-fn compare_files(baseline_json: &str, current_json: &str, tolerance: f64) -> Vec<String> {
-    let baseline = metric_means(baseline_json);
-    let current = metric_means(current_json);
-    let mut regressions = Vec::new();
-    for (key, &current_value) in &current {
-        let Some(&baseline_value) = baseline.get(key) else {
-            println!("{key:>16}: no baseline value — skipped (new metric)");
-            continue;
-        };
-        match compare_metric(key, baseline_value, current_value, tolerance) {
-            Ok(row) => println!("{row}"),
-            Err(row) => {
-                println!("{row}");
-                regressions.push(row);
-            }
-        }
-    }
-    // A metric the baseline gated but the current run no longer emits is a
-    // regression too — otherwise renaming or dropping a field silently
-    // stops the gate from gating it.
-    for key in baseline.keys() {
-        if !current.contains_key(key) {
-            let row = format!(
-                "{key:>16}: present in the baseline but MISSING from the current run — \
-                 the gate can no longer check it"
-            );
-            println!("{row}");
-            regressions.push(row);
-        }
-    }
-    regressions
 }
 
 /// The `BENCH_*.json` files under `path` (or `path` itself when a file).
@@ -188,11 +94,9 @@ fn bench_files(path: &Path) -> Vec<PathBuf> {
 }
 
 fn main() -> ExitCode {
-    let baseline_dir =
+    let baseline =
         PathBuf::from(arg_value("--baseline").unwrap_or_else(|| "bench/baseline".to_string()));
     let current_dir = PathBuf::from(arg_value("--current").unwrap_or_else(|| ".".to_string()));
-    let tolerance: f64 =
-        arg_value("--tolerance").map_or(0.15, |t| t.parse().expect("tolerance must be a number"));
 
     let current_files = bench_files(&current_dir);
     if current_files.is_empty() {
@@ -203,40 +107,29 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
 
-    let mut regressions = Vec::new();
+    let mut failed = 0;
     for current_path in &current_files {
-        let name = current_path.file_name().expect("bench file has a name");
-        let baseline_path = if baseline_dir.is_file() {
-            baseline_dir.clone()
-        } else {
-            baseline_dir.join(name)
-        };
-        println!("== {} ==", name.to_string_lossy());
-        if !baseline_path.exists() {
-            println!(
-                "   no baseline at {} — skipped (new bench)",
-                baseline_path.display()
-            );
-            continue;
+        let found = check_file(&baseline, current_path);
+        println!(
+            "== {}: {} ==",
+            current_path.display(),
+            if found.is_empty() { "equal" } else { "DIFFERS" }
+        );
+        for line in &found {
+            println!("   {line}");
         }
-        let baseline_json =
-            std::fs::read_to_string(&baseline_path).expect("baseline file readable");
-        let current_json = std::fs::read_to_string(current_path).expect("current file readable");
-        regressions.extend(compare_files(&baseline_json, &current_json, tolerance));
-        println!();
+        failed += usize::from(!found.is_empty());
     }
 
-    if regressions.is_empty() {
-        println!(
-            "bench regression check passed (tolerance ±{:.0}%)",
-            tolerance * 100.0
-        );
+    if failed == 0 {
+        println!("bench regression check passed: every deterministic field equals its baseline");
         ExitCode::SUCCESS
     } else {
         eprintln!(
-            "bench regression check FAILED: {} regressed metric(s); add `[bench-skip]` to the \
-             commit message to bypass deliberately",
-            regressions.len()
+            "bench regression check FAILED: {failed} of {} file(s) differ from the baseline; \
+             if the change is deliberate, regenerate bench/baseline/ in the same commit \
+             (EXPERIMENTS.md, \"Regenerating a baseline\")",
+            current_files.len()
         );
         ExitCode::FAILURE
     }
@@ -246,113 +139,92 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
 
-    const SAMPLE: &str = r#"{
-      "bench": "multiuser_throughput",
-      "quick": true,
-      "points": [
-        {"workers": 2, "mpl": 1, "qps": 100.0, "latency_mean_ms": 4.0, "latency_p95_ms": 9.0,
-         "latency_p99_ms": 14.0, "latency_p999_ms": 19.0},
-        {"workers": 2, "mpl": 4, "qps": 300.0, "latency_mean_ms": 6.0, "latency_p95_ms": 11.0,
-         "latency_p99_ms": 16.0, "latency_p999_ms": 21.0}
-      ]
-    }"#;
+    /// Simulated `qps` beside wall `qps`, the way `fig_scaleout` reports them.
+    const CURRENT: &str = r#"{
+  "bench": "scaleout",
+  "quick": true,
+  "points": [
+    {"nodes": 1, "qps": 100.000000, "net_pages": 0, "wall": {"qps": 4100.500000, "migration_rate": 0.000000}},
+    {"nodes": 8, "qps": 300.000000, "net_pages": 96, "wall": {"qps": 5200.250000, "migration_rate": 0.125000}}
+  ],
+  "gate": {"scaling": 3.000000},
+  "wall": {"cores": 2}
+}
+"#;
 
-    /// Rescales every occurrence of `key` in `json` by `factor`.
-    fn scaled(json: &str, key: &str, factor: f64) -> String {
-        let mut out = String::new();
-        let needle = format!("\"{key}\": ");
-        let mut rest = json;
-        while let Some(at) = rest.find(&needle) {
-            let value_start = at + needle.len();
-            out.push_str(&rest[..value_start]);
-            rest = &rest[value_start..];
-            let end = rest
-                .find(|c: char| !(c.is_ascii_digit() || ".-+eE".contains(c)))
-                .unwrap_or(rest.len());
-            let value: f64 = rest[..end].parse().unwrap();
-            out.push_str(&format!("{}", value * factor));
-            rest = &rest[end..];
-        }
-        out.push_str(rest);
-        out
-    }
-
-    #[test]
-    fn extracts_numeric_fields_only() {
-        let fields = numeric_fields(SAMPLE);
-        assert!(fields.contains(&("qps".to_string(), 100.0)));
-        assert!(fields.contains(&("latency_p95_ms".to_string(), 11.0)));
-        // String values ("bench") and booleans are not numeric fields.
-        assert!(fields.iter().all(|(k, _)| k != "bench" && k != "quick"));
-    }
-
-    #[test]
-    fn means_aggregate_comparable_metrics() {
-        let means = metric_means(SAMPLE);
-        assert_eq!(means["qps"], 200.0);
-        assert_eq!(means["latency_mean_ms"], 5.0);
-        assert_eq!(means["latency_p95_ms"], 10.0);
-        // Non-metric numerics (workers, mpl) are not aggregated.
-        assert!(!means.contains_key("workers"));
+    fn baseline() -> String {
+        without_wall(CURRENT)
     }
 
     #[test]
     fn identical_runs_pass() {
-        assert!(compare_files(SAMPLE, SAMPLE, 0.15).is_empty());
+        assert!(differences(&baseline(), CURRENT).is_empty());
     }
 
     #[test]
-    fn noise_within_tolerance_passes() {
-        let wobbly = scaled(SAMPLE, "qps", 0.9);
-        assert!(compare_files(SAMPLE, &wobbly, 0.15).is_empty());
+    fn a_changed_wall_field_passes() {
+        let noisy = CURRENT
+            .replace("4100.500000", "1.000000")
+            .replace("0.125000", "0.875000");
+        assert_ne!(noisy, CURRENT);
+        assert!(differences(&baseline(), &noisy).is_empty());
+    }
+
+    #[test]
+    fn cores_is_ignored() {
+        let other_host = CURRENT.replace("\"cores\": 2", "\"cores\": 64");
+        assert!(differences(&baseline(), &other_host).is_empty());
     }
 
     #[test]
     fn a_30_percent_throughput_drop_fails() {
-        let regressed = scaled(SAMPLE, "qps", 0.7);
-        let failures = compare_files(SAMPLE, &regressed, 0.15);
-        assert_eq!(failures.len(), 1, "{failures:?}");
-        assert!(failures[0].contains("qps"));
-        assert!(failures[0].contains("REGRESSION"));
-    }
-
-    #[test]
-    fn a_30_percent_latency_increase_fails() {
-        let regressed = scaled(SAMPLE, "latency_mean_ms", 1.3);
-        let failures = compare_files(SAMPLE, &regressed, 0.15);
-        assert_eq!(failures.len(), 1, "{failures:?}");
-        assert!(failures[0].contains("latency_mean_ms"));
-    }
-
-    #[test]
-    fn a_30_percent_tail_latency_increase_fails() {
-        // A run whose p99/p999 blow up while mean and p95 hold steady —
-        // the shape a lock-convoy or overflow-path regression produces —
-        // must still fail the gate.
-        let regressed = scaled(
-            &scaled(SAMPLE, "latency_p99_ms", 1.3),
-            "latency_p999_ms",
-            1.4,
+        // The simulated qps is deterministic: any change is a regression
+        // (or a deliberate change that must update the baseline).
+        let slower = CURRENT.replace("\"qps\": 300.000000", "\"qps\": 210.000000");
+        let failures = differences(&baseline(), &slower);
+        assert_eq!(
+            failures,
+            ["line 6: baseline \"qps\": 300.000000 / current \"qps\": 210.000000"]
         );
-        let failures = compare_files(SAMPLE, &regressed, 0.15);
-        assert_eq!(failures.len(), 2, "{failures:?}");
-        assert!(failures.iter().any(|f| f.contains("latency_p99_ms")));
-        assert!(failures.iter().any(|f| f.contains("latency_p999_ms")));
     }
 
     #[test]
     fn dropping_a_gated_metric_fails() {
-        // Renaming `qps` away must not silently stop the throughput gate.
-        let renamed = SAMPLE.replace("\"qps\"", "\"throughput\"");
-        let failures = compare_files(SAMPLE, &renamed, 0.15);
+        // Renaming or removing a deterministic field must not silently
+        // stop the gate from gating it.
+        let renamed = CURRENT.replace("\"scaling\"", "\"speedup\"");
+        assert_eq!(differences(&baseline(), &renamed).len(), 1);
+        let removed = CURRENT.replace(", \"net_pages\": 96", "");
+        let failures = differences(&baseline(), &removed);
         assert_eq!(failures.len(), 1, "{failures:?}");
-        assert!(failures[0].contains("qps"));
-        assert!(failures[0].contains("MISSING"));
+        assert!(failures[0].starts_with("line 6: fields differ"));
     }
 
     #[test]
-    fn improvements_never_fail() {
-        let faster = scaled(&scaled(SAMPLE, "qps", 2.0), "latency_mean_ms", 0.5);
-        assert!(compare_files(SAMPLE, &faster, 0.15).is_empty());
+    fn an_extra_deterministic_field_fails() {
+        let extra = CURRENT.replace("\"scaling\":", "\"limit\": 2.000000, \"scaling\":");
+        assert_eq!(differences(&baseline(), &extra).len(), 1);
+        let extra_line = CURRENT.replace("  \"gate\"", "  \"bits\": 64,\n  \"gate\"");
+        assert!(differences(&baseline(), &extra_line)[0].contains("lines"));
+    }
+
+    #[test]
+    fn a_wall_field_in_the_baseline_fails() {
+        assert!(!differences(CURRENT, CURRENT).is_empty());
+    }
+
+    #[test]
+    fn a_current_file_without_a_baseline_fails() {
+        let dir = std::env::temp_dir().join(format!("bench_check_{}", std::process::id()));
+        std::fs::create_dir_all(dir.join("baseline")).expect("temp dir");
+        let current = dir.join("BENCH_new.json");
+        std::fs::write(&current, CURRENT).expect("temp file");
+        let failures = check_file(&dir.join("baseline"), &current);
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        assert!(failures[0].contains("no readable baseline"));
+        // With the baseline in place the same file passes.
+        std::fs::write(dir.join("baseline/BENCH_new.json"), baseline()).expect("temp file");
+        assert!(check_file(&dir.join("baseline"), &current).is_empty());
+        std::fs::remove_dir_all(&dir).expect("clean up");
     }
 }

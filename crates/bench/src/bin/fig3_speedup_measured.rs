@@ -37,7 +37,7 @@ fn main() {
     let engine = StarJoinEngine::new(measured_store(quick));
     let schema = engine.store().schema().clone();
     let fragments = engine.store().fragmentation().fragment_count();
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let cores = bench_support::cores();
     println!("Figure 3 (measured): 1STORE on the physical execution engine");
     println!(
         "store: {} rows in {} fragments under {}; machine: {} core(s)",

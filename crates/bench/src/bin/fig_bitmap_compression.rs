@@ -20,11 +20,9 @@
 //!
 //! `--quick` shrinks the bitmap length and repeat count for CI smoke runs.
 
-use std::time::Instant;
-
 use bench_support::{
     measured_store, paper_schema, print_header, print_row, quick_mode, random_bitmap,
-    sparse_clustered_bitmap, splitmix,
+    sparse_clustered_bitmap, splitmix, time_us,
 };
 use warehouse::mdhf::StarQuery;
 use warehouse::prelude::*;
@@ -70,16 +68,6 @@ fn workloads(n: usize, k: usize) -> Vec<Workload> {
             bitmaps: (0..k as u64).map(near_full).collect(),
         },
     ]
-}
-
-fn time_us<R>(repeats: usize, mut f: impl FnMut() -> R) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..repeats {
-        let start = Instant::now();
-        std::hint::black_box(f());
-        best = best.min(start.elapsed().as_secs_f64() * 1e6);
-    }
-    best
 }
 
 fn main() {

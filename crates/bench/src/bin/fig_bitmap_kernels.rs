@@ -14,14 +14,12 @@
 //! both larger and slower than one of the fixed alternatives.
 //!
 //! `--quick` shrinks the bitmap length and repeat count for CI smoke runs;
-//! `--json <path>` writes the sweep (default `BENCH_bitmap_kernels.json`)
-//! for the CI perf-regression gate.
-
-use std::fmt::Write as _;
-use std::time::Instant;
+//! `--json <path>` writes the sweep (default `BENCH_bitmap_kernels.json`):
+//! representation sizes are deterministic and gated exactly by CI, the
+//! best-of-N timings sit under `"wall"`.
 
 use bench_support::{
-    arg_value, print_header, print_row, quick_mode, random_bitmap, sparse_clustered_bitmap,
+    print_header, print_row, quick_mode, random_bitmap, sparse_clustered_bitmap, time_us, Record,
 };
 use warehouse::prelude::*;
 
@@ -75,67 +73,14 @@ fn scalar_and_many(operands: &[&[u64]]) -> Vec<u64> {
         .collect()
 }
 
-/// Best-of-`repeats` wall time of `f`, in microseconds.
-fn time_us<R>(repeats: usize, mut f: impl FnMut() -> R) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..repeats {
-        let start = Instant::now();
-        std::hint::black_box(f());
-        best = best.min(start.elapsed().as_secs_f64() * 1e6);
-    }
-    best
-}
-
 /// One sweep point: a (shape, representation, k) cell of the table.
-struct Point {
-    shape: &'static str,
-    repr: &'static str,
-    k: usize,
-    micros: f64,
-    size_bytes: usize,
-}
-
-fn write_json(path: &str, quick: bool, n: usize, points: &[Point], speedups: &[(usize, f64)]) {
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"bench\": \"bitmap_kernels\",");
-    let _ = writeln!(out, "  \"quick\": {quick},");
-    let _ = writeln!(out, "  \"bits\": {n},");
-    // The CI gate compares per-file means of `qps` and `latency_mean_ms`
-    // (±15 %).  Per-point rates would be dominated by the sub-microsecond
-    // cells (clustered roaring), whose best-of-N timings jitter far beyond
-    // the tolerance — so the gated metrics aggregate over the whole sweep,
-    // where the stable slow cells dominate, and the per-point cells carry
-    // an ungated `micros` field instead.
-    let total_micros: f64 = points.iter().map(|p| p.micros).sum();
-    let _ = writeln!(
-        out,
-        "  \"qps\": {:.3},",
-        1e6 * points.len() as f64 / total_micros.max(1e-3)
-    );
-    let _ = writeln!(
-        out,
-        "  \"latency_mean_ms\": {:.6},",
-        total_micros / points.len() as f64 / 1e3
-    );
-    let _ = writeln!(out, "  \"points\": [");
-    for (i, p) in points.iter().enumerate() {
-        let comma = if i + 1 < points.len() { "," } else { "" };
-        let _ = writeln!(
-            out,
-            "    {{\"shape\": \"{}\", \"repr\": \"{}\", \"k\": {}, \"micros\": {:.3}, \
-             \"size_bytes\": {}}}{comma}",
-            p.shape, p.repr, p.k, p.micros, p.size_bytes,
-        );
-    }
-    let _ = writeln!(out, "  ],");
-    let _ = writeln!(out, "  \"dense_unrolled_speedup\": [");
-    for (i, (k, speedup)) in speedups.iter().enumerate() {
-        let comma = if i + 1 < speedups.len() { "," } else { "" };
-        let _ = writeln!(out, "    {{\"k\": {k}, \"speedup\": {speedup:.3}}}{comma}");
-    }
-    let _ = writeln!(out, "  ]");
-    out.push_str("}\n");
-    std::fs::write(path, out).expect("write bench JSON");
+fn point(shape: &'static str, repr: &'static str, k: usize, micros: f64, bytes: usize) -> Record {
+    Record::new()
+        .set("shape", shape)
+        .set("repr", repr)
+        .set("k", k)
+        .set("size_bytes", bytes)
+        .wall("micros", micros)
 }
 
 #[allow(clippy::too_many_lines)]
@@ -145,7 +90,6 @@ fn main() {
     // Best-of-N timing: generous N, so the minimum converges despite CI
     // scheduling noise — the whole sweep is still well under a second.
     let repeats = if quick { 31 } else { 15 };
-    let json_path = arg_value("--json").unwrap_or_else(|| "BENCH_bitmap_kernels.json".to_string());
 
     println!("Bitmap kernel sweep over {n}-bit bitmaps (times are best-of-{repeats})");
     println!();
@@ -163,7 +107,7 @@ fn main() {
         &widths,
     );
 
-    let mut points: Vec<Point> = Vec::new();
+    let mut points: Vec<Record> = Vec::new();
     let mut dense_speedups: Vec<(usize, f64)> = Vec::new();
 
     for shape in shapes() {
@@ -218,34 +162,14 @@ fn main() {
             let plain_bytes: usize = bitmaps.iter().map(Bitmap::size_bytes).sum();
             let wah_bytes: usize = wah.iter().map(WahBitmap::size_bytes).sum();
             let roaring_bytes: usize = roaring.iter().map(RoaringBitmap::size_bytes).sum();
-            points.push(Point {
-                shape: shape.name,
-                repr: "scalar_reference",
-                k,
-                micros: scalar_us,
-                size_bytes: plain_bytes,
-            });
-            points.push(Point {
-                shape: shape.name,
-                repr: "plain",
-                k,
-                micros: plain_us,
-                size_bytes: plain_bytes,
-            });
-            points.push(Point {
-                shape: shape.name,
-                repr: "wah",
-                k,
-                micros: wah_us,
-                size_bytes: wah_bytes,
-            });
-            points.push(Point {
-                shape: shape.name,
-                repr: "roaring",
-                k,
-                micros: roaring_us,
-                size_bytes: roaring_bytes,
-            });
+            for (repr, micros, bytes) in [
+                ("scalar_reference", scalar_us, plain_bytes),
+                ("plain", plain_us, plain_bytes),
+                ("wah", wah_us, wah_bytes),
+                ("roaring", roaring_us, roaring_bytes),
+            ] {
+                points.push(point(shape.name, repr, k, micros, bytes));
+            }
 
             // The adaptive chooser must never pick a representation that is
             // both larger and slower than a fixed alternative (generous 2x
@@ -293,6 +217,16 @@ fn main() {
         "dense multi-way AND must reach 3x over the scalar reference (best {best:.2}x)"
     );
 
-    write_json(&json_path, quick, n, &points, &dense_speedups);
-    println!("wrote {json_path}");
+    let speedups: Vec<Record> = dense_speedups
+        .iter()
+        .map(|&(k, speedup)| Record::new().set("k", k).wall("speedup", speedup))
+        .collect();
+    bench_support::write_report(
+        "bitmap_kernels",
+        quick,
+        Record::new()
+            .set("bits", n)
+            .list("points", &points)
+            .list("dense_unrolled_speedup", &speedups),
+    );
 }

@@ -27,37 +27,13 @@
 //! MPL 4 strictly exceeds MPL 1 on the 4-worker pool (one re-measurement
 //! allowed, like the single-query speedup gate).  Results are also written
 //! as JSON (default `BENCH_multiuser_throughput.json`, override with
-//! `--json <path>`) for CI perf-trajectory artifacts.
+//! `--json <path>`): the measured numbers under `"wall"`, the analytic and
+//! SIMPAD series as deterministic fields.
 
-use std::fmt::Write as _;
-use std::num::NonZeroUsize;
-
-use bench_support::{arg_value, measured_store_fragmented, paper_schema, quick_mode};
+use bench_support::{cores, measured_store_fragmented, paper_schema, quick_mode, Record};
 use warehouse::prelude::*;
 use warehouse::simpad;
 use warehouse::workload::QueryStream;
-
-/// One measured sweep point, kept for the JSON report.
-struct Point {
-    fragmentation: &'static str,
-    workers: usize,
-    mpl: usize,
-    queries: usize,
-    wall_ms: f64,
-    qps: f64,
-    latency_mean_ms: f64,
-    latency_p95_ms: f64,
-    latency_p99_ms: f64,
-    latency_p999_ms: f64,
-    utilisation: f64,
-    steal_rate: f64,
-    affinity_hit_rate: f64,
-    cost_relative: f64,
-}
-
-fn cores() -> usize {
-    std::thread::available_parallelism().map_or(1, NonZeroUsize::get)
-}
 
 /// Runs one scheduler sweep point and returns its throughput metrics.
 fn measure(
@@ -71,70 +47,8 @@ fn measure(
         .metrics
 }
 
-fn json_number(value: f64) -> String {
-    if value.is_finite() {
-        format!("{value:.6}")
-    } else {
-        "null".to_string()
-    }
-}
-
-fn write_json(
-    path: &str,
-    quick: bool,
-    points: &[Point],
-    sim_series: &[(usize, f64, f64)],
-) -> std::io::Result<()> {
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"bench\": \"multiuser_throughput\",");
-    let _ = writeln!(out, "  \"quick\": {quick},");
-    let _ = writeln!(out, "  \"cores\": {},", cores());
-    let _ = writeln!(out, "  \"points\": [");
-    for (i, p) in points.iter().enumerate() {
-        let comma = if i + 1 < points.len() { "," } else { "" };
-        let _ = writeln!(
-            out,
-            "    {{\"fragmentation\": \"{}\", \"workers\": {}, \"mpl\": {}, \"queries\": {}, \
-             \"wall_ms\": {}, \"qps\": {}, \"latency_mean_ms\": {}, \"latency_p95_ms\": {}, \
-             \"latency_p99_ms\": {}, \"latency_p999_ms\": {}, \
-             \"utilisation\": {}, \"steal_rate\": {}, \"affinity_hit_rate\": {}, \
-             \"cost_relative\": {}}}{comma}",
-            p.fragmentation,
-            p.workers,
-            p.mpl,
-            p.queries,
-            json_number(p.wall_ms),
-            json_number(p.qps),
-            json_number(p.latency_mean_ms),
-            json_number(p.latency_p95_ms),
-            json_number(p.latency_p99_ms),
-            json_number(p.latency_p999_ms),
-            json_number(p.utilisation),
-            json_number(p.steal_rate),
-            json_number(p.affinity_hit_rate),
-            json_number(p.cost_relative),
-        );
-    }
-    let _ = writeln!(out, "  ],");
-    let _ = writeln!(out, "  \"simpad_multiuser\": [");
-    for (i, (mpl, qps, relative)) in sim_series.iter().enumerate() {
-        let comma = if i + 1 < sim_series.len() { "," } else { "" };
-        let _ = writeln!(
-            out,
-            "    {{\"mpl\": {mpl}, \"qps\": {}, \"relative\": {}}}{comma}",
-            json_number(*qps),
-            json_number(*relative)
-        );
-    }
-    let _ = writeln!(out, "  ]");
-    out.push_str("}\n");
-    std::fs::write(path, out)
-}
-
 fn main() {
     let quick = quick_mode();
-    let json_path =
-        arg_value("--json").unwrap_or_else(|| "BENCH_multiuser_throughput.json".to_string());
     let worker_axis: &[usize] = if quick { &[2, 4] } else { &[2, 4, 8] };
     let mpl_axis: &[usize] = if quick { &[1, 2, 4] } else { &[1, 2, 4, 8] };
     let stream_len = if quick { 96 } else { 256 };
@@ -160,7 +74,7 @@ fn main() {
     let cost_model = CostModel::new(full_schema.clone(), IndexCatalog::default_for(&full_schema));
 
     let widths = [12usize, 7, 4, 10, 9, 12, 11, 11, 6, 7, 9, 9];
-    let mut points: Vec<Point> = Vec::new();
+    let mut points: Vec<Record> = Vec::new();
     for (frag_name, attrs) in fragmentations {
         let engine = StarJoinEngine::new(measured_store_fragmented(quick, attrs));
         let schema = engine.store().schema().clone();
@@ -214,22 +128,24 @@ fn main() {
                     ],
                     &widths,
                 );
-                points.push(Point {
-                    fragmentation: frag_name,
-                    workers,
-                    mpl,
-                    queries: stream_len,
-                    wall_ms: metrics.pool.wall.as_secs_f64() * 1e3,
-                    qps,
-                    latency_mean_ms: metrics.latency_mean().as_secs_f64() * 1e3,
-                    latency_p95_ms: metrics.latency_p95().as_secs_f64() * 1e3,
-                    latency_p99_ms: metrics.latency_p99().as_secs_f64() * 1e3,
-                    latency_p999_ms: metrics.latency_p999().as_secs_f64() * 1e3,
-                    utilisation: metrics.worker_utilisation(),
-                    steal_rate: metrics.steal_rate(),
-                    affinity_hit_rate: metrics.affinity_hit_rate(),
-                    cost_relative: cost.relative_throughput,
-                });
+                let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
+                points.push(
+                    Record::new()
+                        .set("fragmentation", frag_name)
+                        .set("workers", workers)
+                        .set("mpl", mpl)
+                        .set("queries", stream_len)
+                        .set("cost_relative", cost.relative_throughput)
+                        .wall("elapsed_ms", ms(metrics.pool.wall))
+                        .wall("qps", qps)
+                        .wall("latency_mean_ms", ms(metrics.latency_mean()))
+                        .wall("latency_p95_ms", ms(metrics.latency_p95()))
+                        .wall("latency_p99_ms", ms(metrics.latency_p99()))
+                        .wall("latency_p999_ms", ms(metrics.latency_p999()))
+                        .wall("utilisation", metrics.worker_utilisation())
+                        .wall("steal_rate", metrics.steal_rate())
+                        .wall("affinity_hit_rate", metrics.affinity_hit_rate()),
+                );
             }
         }
         println!();
@@ -240,7 +156,7 @@ fn main() {
     println!("SIMPAD cross-check (full-size APB-1, F_MonthGroup, 4 nodes, 20 disks):");
     let sim_widths = [4usize, 12, 9];
     bench_support::print_header(&["mpl", "sim qps", "sim rel"], &sim_widths);
-    let mut sim_series: Vec<(usize, f64, f64)> = Vec::new();
+    let mut sim_series: Vec<Record> = Vec::new();
     let mut sim_baseline: Option<f64> = None;
     for &mpl in mpl_axis {
         let config = SimConfig {
@@ -269,17 +185,22 @@ fn main() {
             ],
             &sim_widths,
         );
-        sim_series.push((mpl, qps, relative));
+        sim_series.push(
+            Record::new()
+                .set("mpl", mpl)
+                .set("qps", qps)
+                .set("relative", relative),
+        );
     }
     println!();
 
-    match write_json(&json_path, quick, &points, &sim_series) {
-        Ok(()) => println!("wrote {json_path}"),
-        Err(err) => {
-            eprintln!("failed to write {json_path}: {err}");
-            std::process::exit(1);
-        }
-    }
+    bench_support::write_report(
+        "multiuser_throughput",
+        quick,
+        Record::new()
+            .list("points", &points)
+            .list("simpad_multiuser", &sim_series),
+    );
 
     // All three pillars agree on the trend: relative throughput climbs with
     // the MPL while single-fragment queries leave workers idle, and

@@ -36,78 +36,12 @@
 //!    across all node counts and both strategies.
 //!
 //! Results are written as JSON (default `BENCH_scaleout.json`, override
-//! with `--json <path>`) for the CI `bench-regression` gate.
+//! with `--json <path>`); CI's `bench-regression` job requires every
+//! deterministic field to equal `bench/baseline/` exactly.
 
-use std::fmt::Write as _;
-
-use bench_support::{arg_value, quick_mode};
+use bench_support::{quick_mode, scan_service_ms, skewed_engine_and_stream, study_schema, Record};
 use warehouse::allocation::{load_imbalance, node_load_shares};
 use warehouse::prelude::*;
-
-/// One measured sweep point, kept for the JSON report.
-struct Point {
-    nodes: u64,
-    theta: f64,
-    mpl: usize,
-    shared_nothing: bool,
-    disks: u64,
-    workers: usize,
-    queries: usize,
-    /// Simulated queries/sec — deterministic, the gated metric.
-    qps: f64,
-    /// Wall-clock queries/sec — machine-dependent, report-only.
-    wall_qps: f64,
-    node_imbalance: f64,
-    predicted_node_imbalance: f64,
-    net_ms: f64,
-    net_pages: u64,
-    migration_rate: f64,
-    cache_hit_rate: f64,
-    sim_elapsed_ms: f64,
-}
-
-/// The scaled-down warehouse of the scale-out study.
-fn study_schema() -> StarSchema {
-    schema::apb1::Apb1Config {
-        channels: 3,
-        months: 12,
-        stores: 60,
-        product_codes: 120,
-        density: 0.3,
-        fact_tuple_bytes: 20,
-    }
-    .build()
-}
-
-/// Builds the θ-skewed engine and its matching θ-skewed query stream.
-fn engine_and_stream(
-    schema: &StarSchema,
-    theta: f64,
-    rows: usize,
-    stream_len: usize,
-) -> (StarJoinEngine, Vec<BoundQuery>) {
-    let fragmentation = Fragmentation::parse(schema, &["time::month", "product::code"])
-        .expect("valid fragmentation attributes");
-    let store = FragmentStore::build_skewed(schema, &fragmentation, 2026, theta, rows);
-    let engine = StarJoinEngine::new(store);
-    // 1MONTH1GROUP and 1CODE prune on the fragmentation attributes alone;
-    // 1GROUP1STORE additionally restricts the store dimension, which is
-    // *not* a fragmentation attribute, so it drives bitmap joins — and with
-    // staggered bitmap allocation some of those bitmaps live on *remote*
-    // nodes, exercising the shared-nothing interconnect.
-    let mut stream = InterleavedStream::new(
-        schema,
-        &[
-            QueryType::OneMonthOneGroup,
-            QueryType::OneCode,
-            QueryType::OneGroupOneStore,
-        ],
-        99,
-    )
-    .with_value_skew(theta);
-    let queries = stream.take_queries(stream_len);
-    (engine, queries)
-}
 
 /// Analytic per-node imbalance prediction for the stream: fact-scan
 /// service time per distinct scanned fragment (repeat scans hit the node's
@@ -124,98 +58,16 @@ fn predicted_node_imbalance(
     for query in queries {
         for &fragment in engine.plan(query).fragments() {
             let rows = engine.store().fragment(fragment).len() as u64;
-            if rows == 0 {
-                continue;
-            }
-            let pages = rows.div_ceil(rows_per_page);
-            let granules = pages.div_ceil(io.fact_prefetch_pages.max(1));
-            weights[fragment as usize] = io.disk.avg_seek_ms
-                + granules as f64 * io.disk.settle_controller_ms
-                + pages as f64 * io.disk.per_page_ms;
+            weights[fragment as usize] = scan_service_ms(io, rows, rows_per_page);
         }
     }
     let shares = node_load_shares(placement, &weights);
     (load_imbalance(&shares), shares)
 }
 
-fn json_number(value: f64) -> String {
-    if value.is_finite() {
-        format!("{value:.6}")
-    } else {
-        "null".to_string()
-    }
-}
-
-fn write_json(
-    path: &str,
-    quick: bool,
-    points: &[Point],
-    shares: &[(u64, f64, f64)],
-    gates: (f64, f64, f64, f64),
-) -> std::io::Result<()> {
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"bench\": \"scaleout\",");
-    let _ = writeln!(out, "  \"quick\": {quick},");
-    let _ = writeln!(out, "  \"points\": [");
-    for (i, p) in points.iter().enumerate() {
-        let comma = if i + 1 < points.len() { "," } else { "" };
-        let _ = writeln!(
-            out,
-            "    {{\"nodes\": {}, \"theta\": {}, \"mpl\": {}, \"shared_nothing\": {}, \
-             \"disks\": {}, \"workers\": {}, \"queries\": {}, \"qps\": {}, \"wall_qps\": {}, \
-             \"node_imbalance\": {}, \"predicted_node_imbalance\": {}, \"net_ms\": {}, \
-             \"net_pages\": {}, \"migration_rate\": {}, \"cache_hit_rate\": {}, \
-             \"sim_elapsed_ms\": {}}}{comma}",
-            p.nodes,
-            json_number(p.theta),
-            p.mpl,
-            p.shared_nothing,
-            p.disks,
-            p.workers,
-            p.queries,
-            json_number(p.qps),
-            json_number(p.wall_qps),
-            json_number(p.node_imbalance),
-            json_number(p.predicted_node_imbalance),
-            json_number(p.net_ms),
-            p.net_pages,
-            json_number(p.migration_rate),
-            json_number(p.cache_hit_rate),
-            json_number(p.sim_elapsed_ms),
-        );
-    }
-    let _ = writeln!(out, "  ],");
-    let _ = writeln!(out, "  \"node_shares\": [");
-    for (i, (node, predicted, measured)) in shares.iter().enumerate() {
-        let comma = if i + 1 < shares.len() { "," } else { "" };
-        let _ = writeln!(
-            out,
-            "    {{\"node\": {node}, \"predicted_share\": {}, \"measured_share\": {}}}{comma}",
-            json_number(*predicted),
-            json_number(*measured)
-        );
-    }
-    let _ = writeln!(out, "  ],");
-    let (qps_1, qps_8, uniform, skewed) = gates;
-    let _ = writeln!(
-        out,
-        "  \"gate\": {{\"qps_1node\": {}, \"qps_8nodes\": {}, \"scaling\": {}, \
-         \"uniform_node_imbalance\": {}, \"zipf1_node_imbalance\": {}, \"balance_ratio\": {}}}",
-        json_number(qps_1),
-        json_number(qps_8),
-        json_number(qps_8 / qps_1),
-        json_number(uniform),
-        json_number(skewed),
-        json_number(skewed / uniform)
-    );
-    out.push_str("}\n");
-    std::fs::write(path, out)
-}
-
 #[allow(clippy::too_many_lines)]
 fn main() {
     let quick = quick_mode();
-    let json_path = arg_value("--json").unwrap_or_else(|| "BENCH_scaleout.json".to_string());
     let node_axis: [u64; 4] = [1, 2, 4, 8];
     let thetas = [0.0f64, 1.0];
     let mpl_axis: &[usize] = if quick { &[4] } else { &[2, 8] };
@@ -243,8 +95,11 @@ fn main() {
         &widths,
     );
 
-    let mut points: Vec<Point> = Vec::new();
-    let mut node_shares: Vec<(u64, f64, f64)> = Vec::new();
+    let mut points: Vec<Record> = Vec::new();
+    let mut node_shares: Vec<Record> = Vec::new();
+    // Interconnect sanity: (some multi-node shared-nothing point shipped
+    // pages, some shared-disk point paid interconnect charges).
+    let (mut shipped, mut shared_disk_paid) = (false, false);
     // Gate accumulators: shared-nothing simulated qps at 1 and 8 nodes on
     // the Zipf stream (first MPL of the axis), and the 8-node per-node
     // imbalances under θ = 0 and θ = 1.
@@ -252,7 +107,23 @@ fn main() {
     let mut gate_imbalances: [f64; 2] = [0.0, 0.0];
     // Bit-identity reference per θ: the 1-node shared-disk outcome.
     for &theta in &thetas {
-        let (engine, queries) = engine_and_stream(&schema, theta, rows, stream_len);
+        // 1MONTH1GROUP and 1CODE prune on the fragmentation attributes
+        // alone; 1GROUP1STORE additionally restricts the store dimension,
+        // which is *not* a fragmentation attribute, so it drives bitmap
+        // joins — and with staggered bitmap allocation some of those
+        // bitmaps live on *remote* nodes, exercising the shared-nothing
+        // interconnect.
+        let (engine, queries) = skewed_engine_and_stream(
+            &schema,
+            theta,
+            rows,
+            stream_len,
+            &[
+                QueryType::OneMonthOneGroup,
+                QueryType::OneCode,
+                QueryType::OneGroupOneStore,
+            ],
+        );
         let mut reference: Option<Vec<(u64, Vec<u64>)>> = None;
         for &nodes in &node_axis {
             for (strategy, shared_nothing) in [
@@ -273,50 +144,61 @@ fn main() {
                     let io_metrics = metrics.pool.io.as_ref().expect("I/O metrics");
                     let (predicted, predicted_shares) =
                         predicted_node_imbalance(&engine, &queries, &placement, &io, rows_per_page);
-                    let sim_qps = stream_len as f64 / (io_metrics.elapsed_ms / 1e3).max(1e-12);
-                    let point = Point {
-                        nodes,
-                        theta,
-                        mpl,
-                        shared_nothing,
-                        disks: placement.total_disks(),
-                        workers,
-                        queries: stream_len,
-                        qps: sim_qps,
-                        wall_qps: metrics.queries_per_sec(),
-                        node_imbalance: io_metrics.node_imbalance(),
-                        predicted_node_imbalance: predicted,
-                        net_ms: io_metrics.total_net_ms(),
-                        net_pages: io_metrics.total_net_pages(),
-                        migration_rate: metrics.migration_rate(),
-                        cache_hit_rate: io_metrics.cache_hit_rate(),
-                        sim_elapsed_ms: io_metrics.elapsed_ms,
-                    };
+                    // Simulated queries/sec — deterministic, the gated metric
+                    // (the wall-clock one is machine-dependent, report-only).
+                    let qps = stream_len as f64 / (io_metrics.elapsed_ms / 1e3).max(1e-12);
+                    let wall_qps = metrics.queries_per_sec();
+                    let node_imbalance = io_metrics.node_imbalance();
+                    let (net_ms, net_pages) =
+                        (io_metrics.total_net_ms(), io_metrics.total_net_pages());
+                    let migration_rate = metrics.migration_rate();
+                    let cache_hit_rate = io_metrics.cache_hit_rate();
                     bench_support::print_row(
                         &[
                             nodes.to_string(),
                             format!("{theta:.1}"),
                             mpl.to_string(),
                             if shared_nothing { "nothing" } else { "disk" }.to_string(),
-                            format!("{:.0}", point.qps),
-                            format!("{:.0}", point.wall_qps),
-                            format!("{:.2}x", point.node_imbalance),
-                            format!("{:.2}x", point.predicted_node_imbalance),
-                            format!("{:.1}", point.net_ms),
-                            format!("{:.2}", point.migration_rate),
-                            format!("{:.2}", point.cache_hit_rate),
+                            format!("{qps:.0}"),
+                            format!("{wall_qps:.0}"),
+                            format!("{node_imbalance:.2}x"),
+                            format!("{predicted:.2}x"),
+                            format!("{net_ms:.1}"),
+                            format!("{migration_rate:.2}"),
+                            format!("{cache_hit_rate:.2}"),
                         ],
                         &widths,
                     );
+                    points.push(
+                        Record::new()
+                            .set("nodes", nodes)
+                            .set("theta", theta)
+                            .set("mpl", mpl)
+                            .set("shared_nothing", shared_nothing)
+                            .set("disks", placement.total_disks())
+                            .set("workers", workers)
+                            .set("queries", stream_len)
+                            .set("qps", qps)
+                            .set("node_imbalance", node_imbalance)
+                            .set("predicted_node_imbalance", predicted)
+                            .set("net_ms", net_ms)
+                            .set("net_pages", net_pages)
+                            .set("cache_hit_rate", cache_hit_rate)
+                            .set("sim_elapsed_ms", io_metrics.elapsed_ms)
+                            .wall("qps", wall_qps)
+                            .wall("migration_rate", migration_rate),
+                    );
+                    shipped |= shared_nothing && nodes > 1 && net_pages > 0;
+                    shared_disk_paid |= !shared_nothing && net_pages > 0;
                     if shared_nothing && mpl == mpl_axis[0] {
                         if theta == 1.0 && nodes == 1 {
-                            qps_1node = point.qps;
+                            qps_1node = qps;
                         }
                         if theta == 1.0 && nodes == 8 {
-                            qps_8nodes = point.qps;
+                            qps_8nodes = qps;
                         }
                         if nodes == 8 {
-                            gate_imbalances[usize::from(theta == 1.0)] = point.node_imbalance;
+                            gate_imbalances[usize::from(theta == 1.0)] = node_imbalance;
                         }
                         // The predicted-vs-measured per-node share table at
                         // the flagship 4-node Zipf point.
@@ -326,15 +208,15 @@ fn main() {
                             for (node, (&measured, &predicted)) in
                                 profile.iter().zip(&predicted_shares).enumerate()
                             {
-                                node_shares.push((
-                                    node as u64,
-                                    predicted,
-                                    measured / total.max(1e-12),
-                                ));
+                                node_shares.push(
+                                    Record::new()
+                                        .set("node", node)
+                                        .set("predicted_share", predicted)
+                                        .set("measured_share", measured / total.max(1e-12)),
+                                );
                             }
                         }
                     }
-                    points.push(point);
                 }
 
                 // GATE 3 (bit-identity): every query's result is identical
@@ -368,13 +250,11 @@ fn main() {
     // Sanity: the shared-nothing interconnect is actually exercised (remote
     // staggered bitmaps ship pages), and shared-disk never pays for it.
     assert!(
-        points
-            .iter()
-            .any(|p| p.shared_nothing && p.nodes > 1 && p.net_pages > 0),
+        shipped,
         "no shared-nothing point shipped pages over the interconnect"
     );
     assert!(
-        points.iter().all(|p| p.shared_nothing || p.net_pages == 0),
+        !shared_disk_paid,
         "a shared-disk point paid interconnect charges"
     );
 
@@ -413,17 +293,19 @@ fn main() {
         skewed / uniform
     );
 
-    match write_json(
-        &json_path,
+    let gate = Record::new()
+        .set("qps_1node", qps_1node)
+        .set("qps_8nodes", qps_8nodes)
+        .set("scaling", qps_8nodes / qps_1node)
+        .set("uniform_node_imbalance", uniform)
+        .set("zipf1_node_imbalance", skewed)
+        .set("balance_ratio", skewed / uniform);
+    bench_support::write_report(
+        "scaleout",
         quick,
-        &points,
-        &node_shares,
-        (qps_1node, qps_8nodes, uniform, skewed),
-    ) {
-        Ok(()) => println!("wrote {json_path}"),
-        Err(err) => {
-            eprintln!("failed to write {json_path}: {err}");
-            std::process::exit(1);
-        }
-    }
+        Record::new()
+            .list("points", &points)
+            .list("node_shares", &node_shares)
+            .nested("gate", &gate),
+    );
 }

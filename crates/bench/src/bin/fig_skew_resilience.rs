@@ -33,89 +33,15 @@
 //! on 7 disks, measured per-disk imbalance under θ = 1.0 must stay within
 //! 1.5× the uniform-workload imbalance — the skew-resilience claim of this
 //! subsystem.  Results are written as JSON (default
-//! `BENCH_skew_resilience.json`, override with `--json <path>`) for the CI
-//! `bench-regression` gate.
+//! `BENCH_skew_resilience.json`, override with `--json <path>`); CI's
+//! `bench-regression` job requires every deterministic field to equal
+//! `bench/baseline/` exactly, and ignores the wall-clock ones.
 
-use std::fmt::Write as _;
-
-use bench_support::{arg_value, quick_mode};
+use bench_support::{quick_mode, scan_service_ms, skewed_engine_and_stream, study_schema, Record};
 use warehouse::allocation::{disk_load_shares, load_imbalance};
 use warehouse::prelude::*;
 use warehouse::simpad;
 use warehouse::workload::QueryStream;
-
-/// One measured sweep point, kept for the JSON report.
-struct Point {
-    theta: f64,
-    disks: u64,
-    workers: usize,
-    queries: usize,
-    qps: f64,
-    latency_mean_ms: f64,
-    disk_imbalance: f64,
-    predicted_imbalance: f64,
-    nocache_imbalance: f64,
-    predicted_nocache_imbalance: f64,
-    worker_imbalance: f64,
-    cache_hit_rate: f64,
-    steal_rate: f64,
-    sim_elapsed_ms: f64,
-}
-
-/// The scaled-down warehouse of the skew study.
-fn study_schema() -> StarSchema {
-    schema::apb1::Apb1Config {
-        channels: 3,
-        months: 12,
-        stores: 60,
-        product_codes: 120,
-        density: 0.3,
-        fact_tuple_bytes: 20,
-    }
-    .build()
-}
-
-/// Builds the θ-skewed engine and its matching θ-skewed query stream.
-fn engine_and_stream(
-    schema: &StarSchema,
-    theta: f64,
-    rows: usize,
-    stream_len: usize,
-) -> (StarJoinEngine, Vec<BoundQuery>) {
-    let fragmentation = Fragmentation::parse(schema, &["time::month", "product::code"])
-        .expect("valid fragmentation attributes");
-    let store = FragmentStore::build_skewed(schema, &fragmentation, 2026, theta, rows);
-    let engine = StarJoinEngine::new(store);
-    let mut stream = InterleavedStream::new(
-        schema,
-        &[QueryType::OneMonthOneGroup, QueryType::OneCode],
-        99,
-    )
-    .with_value_skew(theta);
-    let queries = stream.take_queries(stream_len);
-    (engine, queries)
-}
-
-/// Analytic service-time estimate of one uncached fragment scan, in ms:
-/// one average seek, then settle + transfer per prefetch granule — the
-/// same disk parameters and granule size the simulated subsystem charges,
-/// read straight from its configuration so they cannot drift apart.
-fn scan_service_ms(
-    engine: &StarJoinEngine,
-    io: &IoConfig,
-    fragment: u64,
-    rows_per_page: u64,
-) -> f64 {
-    let rows = engine.store().fragment(fragment).len() as u64;
-    if rows == 0 {
-        return 0.0;
-    }
-    let pages = rows.div_ceil(rows_per_page);
-    let granules = pages.div_ceil(io.fact_prefetch_pages.max(1));
-    io.disk.avg_seek_ms
-        + granules as f64 * io.disk.settle_controller_ms
-        + pages as f64 * io.disk.per_page_ms
-}
 
 /// Analytic per-disk imbalance predictions for the stream: `(cached, cold)`.
 ///
@@ -133,7 +59,8 @@ fn predicted_imbalances(
     let mut per_scan = vec![0.0f64; n];
     for query in queries {
         for &fragment in engine.plan(query).fragments() {
-            let service = scan_service_ms(engine, io, fragment, rows_per_page);
+            let rows = engine.store().fragment(fragment).len() as u64;
+            let service = scan_service_ms(io, rows, rows_per_page);
             distinct[fragment as usize] = service;
             per_scan[fragment as usize] += service;
         }
@@ -144,91 +71,8 @@ fn predicted_imbalances(
     )
 }
 
-fn json_number(value: f64) -> String {
-    if value.is_finite() {
-        format!("{value:.6}")
-    } else {
-        "null".to_string()
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn write_json(
-    path: &str,
-    quick: bool,
-    points: &[Point],
-    simpad_series: &[(u64, f64)],
-    steal_ab: &[(bool, f64, f64)],
-    gate: (f64, f64, f64),
-) -> std::io::Result<()> {
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"bench\": \"skew_resilience\",");
-    let _ = writeln!(out, "  \"quick\": {quick},");
-    let _ = writeln!(out, "  \"points\": [");
-    for (i, p) in points.iter().enumerate() {
-        let comma = if i + 1 < points.len() { "," } else { "" };
-        let _ = writeln!(
-            out,
-            "    {{\"theta\": {}, \"disks\": {}, \"workers\": {}, \"queries\": {}, \
-             \"qps\": {}, \"latency_mean_ms\": {}, \"disk_imbalance\": {}, \
-             \"predicted_imbalance\": {}, \"nocache_imbalance\": {}, \
-             \"predicted_nocache_imbalance\": {}, \"worker_imbalance\": {}, \
-             \"cache_hit_rate\": {}, \"steal_rate\": {}, \"sim_elapsed_ms\": {}}}{comma}",
-            json_number(p.theta),
-            p.disks,
-            p.workers,
-            p.queries,
-            json_number(p.qps),
-            json_number(p.latency_mean_ms),
-            json_number(p.disk_imbalance),
-            json_number(p.predicted_imbalance),
-            json_number(p.nocache_imbalance),
-            json_number(p.predicted_nocache_imbalance),
-            json_number(p.worker_imbalance),
-            json_number(p.cache_hit_rate),
-            json_number(p.steal_rate),
-            json_number(p.sim_elapsed_ms),
-        );
-    }
-    let _ = writeln!(out, "  ],");
-    let _ = writeln!(out, "  \"simpad_uniform\": [");
-    for (i, (disks, imbalance)) in simpad_series.iter().enumerate() {
-        let comma = if i + 1 < simpad_series.len() { "," } else { "" };
-        let _ = writeln!(
-            out,
-            "    {{\"disks\": {disks}, \"sim_disk_imbalance\": {}}}{comma}",
-            json_number(*imbalance)
-        );
-    }
-    let _ = writeln!(out, "  ],");
-    let _ = writeln!(out, "  \"steal_ab\": [");
-    for (i, (by_io, worker_imbalance, steal_rate)) in steal_ab.iter().enumerate() {
-        let comma = if i + 1 < steal_ab.len() { "," } else { "" };
-        let _ = writeln!(
-            out,
-            "    {{\"steal_by_io\": {by_io}, \"worker_imbalance\": {}, \"steal_rate\": {}}}{comma}",
-            json_number(*worker_imbalance),
-            json_number(*steal_rate)
-        );
-    }
-    let _ = writeln!(out, "  ],");
-    let (uniform, skewed, limit) = gate;
-    let _ = writeln!(
-        out,
-        "  \"gate\": {{\"uniform_imbalance\": {}, \"zipf1_imbalance\": {}, \"ratio\": {}, \
-         \"limit\": {}}}",
-        json_number(uniform),
-        json_number(skewed),
-        json_number(skewed / uniform),
-        json_number(limit)
-    );
-    out.push_str("}\n");
-    std::fs::write(path, out)
-}
-
 fn main() {
     let quick = quick_mode();
-    let json_path = arg_value("--json").unwrap_or_else(|| "BENCH_skew_resilience.json".to_string());
     let thetas = [0.0f64, 0.5, 1.0];
     let disks_axis: &[u64] = if quick { &[7] } else { &[3, 7, 13] };
     let workers_axis: &[usize] = if quick { &[2, 4] } else { &[2, 4, 8] };
@@ -267,13 +111,19 @@ fn main() {
         &widths,
     );
 
-    let mut points: Vec<Point> = Vec::new();
+    let mut points: Vec<Record> = Vec::new();
     // The gate's two deterministic measurements at disks = 7, cache on.
     let mut gate_imbalances: [f64; 2] = [0.0, 0.0];
     let mut steal_ab: Vec<(bool, f64, f64)> = Vec::new();
 
     for &theta in &thetas {
-        let (engine, queries) = engine_and_stream(&schema, theta, rows, stream_len);
+        let (engine, queries) = skewed_engine_and_stream(
+            &schema,
+            theta,
+            rows,
+            stream_len,
+            &[QueryType::OneMonthOneGroup, QueryType::OneCode],
+        );
         for &disks in disks_axis {
             let allocation = PhysicalAllocation::round_robin(disks);
             let (predicted_imbalance, predicted_cold) = predicted_imbalances(
@@ -308,46 +158,65 @@ fn main() {
                     )
                     .metrics;
                 let io_metrics = metrics.pool.io.as_ref().expect("I/O metrics");
-                let point = Point {
-                    theta,
-                    disks,
-                    workers,
-                    queries: stream_len,
-                    qps: metrics.queries_per_sec(),
-                    latency_mean_ms: metrics.latency_mean().as_secs_f64() * 1e3,
-                    disk_imbalance: io_metrics.disk_imbalance(),
-                    predicted_imbalance,
-                    nocache_imbalance,
-                    predicted_nocache_imbalance: predicted_cold,
-                    worker_imbalance: metrics.pool.load_imbalance(),
-                    cache_hit_rate: io_metrics.cache_hit_rate(),
-                    steal_rate: metrics.steal_rate(),
-                    sim_elapsed_ms: io_metrics.elapsed_ms,
-                };
+                let qps = metrics.queries_per_sec();
+                let latency_mean_ms = metrics.latency_mean().as_secs_f64() * 1e3;
+                let disk_imbalance = io_metrics.disk_imbalance();
+                let cache_hit_rate = io_metrics.cache_hit_rate();
+                let steal_rate = metrics.steal_rate();
                 bench_support::print_row(
                     &[
                         format!("{theta:.1}"),
                         disks.to_string(),
                         workers.to_string(),
-                        format!("{:.0}", point.qps),
-                        format!("{:.3}", point.latency_mean_ms),
-                        format!("{:.2}x", point.disk_imbalance),
-                        format!("{:.2}x", point.predicted_imbalance),
-                        format!("{:.2}x", point.nocache_imbalance),
-                        format!("{:.2}x", point.predicted_nocache_imbalance),
-                        format!("{:.2}", point.cache_hit_rate),
-                        format!("{:.2}", point.steal_rate),
+                        format!("{qps:.0}"),
+                        format!("{latency_mean_ms:.3}"),
+                        format!("{disk_imbalance:.2}x"),
+                        format!("{predicted_imbalance:.2}x"),
+                        format!("{nocache_imbalance:.2}x"),
+                        format!("{predicted_cold:.2}x"),
+                        format!("{cache_hit_rate:.2}"),
+                        format!("{steal_rate:.2}"),
                     ],
                     &widths,
                 );
+                // Analytic cross-validation: the deterministic measured
+                // imbalances must track the page-weight predictions at
+                // every point (the measured number folds in seek/settle
+                // constants, hence the generous band).
+                for (kind, measured, predicted) in [
+                    ("cached", disk_imbalance, predicted_imbalance),
+                    ("uncached", nocache_imbalance, predicted_cold),
+                ] {
+                    assert!(
+                        (0.6..=1.6).contains(&(measured / predicted)),
+                        "{kind} imbalance {measured:.2}x diverges from analytic \
+                         {predicted:.2}x (θ={theta}, d={disks})"
+                    );
+                }
                 if disks == 7 && workers == workers_axis[workers_axis.len() - 1] {
                     if theta == 0.0 {
-                        gate_imbalances[0] = point.disk_imbalance;
+                        gate_imbalances[0] = disk_imbalance;
                     } else if theta == 1.0 {
-                        gate_imbalances[1] = point.disk_imbalance;
+                        gate_imbalances[1] = disk_imbalance;
                     }
                 }
-                points.push(point);
+                points.push(
+                    Record::new()
+                        .set("theta", theta)
+                        .set("disks", disks)
+                        .set("workers", workers)
+                        .set("queries", stream_len)
+                        .set("disk_imbalance", disk_imbalance)
+                        .set("predicted_imbalance", predicted_imbalance)
+                        .set("nocache_imbalance", nocache_imbalance)
+                        .set("predicted_nocache_imbalance", predicted_cold)
+                        .set("cache_hit_rate", cache_hit_rate)
+                        .set("sim_elapsed_ms", io_metrics.elapsed_ms)
+                        .wall("qps", qps)
+                        .wall("latency_mean_ms", latency_mean_ms)
+                        .wall("worker_imbalance", metrics.pool.load_imbalance())
+                        .wall("steal_rate", steal_rate),
+                );
             }
 
             // The skew-aware vs deque-length stealing A/B at the gate
@@ -376,29 +245,6 @@ fn main() {
         println!();
     }
 
-    // Analytic cross-validation: the deterministic measured imbalances must
-    // track the page-weight predictions for every point (the measured
-    // number folds in seek/settle constants, hence the generous band).
-    for p in &points {
-        let cached_ratio = p.disk_imbalance / p.predicted_imbalance;
-        assert!(
-            (0.6..=1.6).contains(&cached_ratio),
-            "cached imbalance {:.2}x diverges from analytic {:.2}x (θ={}, d={})",
-            p.disk_imbalance,
-            p.predicted_imbalance,
-            p.theta,
-            p.disks
-        );
-        let cold_ratio = p.nocache_imbalance / p.predicted_nocache_imbalance;
-        assert!(
-            (0.6..=1.6).contains(&cold_ratio),
-            "uncached imbalance {:.2}x diverges from analytic {:.2}x (θ={}, d={})",
-            p.nocache_imbalance,
-            p.predicted_nocache_imbalance,
-            p.theta,
-            p.disks
-        );
-    }
     println!(
         "analytic cross-check: measured per-disk imbalance tracks the service-time model \
          at every sweep point ✓"
@@ -410,7 +256,7 @@ fn main() {
     // measured θ = 0 imbalances must sit in the same near-1 regime.
     let full_schema = bench_support::paper_schema();
     let full_frag = bench_support::f_month_group(&full_schema);
-    let mut simpad_series: Vec<(u64, f64)> = Vec::new();
+    let mut simpad_uniform: Vec<Record> = Vec::new();
     for &disks in disks_axis {
         let config = SimConfig {
             disks,
@@ -437,7 +283,11 @@ fn main() {
             imbalance < 1.3,
             "SIMPAD uniform 1MONTH run should be declustered, got {imbalance:.2}x on {disks} disks"
         );
-        simpad_series.push((disks, imbalance));
+        simpad_uniform.push(
+            Record::new()
+                .set("disks", disks)
+                .set("sim_disk_imbalance", imbalance),
+        );
     }
 
     // The steal-policy A/B (wall-clock, hence report-only).
@@ -473,18 +323,27 @@ fn main() {
         skewed / uniform
     );
 
-    match write_json(
-        &json_path,
+    let steal_ab: Vec<Record> = steal_ab
+        .iter()
+        .map(|&(by_io, worker_imbalance, steal_rate)| {
+            Record::new()
+                .set("steal_by_io", by_io)
+                .wall("worker_imbalance", worker_imbalance)
+                .wall("steal_rate", steal_rate)
+        })
+        .collect();
+    let gate = Record::new()
+        .set("uniform_imbalance", uniform)
+        .set("zipf1_imbalance", skewed)
+        .set("ratio", skewed / uniform)
+        .set("limit", limit);
+    bench_support::write_report(
+        "skew_resilience",
         quick,
-        &points,
-        &simpad_series,
-        &steal_ab,
-        (uniform, skewed, limit),
-    ) {
-        Ok(()) => println!("wrote {json_path}"),
-        Err(err) => {
-            eprintln!("failed to write {json_path}: {err}");
-            std::process::exit(1);
-        }
-    }
+        Record::new()
+            .list("points", &points)
+            .list("simpad_uniform", &simpad_uniform)
+            .list("steal_ab", &steal_ab)
+            .nested("gate", &gate),
+    );
 }

@@ -24,17 +24,15 @@
 //! [`DiskModel`]: warehouse::storage::DiskModel
 //!
 //! Results are written as JSON (default `BENCH_storage_coldwarm.json`,
-//! override with `--json <path>`) for the CI perf-trajectory artifacts and
-//! the bench-regression gate.  The page-pool counters are deterministic for
-//! a given workload and cache size; only the wall-clock fields are noisy.
+//! override with `--json <path>`).  The page-pool counters are deterministic
+//! for a given workload and cache size and are gated exactly by CI's
+//! `bench-regression` job; the wall-clock fields sit under `"wall"`.
 
-use std::fmt::Write as _;
-use std::num::NonZeroUsize;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use bench_support::{arg_value, measured_store_fragmented, quick_mode};
+use bench_support::{cores, measured_store_fragmented, quick_mode, Record};
 use warehouse::prelude::*;
 
 /// One measured pass (cold or warm), kept for the JSON report.
@@ -47,6 +45,20 @@ struct Pass {
     decoded_hits: u64,
     segment_reads: u64,
     bytes_read: u64,
+}
+
+impl Pass {
+    fn record(&self) -> Record {
+        Record::new()
+            .set("phase", self.phase)
+            .set("queries", self.queries)
+            .set("page_hit_rate", self.page_hit_rate)
+            .set("decoded_hits", self.decoded_hits)
+            .set("segment_reads", self.segment_reads)
+            .set("bytes_read", self.bytes_read)
+            .wall("elapsed_ms", self.wall_ms)
+            .wall("qps", self.qps)
+    }
 }
 
 /// A uniquely named file in the system temp directory, removed on drop.
@@ -67,10 +79,6 @@ impl Drop for TempFile {
     fn drop(&mut self) {
         let _ = std::fs::remove_file(&self.0);
     }
-}
-
-fn cores() -> usize {
-    std::thread::available_parallelism().map_or(1, NonZeroUsize::get)
 }
 
 /// Runs the workload once on a file-backed session and snapshots the pass:
@@ -125,77 +133,8 @@ fn run_file_pass(
     }
 }
 
-fn json_number(value: f64) -> String {
-    if value.is_finite() {
-        format!("{value:.6}")
-    } else {
-        "null".to_string()
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn write_json(
-    path: &str,
-    quick: bool,
-    file_bytes: u64,
-    passes: &[Pass],
-    sim_cold_hit_rate: f64,
-    sim_warm_hit_rate: f64,
-    predicted_cold_io_ms: f64,
-    measured_cold_wall_ms: f64,
-) -> std::io::Result<()> {
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"bench\": \"storage_coldwarm\",");
-    let _ = writeln!(out, "  \"quick\": {quick},");
-    let _ = writeln!(out, "  \"cores\": {},", cores());
-    let _ = writeln!(out, "  \"file_bytes\": {file_bytes},");
-    let _ = writeln!(out, "  \"points\": [");
-    for (i, p) in passes.iter().enumerate() {
-        let comma = if i + 1 < passes.len() { "," } else { "" };
-        let _ = writeln!(
-            out,
-            "    {{\"phase\": \"{}\", \"queries\": {}, \"wall_ms\": {}, \"qps\": {}, \
-             \"page_hit_rate\": {}, \"decoded_hits\": {}, \"segment_reads\": {}, \
-             \"bytes_read\": {}}}{comma}",
-            p.phase,
-            p.queries,
-            json_number(p.wall_ms),
-            json_number(p.qps),
-            json_number(p.page_hit_rate),
-            p.decoded_hits,
-            p.segment_reads,
-            p.bytes_read,
-        );
-    }
-    let _ = writeln!(out, "  ],");
-    let _ = writeln!(
-        out,
-        "  \"sim_cold_hit_rate\": {},",
-        json_number(sim_cold_hit_rate)
-    );
-    let _ = writeln!(
-        out,
-        "  \"sim_warm_hit_rate\": {},",
-        json_number(sim_warm_hit_rate)
-    );
-    let _ = writeln!(
-        out,
-        "  \"predicted_cold_io_ms\": {},",
-        json_number(predicted_cold_io_ms)
-    );
-    let _ = writeln!(
-        out,
-        "  \"measured_cold_wall_ms\": {}",
-        json_number(measured_cold_wall_ms)
-    );
-    out.push_str("}\n");
-    std::fs::write(path, out)
-}
-
 fn main() {
     let quick = quick_mode();
-    let json_path =
-        arg_value("--json").unwrap_or_else(|| "BENCH_storage_coldwarm.json".to_string());
     let workers = cores().clamp(1, 4);
     let stream_len = if quick { 64 } else { 256 };
 
@@ -311,25 +250,18 @@ fn main() {
     );
     println!();
 
-    let cold_wall_ms = cold.wall_ms;
-    let warm_page_hit_rate = warm.page_hit_rate;
-    let warm_segment_reads = warm.segment_reads;
-    match write_json(
-        &json_path,
+    bench_support::write_report(
+        "storage_coldwarm",
         quick,
-        file_bytes,
-        &[cold, warm],
-        sim_cold_hit_rate,
-        sim_warm_hit_rate,
-        predicted_cold_io_ms,
-        cold_wall_ms,
-    ) {
-        Ok(()) => println!("wrote {json_path}"),
-        Err(err) => {
-            eprintln!("failed to write {json_path}: {err}");
-            std::process::exit(1);
-        }
-    }
+        Record::new()
+            .set("file_bytes", file_bytes)
+            .list("points", &[cold.record(), warm.record()])
+            .set("sim_cold_hit_rate", sim_cold_hit_rate)
+            .set("sim_warm_hit_rate", sim_warm_hit_rate)
+            .set("predicted_cold_io_ms", predicted_cold_io_ms)
+            .wall("measured_cold_ms", cold.wall_ms),
+    );
+    let (warm_page_hit_rate, warm_segment_reads) = (warm.page_hit_rate, warm.segment_reads);
 
     // The acceptance gate: after a cold pass the real buffer pool must be at
     // least as warm as the simulated cache on the identical workload — it

@@ -26,43 +26,9 @@
 //! re-run; the worker lanes and the steal counter record the actual thread
 //! interleaving of *this* run, which is the point of the timeline view.
 
-use bench_support::{arg_value, quick_mode};
+use bench_support::{arg_value, quick_mode, skewed_engine_and_stream, study_schema};
 use warehouse::obs::{chrome_trace_json, EventKind, Exposition, FieldKey, Histogram, Trace, Track};
 use warehouse::prelude::*;
-
-/// The scaled-down warehouse of the skew study (`fig_skew_resilience`).
-fn study_schema() -> StarSchema {
-    schema::apb1::Apb1Config {
-        channels: 3,
-        months: 12,
-        stores: 60,
-        product_codes: 120,
-        density: 0.3,
-        fact_tuple_bytes: 20,
-    }
-    .build()
-}
-
-/// Builds the θ-skewed engine and its matching θ-skewed query stream.
-fn engine_and_stream(
-    schema: &StarSchema,
-    theta: f64,
-    rows: usize,
-    stream_len: usize,
-) -> (StarJoinEngine, Vec<BoundQuery>) {
-    let fragmentation = Fragmentation::parse(schema, &["time::month", "product::code"])
-        .expect("valid fragmentation attributes");
-    let store = FragmentStore::build_skewed(schema, &fragmentation, 2026, theta, rows);
-    let engine = StarJoinEngine::new(store);
-    let mut stream = InterleavedStream::new(
-        schema,
-        &[QueryType::OneMonthOneGroup, QueryType::OneCode],
-        99,
-    )
-    .with_value_skew(theta);
-    let queries = stream.take_queries(stream_len);
-    (engine, queries)
-}
 
 /// One traced run of the stream.
 fn run(
@@ -252,7 +218,14 @@ fn main() {
     let (disks, workers, theta, reference_mpl) = (7u64, 4usize, 1.0f64, 4usize);
 
     let schema = study_schema();
-    let (engine, queries) = engine_and_stream(&schema, theta, rows, stream_len);
+    // The skew-resilience workload (`fig_skew_resilience`).
+    let (engine, queries) = skewed_engine_and_stream(
+        &schema,
+        theta,
+        rows,
+        stream_len,
+        &[QueryType::OneMonthOneGroup, QueryType::OneCode],
+    );
     println!(
         "Deterministic trace timeline: Zipf(θ={theta}) stream, {disks} disks, {workers} workers"
     );

@@ -16,8 +16,14 @@
 
 #![forbid(unsafe_code)]
 
+use std::num::NonZeroUsize;
+use std::time::Instant;
+
 use warehouse::prelude::*;
 use warehouse::simpad;
+
+pub mod report;
+pub use report::{write_report, Record};
 
 /// The three fragmentations compared in §6.3 / Table 6 / Figure 6.
 pub const EXPERIMENT3_FRAGMENTATIONS: [(&str, &str); 3] = [
@@ -36,8 +42,12 @@ pub fn paper_schema() -> StarSchema {
 /// product hierarchy level (`"product::group"` etc.).
 #[must_use]
 pub fn month_product_fragmentation(schema: &StarSchema, product_level: &str) -> Fragmentation {
-    Fragmentation::parse(schema, &["time::month", product_level])
-        .expect("valid fragmentation attributes")
+    fragmentation(schema, &["time::month", product_level])
+}
+
+/// Parses a fragmentation the binaries spell out themselves.
+fn fragmentation(schema: &StarSchema, attrs: &[&str]) -> Fragmentation {
+    Fragmentation::parse(schema, attrs).expect("valid fragmentation attributes")
 }
 
 /// The paper's standard fragmentation `F_MonthGroup`.
@@ -104,9 +114,73 @@ pub fn measured_config(quick: bool) -> schema::apb1::Apb1Config {
 #[must_use]
 pub fn measured_store_fragmented(quick: bool, attrs: &[&str]) -> FragmentStore {
     let schema = measured_config(quick).build();
-    let fragmentation =
-        Fragmentation::parse(&schema, attrs).expect("valid fragmentation attributes");
-    FragmentStore::build(&schema, &fragmentation, 7)
+    FragmentStore::build(&schema, &fragmentation(&schema, attrs), 7)
+}
+
+/// The scaled-down warehouse of the skew, scale-out and trace studies.
+#[must_use]
+pub fn study_schema() -> StarSchema {
+    schema::apb1::Apb1Config {
+        channels: 3,
+        months: 12,
+        stores: 60,
+        product_codes: 120,
+        density: 0.3,
+        fact_tuple_bytes: 20,
+    }
+    .build()
+}
+
+/// Builds the θ-skewed `F_MonthCode` engine over [`study_schema`]-shaped
+/// data and its matching θ-skewed stream of `stream_len` queries
+/// interleaving `query_types`.
+#[must_use]
+pub fn skewed_engine_and_stream(
+    schema: &StarSchema,
+    theta: f64,
+    rows: usize,
+    stream_len: usize,
+    query_types: &[QueryType],
+) -> (StarJoinEngine, Vec<BoundQuery>) {
+    let fragmentation = fragmentation(schema, &["time::month", "product::code"]);
+    let store = FragmentStore::build_skewed(schema, &fragmentation, 2026, theta, rows);
+    let mut stream = InterleavedStream::new(schema, query_types, 99).with_value_skew(theta);
+    let queries = stream.take_queries(stream_len);
+    (StarJoinEngine::new(store), queries)
+}
+
+/// Analytic service time of one uncached scan of a `rows`-row fragment, in
+/// ms: one average seek, then settle + transfer per prefetch granule — the
+/// same disk parameters and granule size the simulated subsystem charges,
+/// read straight from its configuration so they cannot drift apart.  An
+/// empty fragment is never scanned and costs nothing.
+#[must_use]
+pub fn scan_service_ms(io: &IoConfig, rows: u64, rows_per_page: u64) -> f64 {
+    if rows == 0 {
+        return 0.0;
+    }
+    let pages = rows.div_ceil(rows_per_page);
+    let granules = pages.div_ceil(io.fact_prefetch_pages.max(1));
+    io.disk.avg_seek_ms
+        + granules as f64 * io.disk.settle_controller_ms
+        + pages as f64 * io.disk.per_page_ms
+}
+
+/// The number of cores this process may run on.
+#[must_use]
+pub fn cores() -> usize {
+    std::thread::available_parallelism().map_or(1, NonZeroUsize::get)
+}
+
+/// Best-of-`repeats` wall time of `f`, in microseconds.
+pub fn time_us<R>(repeats: usize, mut f: impl FnMut() -> R) -> f64 {
+    let mut best = f64::INFINITY;
+    for _ in 0..repeats {
+        let start = Instant::now();
+        std::hint::black_box(f());
+        best = best.min(start.elapsed().as_secs_f64() * 1e6);
+    }
+    best
 }
 
 /// True when the binary was invoked with `--quick` (reduced parameter
@@ -143,7 +217,7 @@ pub fn splitmix(seed: u64, value: u64) -> u64 {
 
 /// An `n`-bit bitmap of ~1 % density in 512-bit runs — the clustered shape
 /// of selections on range-contiguous hierarchy values.  Shared by the
-/// `fig_bitmap_compression` binary and the `bitmap_repr` criterion bench.
+/// `fig_bitmap_compression` and `fig_bitmap_kernels` binaries.
 #[must_use]
 pub fn sparse_clustered_bitmap(n: usize, seed: u64) -> Bitmap {
     let run = 512usize;

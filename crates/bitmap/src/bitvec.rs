@@ -4,8 +4,6 @@
 //! needs: AND (intersect selections), OR (multiple values of one attribute),
 //! NOT, population count and iteration over matching row numbers.
 
-use serde::{Deserialize, Serialize};
-
 /// Unroll width of the word kernels below.
 ///
 /// The MSRV (1.87) predates `std::simd`, so the hot loops are written as
@@ -119,7 +117,7 @@ pub(crate) fn popcount_words(words: &[u64]) -> usize {
 }
 
 /// A fixed-length, uncompressed bitmap (one bit per fact row).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Bitmap {
     len: usize,
     words: Vec<u64>,

@@ -9,8 +9,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use schema::StarSchema;
 
 use crate::bitvec::Bitmap;
@@ -20,7 +18,7 @@ use crate::repr::{BitmapRepr, ReprStats, RepresentationPolicy};
 
 /// One materialised fact row: the leaf-level foreign key per dimension plus
 /// the measure values.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FactRow {
     /// Leaf key per dimension, in schema dimension order.
     pub keys: Vec<u64>,
@@ -29,7 +27,7 @@ pub struct FactRow {
 }
 
 /// A small, fully materialised fact table.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MaterialisedFactTable {
     rows: Vec<FactRow>,
     dimension_cardinalities: Vec<u64>,

@@ -19,8 +19,6 @@
 //! [`BitmapRepr`] (plain, WAH or roaring) into a self-describing stream —
 //! the page-image format the on-disk storage engine will persist.
 
-use serde::{Deserialize, Serialize};
-
 use schema::Hierarchy;
 
 use crate::bitvec::Bitmap;
@@ -29,7 +27,7 @@ use crate::roaring::RoaringBitmap;
 use crate::wah::WahBitmap;
 
 /// The bit layout of a hierarchically encoded bitmap index for one dimension.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HierarchicalEncoding {
     /// Bits allocated to each level, coarsest level first.
     bits_per_level: Vec<u32>,
@@ -180,12 +178,11 @@ fn bits_for(fanout: u64) -> u32 {
 // Physical bitmap serialization
 // ---------------------------------------------------------------------------
 //
-// The vendored `serde` is an offline marker stub, so the byte form of a
-// stored bitmap is a hand-rolled, self-describing little-endian codec: a
-// 4-byte magic, a format version, a representation tag, then the
-// representation's own payload (raw words for plain and WAH, the per-chunk
-// container stream for roaring).  This is the page-image format the
-// on-disk storage engine (ROADMAP item 1) will write.
+// The byte form of a stored bitmap is a hand-rolled, self-describing
+// little-endian codec: a 4-byte magic, a format version, a representation
+// tag, then the representation's own payload (raw words for plain and WAH,
+// the per-chunk container stream for roaring).  The `FGMT` fragment file
+// (`exec::file`) embeds these streams as its bitmap segments.
 
 /// Magic prefix of a serialized [`BitmapRepr`].
 const MAGIC: [u8; 4] = *b"BMRP";

@@ -8,8 +8,6 @@
 //! arithmetic used by the thresholds, the cost model and the simulator, plus
 //! a materialised splitter used in tests to verify the alignment property.
 
-use serde::{Deserialize, Serialize};
-
 use schema::PageSizing;
 
 use crate::bitvec::Bitmap;
@@ -21,7 +19,7 @@ use crate::bitvec::Bitmap;
 /// ratio ([`BitmapFragmentation::with_compression_ratio`]) scales the
 /// physical byte/page figures so analytic page counts reflect what the
 /// chosen representation actually occupies.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BitmapFragmentation {
     fragments: u64,
     fact_rows: u64,

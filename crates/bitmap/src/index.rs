@@ -12,14 +12,12 @@
 //! of every hierarchy level — for the low-cardinality dimensions (TIME: up to
 //! 34, CHANNEL: 15), for a maximum of 76 bitmaps.
 
-use serde::{Deserialize, Serialize};
-
 use schema::StarSchema;
 
 use crate::encoding::HierarchicalEncoding;
 
 /// The kind of bitmap join index maintained for a dimension.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BitmapIndexKind {
     /// One bitmap per attribute value, for every hierarchy level.
     Simple,
@@ -29,7 +27,7 @@ pub enum BitmapIndexKind {
 }
 
 /// The bitmap join index of one dimension.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BitmapIndexSpec {
     dimension: usize,
     kind: BitmapIndexKind,
@@ -134,7 +132,7 @@ impl BitmapIndexSpec {
 }
 
 /// The complete set of bitmap join indices of a star schema.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IndexCatalog {
     specs: Vec<BitmapIndexSpec>,
 }

@@ -25,14 +25,12 @@
 //! [`RoaringBitmap::and_many`]); mixed operand sets fall back to the plain
 //! domain.
 
-use serde::{Deserialize, Serialize};
-
 use crate::bitvec::Bitmap;
 use crate::roaring::RoaringBitmap;
 use crate::wah::WahBitmap;
 
 /// How bitmaps of an index are physically represented.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum RepresentationPolicy {
     /// Every bitmap is stored verbatim.
     Plain,
@@ -90,7 +88,7 @@ impl Default for RepresentationPolicy {
 }
 
 /// One bitmap in its chosen physical representation.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BitmapRepr {
     /// Uncompressed, one bit per fact row.
     Plain(Bitmap),
@@ -396,7 +394,7 @@ impl BitmapRepr {
 
 /// Aggregate storage statistics over a set of [`BitmapRepr`]s — how many
 /// bitmaps chose which representation and how many bytes that saved.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReprStats {
     /// Total bitmaps counted.
     pub bitmaps: usize,

@@ -25,8 +25,6 @@
 //! kernel as the plain path ([`crate::bitvec`]).  Nothing round-trips
 //! through a plain decompress.
 
-use serde::{Deserialize, Serialize};
-
 use crate::bitvec::{self, Bitmap};
 use crate::encoding::{Cursor, ReprDecodeError};
 
@@ -449,7 +447,7 @@ fn or_containers(a: &Container, b: &Container) -> Container {
 
 /// A roaring-style compressed bitmap: one canonical container per
 /// 64 Ki-bit chunk of a fixed-length bitmap.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RoaringBitmap {
     len: usize,
     containers: Vec<Container>,

@@ -15,8 +15,6 @@
 //! tail group always stored as a literal), so structural equality coincides
 //! with logical equality.
 
-use serde::{Deserialize, Serialize};
-
 use crate::bitvec::Bitmap;
 
 const GROUP_BITS: usize = 63;
@@ -30,7 +28,7 @@ const FULL_GROUP: u64 = (1u64 << GROUP_BITS) - 1;
 /// Words are either *literals* (top bit set; low 63 bits are payload) or
 /// *fills* (top bit clear; bit 62 is the fill value, low 62 bits the number of
 /// consecutive 63-bit groups with that value).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WahBitmap {
     len: usize,
     words: Vec<u64>,

@@ -13,8 +13,6 @@
 //! [`Advisor`] implements exactly that pipeline on top of
 //! [`enumerate_fragmentations`], [`check_fragmentation`] and [`CostModel`].
 
-use serde::{Deserialize, Serialize};
-
 use bitmap::IndexCatalog;
 use schema::StarSchema;
 
@@ -25,7 +23,7 @@ use crate::query::StarQuery;
 use crate::thresholds::{check_fragmentation, FragmentationConstraints};
 
 /// Configuration of an advisor run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AdvisorConfig {
     /// Threshold constraints (step 1 of the guidelines).
     pub constraints: FragmentationConstraints,
@@ -50,7 +48,7 @@ impl Default for AdvisorConfig {
 }
 
 /// One ranked candidate fragmentation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RankedFragmentation {
     /// The candidate.
     pub fragmentation: Fragmentation,

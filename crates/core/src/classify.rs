@@ -13,15 +13,13 @@
 //! "q is at or above the fragmentation attribute" translates to
 //! `q.level <= f.level`.
 
-use serde::{Deserialize, Serialize};
-
 use schema::{AttrRef, StarSchema};
 
 use crate::fragmentation::Fragmentation;
 use crate::query::StarQuery;
 
 /// The paper's query types with respect to a fragmentation (§4.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QueryClass {
     /// Q1 — all referenced fragmentation-dimension attributes are exactly the
     /// fragmentation attributes.
@@ -37,7 +35,7 @@ pub enum QueryClass {
 }
 
 /// The paper's I/O overhead classes (§4.5).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IoClass {
     /// IOC1-opt — exactly one fragment, no bitmap access.
     Ioc1Opt,
@@ -58,7 +56,7 @@ impl IoClass {
 }
 
 /// A query attribute that still needs bitmap access, and why.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BitmapRequirement {
     /// The query attribute.
     pub attr: AttrRef,
@@ -69,7 +67,7 @@ pub struct BitmapRequirement {
 }
 
 /// The result of classifying a query under a fragmentation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Classification {
     /// Query type Q1–Q4 / unsupported.
     pub query_class: QueryClass,

@@ -17,8 +17,6 @@
 //! Validated against the orders of magnitude of Table 3 (query 1STORE under
 //! `F_opt = {customer::store}` vs `F_nosupp = F_MonthGroup`).
 
-use serde::{Deserialize, Serialize};
-
 use bitmap::IndexCatalog;
 use schema::{PageSizing, StarSchema};
 
@@ -27,7 +25,7 @@ use crate::fragmentation::Fragmentation;
 use crate::query::StarQuery;
 
 /// Tunable parameters of the cost model (defaults follow Table 4).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostParameters {
     /// Prefetch granule on fact fragments, in pages (Table 4: 8).
     pub fact_prefetch_pages: u64,
@@ -50,7 +48,7 @@ impl Default for CostParameters {
 }
 
 /// Estimated I/O work of one query under one fragmentation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QueryIoCost {
     /// Number of fact fragments that must be processed.
     pub fragments_to_process: u64,
@@ -321,7 +319,7 @@ impl CostModel {
 
 /// The analytic multi-user throughput bound of
 /// [`CostModel::multi_user_throughput`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MultiUserEstimate {
     /// The multi-programming level the bound was evaluated at.
     pub mpl: usize,

@@ -7,8 +7,6 @@
 //! two-dimensional, 72 three-dimensional and 36 four-dimensional options —
 //! 167 in total, which Table 2 then filters by minimum bitmap-fragment size.
 
-use serde::{Deserialize, Serialize};
-
 use schema::{AttrRef, PageSizing, StarSchema};
 
 use crate::fragmentation::Fragmentation;
@@ -61,7 +59,7 @@ pub fn enumerate_fragmentations(schema: &StarSchema) -> Vec<Fragmentation> {
 
 /// One row of Table 2: for a given fragmentation dimensionality, how many
 /// candidate fragmentations satisfy each minimum bitmap-fragment size.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Table2Row {
     /// Number of fragmentation dimensions (1–4 for APB-1).
     pub dimensions: usize,

@@ -13,8 +13,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use schema::{AttrRef, LevelRef, StarSchema};
 
 /// Errors raised when constructing a [`Fragmentation`].
@@ -44,11 +42,11 @@ impl std::error::Error for FragmentationError {}
 
 /// The coordinates of one fact fragment: one attribute value per
 /// fragmentation attribute, in the fragmentation's declaration order.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct FragmentCoordinates(pub Vec<u64>);
 
 /// An m-dimensional point fragmentation of the fact table.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Fragmentation {
     attrs: Vec<AttrRef>,
     cardinalities: Vec<u64>,

@@ -9,8 +9,6 @@
 //! bindings (which month, which group) are added by the workload generator and
 //! only matter to the simulator.
 
-use serde::{Deserialize, Serialize};
-
 use schema::{AttrRef, StarSchema};
 
 /// A selection predicate on one hierarchy attribute.
@@ -18,7 +16,7 @@ use schema::{AttrRef, StarSchema};
 /// `values_selected` is the number of distinct attribute values selected
 /// (1 for the paper's exact-match queries; larger values model IN-lists or
 /// small ranges).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Predicate {
     /// The referenced attribute.
     pub attr: AttrRef,
@@ -61,7 +59,7 @@ impl Predicate {
 
 /// A star query: a conjunction of predicates on distinct dimensions plus an
 /// aggregation over the fact table.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StarQuery {
     name: String,
     predicates: Vec<Predicate>,

@@ -14,8 +14,6 @@
 //! There is also a lower bound: at least one fragment per fact-table disk so
 //! that all disks can be used.
 
-use serde::{Deserialize, Serialize};
-
 use bitmap::IndexCatalog;
 use schema::{PageSizing, StarSchema};
 
@@ -23,7 +21,7 @@ use crate::fragmentation::Fragmentation;
 
 /// Administrator-supplied limits for the three thresholds of §4.4 plus the
 /// minimum-parallelism lower bound of §4.7.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FragmentationConstraints {
     /// Prefetch granule for bitmap fragments, in pages (paper default: 4 for
     /// the n_max example, 5 in the simulation parameter table).
@@ -76,7 +74,7 @@ impl FragmentationConstraints {
 }
 
 /// Outcome of checking one fragmentation against the constraints.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ThresholdReport {
     /// Number of fragments of the checked fragmentation.
     pub fragments: u64,

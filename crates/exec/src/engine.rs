@@ -52,7 +52,10 @@ pub struct ExecConfig {
     pub placement: Option<PhysicalAllocation>,
     /// Optional simulated disk subsystem: when set, fragment scans charge
     /// simulated I/O, tasks are steal-weighted by it, and
-    /// [`ExecMetrics::io`] reports per-disk and cache statistics.  Never
+    /// [`ExecMetrics::io`] reports per-disk and cache statistics.  One
+    /// fresh subsystem is built per executed plan; use
+    /// [`StarJoinEngine::execute_plan_with_io`] to share cache state
+    /// across queries.  Never
     /// affects results, only cost accounting (and wall time when a
     /// throttle is configured).
     pub io: Option<IoConfig>,
@@ -64,20 +67,6 @@ pub struct ExecConfig {
 }
 
 impl ExecConfig {
-    /// A pool of exactly `workers` threads, with no placement awareness.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use the `warehouse::Session` builder (`Warehouse::session().workers(n)`), or a \
-                struct literal: `ExecConfig { workers, ..ExecConfig::default() }`"
-    )]
-    #[must_use]
-    pub fn with_workers(workers: usize) -> Self {
-        ExecConfig {
-            workers,
-            ..ExecConfig::default()
-        }
-    }
-
     /// The serial (1-worker) configuration — the speedup baseline.
     #[must_use]
     pub fn serial() -> Self {
@@ -85,42 +74,6 @@ impl ExecConfig {
             workers: 1,
             ..ExecConfig::default()
         }
-    }
-
-    /// Seeds worker queues in `placement`'s disk-affinity order.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `warehouse::Warehouse::session().placement(...)` or set the `placement` field"
-    )]
-    #[must_use]
-    pub fn with_placement(mut self, placement: PhysicalAllocation) -> Self {
-        self.placement = Some(placement);
-        self
-    }
-
-    /// Charges fragment scans against a simulated disk subsystem built
-    /// from `io` (one fresh subsystem per executed plan; use
-    /// [`StarJoinEngine::execute_plan_with_io`] to share cache state
-    /// across queries).
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `warehouse::Warehouse::session().io(...)` or set the `io` field"
-    )]
-    #[must_use]
-    pub fn with_io(mut self, io: IoConfig) -> Self {
-        self.io = Some(io);
-        self
-    }
-
-    /// Records a deterministic trace of the run (see [`ObsConfig`]).
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `warehouse::Warehouse::session().obs(...)` or set the `obs` field"
-    )]
-    #[must_use]
-    pub fn with_obs(mut self, obs: ObsConfig) -> Self {
-        self.obs = obs;
-        self
     }
 
     /// The configured pool size: `workers`, or the machine's available
@@ -804,27 +757,6 @@ mod tests {
             ..ExecConfig::default()
         };
         assert_eq!(placed.placement, Some(PhysicalAllocation::round_robin(8)));
-    }
-
-    /// The deprecated chained constructors stay equivalent to the struct
-    /// literals they were replaced by, for the one release they survive.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_config_shims_match_struct_literals() {
-        let io = crate::io::IoConfig::with_disks(4).cache(64);
-        let placement = PhysicalAllocation::round_robin(8);
-        let chained = ExecConfig::with_workers(3)
-            .with_placement(placement)
-            .with_io(io)
-            .with_obs(ObsConfig::enabled());
-        let literal = ExecConfig {
-            workers: 3,
-            placement: Some(placement),
-            io: Some(io),
-            obs: ObsConfig::enabled(),
-        };
-        assert_eq!(chained, literal);
-        assert_eq!(ExecConfig::with_workers(1), ExecConfig::serial());
     }
 
     #[test]

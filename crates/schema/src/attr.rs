@@ -9,14 +9,12 @@
 use std::fmt;
 use std::str::FromStr;
 
-use serde::{Deserialize, Serialize};
-
 use crate::star::StarSchema;
 
 /// A resolved reference to a hierarchy level of a dimension in a particular
 /// [`StarSchema`]: `(dimension index, level index)` with level 0 being the
 /// coarsest ("highest") level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct AttrRef {
     /// Index of the dimension within the schema.
     pub dimension: usize,
@@ -73,7 +71,7 @@ impl AttrRef {
 }
 
 /// A textual, unresolved attribute reference (`"product::group"`).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct LevelRef {
     /// Dimension name, lower-cased.
     pub dimension: String,

@@ -1,7 +1,5 @@
 //! Dimension tables.
 
-use serde::{Deserialize, Serialize};
-
 use crate::hierarchy::Hierarchy;
 
 /// A (denormalised) dimension table of a star schema.
@@ -10,7 +8,7 @@ use crate::hierarchy::Hierarchy;
 /// to the fact table ("our four dimension tables only occupy 1 MB"), so the
 /// interesting content is the hierarchy and its cardinalities plus a rough
 /// per-row size used for completeness in storage accounting.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Dimension {
     name: String,
     hierarchy: Hierarchy,

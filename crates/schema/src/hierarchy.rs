@@ -8,10 +8,8 @@
 //! hierarchy down to that level — exactly the structure of Table 1 in the
 //! paper.
 
-use serde::{Deserialize, Serialize};
-
 /// One level of a dimension hierarchy.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HierarchyLevel {
     name: String,
     /// Number of elements of this level per element of the parent level.
@@ -48,7 +46,7 @@ impl HierarchyLevel {
 }
 
 /// A dimension hierarchy, ordered from coarsest (index 0) to finest.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Hierarchy {
     levels: Vec<HierarchyLevel>,
 }

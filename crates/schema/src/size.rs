@@ -5,15 +5,13 @@
 //! full APB-1 configuration).  [`PageSizing`] packages those derived figures
 //! for any [`StarSchema`].
 
-use serde::{Deserialize, Serialize};
-
 use crate::star::StarSchema;
 
 /// Default page size used throughout the paper: 4 KB.
 pub const DEFAULT_PAGE_SIZE: u64 = 4 * 1024;
 
 /// Derived page/tuple/bitmap sizing for a star schema.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PageSizing {
     page_size_bytes: u64,
     fact_tuple_bytes: u64,

@@ -1,12 +1,10 @@
 //! The star schema: fact table plus dimensions.
 
-use serde::{Deserialize, Serialize};
-
 use crate::attr::AttrRef;
 use crate::dimension::Dimension;
 
 /// A measure (aggregatable attribute) of the fact table, e.g. `UnitsSold`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Measure {
     name: String,
     size_bytes: u64,
@@ -41,7 +39,7 @@ impl Measure {
 /// Its cardinality is not stored explicitly; following APB-1 it is derived
 /// from a *density factor* applied to the cross product of the dimension
 /// cardinalities (paper §3.1).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FactTable {
     name: String,
     measures: Vec<Measure>,
@@ -125,7 +123,7 @@ impl std::fmt::Display for SchemaError {
 impl std::error::Error for SchemaError {}
 
 /// A complete star schema: one fact table and its dimensions.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StarSchema {
     fact: FactTable,
     dimensions: Vec<Dimension>,

@@ -1,11 +1,9 @@
 //! Simulation parameters (Table 4) and hardware grids (Table 5).
 
-use serde::{Deserialize, Serialize};
-
 use storage::DiskParameters;
 
 /// CPU instruction costs of the major query-processing steps (Table 4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InstructionCosts {
     /// Initiate / plan a query (coordinator).
     pub initiate_query: u64,
@@ -47,7 +45,7 @@ impl Default for InstructionCosts {
 }
 
 /// The full simulation configuration (Table 4 defaults).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimConfig {
     /// Number of disks `d`.
     pub disks: u64,

@@ -1,11 +1,9 @@
 //! Simulation metrics: per-query response times and resource utilisation.
 
-use serde::{Deserialize, Serialize};
-
 use simkit::Tally;
 
 /// Metrics of one executed query instance.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QueryMetrics {
     /// Response time in milliseconds.
     pub response_ms: f64,
@@ -21,7 +19,7 @@ pub struct QueryMetrics {
 
 /// Aggregated results of one experiment run (a sequence of query instances of
 /// one type under one configuration).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RunSummary {
     /// Query type name.
     pub query_name: String,

@@ -7,8 +7,6 @@
 //! prefetch-granule I/Os are needed, which bitmap fragments (on which disks)
 //! must be read, and how many rows have to be extracted and aggregated.
 
-use serde::{Deserialize, Serialize};
-
 use allocation::PhysicalAllocation;
 use bitmap::IndexCatalog;
 use mdhf::{classify, Classification, Fragmentation};
@@ -18,7 +16,7 @@ use workload::BoundQuery;
 use crate::config::SimConfig;
 
 /// One bitmap fragment a subquery has to read.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BitmapRead {
     /// Disk holding the bitmap fragment.
     pub disk: u64,
@@ -30,7 +28,7 @@ pub struct BitmapRead {
 }
 
 /// The work of one subquery (one fact fragment plus its bitmap fragments).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SubqueryWork {
     /// The fact fragment processed by this subquery.
     pub fragment: u64,
@@ -59,7 +57,7 @@ impl SubqueryWork {
 }
 
 /// The complete plan of one query instance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QueryPlan {
     /// Query name (e.g. `"1STORE"`).
     pub query_name: String,

@@ -9,11 +9,9 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 /// Identifies one page: an object (fragment, bitmap fragment, …) and a page
 /// number within it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PageKey {
     /// Identifier of the containing object (assigned by the caller).
     pub object: u64,
@@ -30,7 +28,7 @@ impl PageKey {
 }
 
 /// Hit/miss statistics of one pool.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BufferPoolStats {
     /// Page requests satisfied from the buffer.
     pub hits: u64,

@@ -13,10 +13,8 @@
 //! requests on the same track therefore pay no seek — the effect that makes
 //! large prefetch granules and clustered hits worthwhile.
 
-use serde::{Deserialize, Serialize};
-
 /// Static parameters of the disk model (Table 4 defaults).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DiskParameters {
     /// Average seek time over a uniformly random track distance, in ms.
     pub avg_seek_ms: f64,
@@ -40,7 +38,7 @@ impl Default for DiskParameters {
 }
 
 /// The mutable state of one disk: the arm position left by the last request.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DiskModel {
     params: DiskParameters,
     current_track: u64,

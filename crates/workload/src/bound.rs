@@ -6,13 +6,11 @@
 //! parallelism and contention — depends on *which* fragments are relevant,
 //! not just on how many (§4.6's gcd discussion is exactly about this).
 
-use serde::{Deserialize, Serialize};
-
 use mdhf::{Fragmentation, StarQuery};
 use schema::{AttrRef, StarSchema};
 
 /// A star query with one concrete value bound to each predicate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BoundQuery {
     query: StarQuery,
     /// Concrete value per predicate, in predicate order.

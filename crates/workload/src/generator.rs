@@ -1,7 +1,5 @@
 //! Reproducible query-instance generation and query streams.
 
-use serde::{Deserialize, Serialize};
-
 use mdhf::StarQuery;
 use schema::StarSchema;
 use simkit_free_rng::SplitMix;
@@ -133,7 +131,7 @@ impl QueryGenerator {
 /// multi-user mode is listed as future work and provided here as an
 /// extension: a closed workload with a fixed number of concurrent query
 /// streams.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QueryStream {
     /// One query at a time, back to back.
     SingleUser,

@@ -1,7 +1,5 @@
 //! Named query types of the paper's evaluation.
 
-use serde::{Deserialize, Serialize};
-
 use mdhf::StarQuery;
 use schema::StarSchema;
 
@@ -10,7 +8,7 @@ use schema::StarSchema;
 ///
 /// Every variant is an exact-match star query aggregating the fact-table
 /// measures under a selection on the listed attributes.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum QueryType {
     /// `1STORE` — one customer store, all other dimensions unrestricted
     /// (the disk-bound query of Figures 3, 5 and 6).
