@@ -227,6 +227,10 @@ mod tests {
         let mut checked = 0;
         for entry in std::fs::read_dir(dir).expect("bench/baseline exists") {
             let path = entry.expect("readable directory entry").path();
+            if path.is_dir() {
+                // `stdout/`: the reproductions' stdout goldens, not reports.
+                continue;
+            }
             let text = std::fs::read_to_string(&path).expect("readable baseline");
             assert!(
                 !text.contains(&format!("\"{WALL}\"")) && !text.contains("\"cores\""),

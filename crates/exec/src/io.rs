@@ -28,10 +28,13 @@
 //!   node's FIFO interconnect lane ([`IoConfig::network_ms_per_page`]),
 //!   traced as `NetTransfer` spans on the node track.
 //! * **A [`DiskClock`].**  All simulated time lives on a deterministic
-//!   clock: scans are charged in *plan order* (single query) or *admission
-//!   order* (scheduler), never in thread-arrival order, so every per-disk
-//!   busy time, queue wait, cache hit count and the simulated makespan are
-//!   bit-identical across runs and worker counts.
+//!   clock: scans are charged in *plan order*, one query's plan after the
+//!   other in query-id order — the single-query engine before it runs its
+//!   pool, the scheduler in its planning pass, before any worker starts
+//!   (query-id order is its FIFO admission order) — never in
+//!   thread-arrival order.  So every per-disk busy time, queue wait, cache
+//!   hit count and the simulated makespan are bit-identical across runs,
+//!   worker counts and MPLs, and no charge runs under a scheduler lock.
 //!
 //! Each charged scan returns a [`TaskIo`] whose simulated service time
 //! becomes the task's *weight* in the work-stealing pool (steal victims are
@@ -242,7 +245,7 @@ pub struct ScanCtx {
 /// The deterministic clock of the simulated disks.
 ///
 /// Every disk serves its requests FIFO; charges arrive in a deterministic
-/// order (plan order for a single query, admission order in the scheduler),
+/// order (plan order, query after query in query-id order),
 /// and the clock models the run as one batch: a request on disk `d` starts
 /// when the disk finishes everything charged to it before.  Elapsed
 /// simulated time is therefore the *makespan* of the parallel disks — and
@@ -585,9 +588,9 @@ impl SimulatedIo {
     /// staggered disks, each in prefetch granules through the shared cache.
     /// Returns the scan's simulated cost.
     ///
-    /// Charges must arrive in a deterministic order (the engine charges in
-    /// plan order, the scheduler in admission order) — that order, not
-    /// thread scheduling, defines the cache and arm state each scan sees.
+    /// Charges must arrive in a deterministic order (plan order, query
+    /// after query in query-id order) — that order, not thread
+    /// scheduling, defines the cache and arm state each scan sees.
     ///
     /// # Panics
     ///

@@ -166,7 +166,10 @@ impl ExecMetrics {
 pub struct ThroughputMetrics {
     /// Aggregate pool accounting over the whole run.  `planned_fragments`
     /// is the total task count across all executed queries, and each
-    /// worker's `busy` is the sum of its per-task processing times.
+    /// worker's `busy` is the sum of its per-task processing times.  Its
+    /// `wall` clock starts after the planning pass, which also charges
+    /// simulated I/O when that layer is on, so queries/sec and utilisation
+    /// cover execution only.
     pub pool: ExecMetrics,
     /// Number of queries that ran to completion.
     pub queries_completed: usize,

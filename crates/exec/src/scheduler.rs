@@ -23,10 +23,12 @@
 //!   MPL > 1 never over-subscribes the machine,
 //! * with [`ExecConfig::io`] set, **one** simulated disk subsystem
 //!   ([`crate::io::SimulatedIo`]) serves the whole stream: each query's
-//!   scans are charged at admission, in admission order — deterministic
-//!   regardless of thread interleave — so the shared page cache persists
-//!   across queries (repeated scans of hot fragments hit it) and tasks are
-//!   steal-weighted by their remaining simulated I/O,
+//!   plan is charged in the planning pass, in query-id order — which is
+//!   the FIFO admission order, so the replay is the one an
+//!   admission-time charge would make, and no thread interleave can
+//!   change it.  The shared page cache persists across queries (repeated
+//!   scans of hot fragments hit it); admission only deals the precomputed
+//!   charges, and tasks are steal-weighted by their simulated I/O,
 //! * each completed query is merged **deterministically** in plan order
 //!   through the same fold as the single-query engine (the shared
 //!   `merge_partials`), so every query's hits and measure sums are
@@ -62,10 +64,11 @@ use crate::engine::{
     merge_partials, placement_seed_order, process_fragment, ExecConfig, FragmentPartial,
     StarJoinEngine,
 };
-use crate::io::{throttle_for, ScanCtx, SimulatedIo};
+use crate::io::{throttle_for, SimulatedIo};
 use crate::metrics::{ExecMetrics, ThroughputMetrics, WorkerMetrics};
-use crate::plan::PredicateBinding;
+use crate::plan::{PredicateBinding, QueryPlan};
 use crate::queue::StealDeques;
+use crate::source::ScanSource;
 use crate::sync::PoisonLock;
 
 /// Configuration of a multi-query scheduler run.
@@ -185,26 +188,48 @@ struct Task {
     task: usize,
     /// The store fragment number to process.
     fragment: u64,
-    /// Simulated I/O charged to this task at admission (0 with the I/O
-    /// layer off).
+    /// Simulated I/O charged to this task in the planning pass (0 with
+    /// the I/O layer off).
     sim_ms: f64,
     /// The owning query's bitmap predicates (shared across its tasks).
     bindings: Arc<Vec<PredicateBinding>>,
 }
 
-/// A planned query waiting for, or in, admission (immutable during the run).
+/// What admission deals for one task: its simulated I/O and steal weight.
+#[derive(Debug, Clone, Copy)]
+struct TaskCharge {
+    /// Simulated I/O charged to the task's scan, in ms.
+    sim_ms: f64,
+    /// Steal weight: the scan's simulated µs under skew-aware stealing,
+    /// otherwise 1.
+    cost: u64,
+}
+
+/// The charge of every task with the I/O layer off.
+const NO_IO: TaskCharge = TaskCharge {
+    sim_ms: 0.0,
+    cost: 1,
+};
+
+/// A planned and charged query waiting for, or in, admission (immutable
+/// during the run).
 struct Prepared {
     query_name: String,
     /// Plan fragment numbers, in plan (merge) order.
     fragments: Vec<u64>,
-    /// Row count per plan fragment (the I/O layer's scan sizes).
-    fragment_rows: Vec<u64>,
-    /// Physical bitmap fragments one fragment subquery must read.
-    bitmap_fragments: u64,
     /// Task indices in seeding order: the disk-affinity permutation when a
     /// placement is configured, plan order otherwise.
     seed_order: Vec<usize>,
     bindings: Arc<Vec<PredicateBinding>>,
+    /// Per plan position: the task's precomputed simulated I/O (empty with
+    /// the I/O layer off, when every task deals as [`NO_IO`]).
+    charges: Vec<TaskCharge>,
+    /// The query's admission and completion stamps on the deterministic
+    /// trace clock, in µs: simulated elapsed time before and after its
+    /// charges, or its query id (the logical admission counter) when the
+    /// I/O layer is off.
+    admit_us: u64,
+    complete_us: u64,
 }
 
 /// Mutable bookkeeping of one admitted query.
@@ -236,11 +261,6 @@ struct Control {
     /// node-homed tasks are dealt round-robin over their home node's worker
     /// range, so a node's workers share its load evenly.
     node_cursors: Vec<usize>,
-    /// Admissions so far — the logical admission clock trace events are
-    /// stamped with when no simulated disk clock exists.  Advanced under
-    /// this lock, in FIFO admission order, so its readings are
-    /// deterministic.
-    admit_seq: u64,
 }
 
 /// Everything the workers share.
@@ -252,10 +272,11 @@ struct Shared {
     prepared: Vec<Prepared>,
     mpl: usize,
     measure_count: usize,
-    /// The stream-wide simulated disk subsystem; scans are charged at
-    /// admission (under the control lock, in admission order — the
-    /// deterministic replay order).
-    io: Option<SimulatedIo>,
+    /// Wall nanoseconds a worker spins per simulated I/O millisecond (the
+    /// I/O layer's throttle; 0 when it is off).  Simulated I/O itself was
+    /// charged in the planning pass, so nothing here reaches the
+    /// simulated disk subsystem.
+    wall_ns_per_sim_ms: u64,
     /// The run's event sink when tracing is enabled.
     obs: Option<TraceRecorder>,
     /// The shared-nothing node topology when the I/O layer simulates more
@@ -313,9 +334,10 @@ impl NodeTopology {
 
 impl Shared {
     /// Admits pending queries until the MPL limit is reached, dealing each
-    /// admitted query's tasks across the worker deques in seed order.
-    /// Zero-task queries complete at admission.  Call with the control lock
-    /// held; the caller notifies the condvar.
+    /// admitted query's tasks — with their precomputed simulated I/O —
+    /// across the worker deques in seed order.  Zero-task queries complete
+    /// at admission.  Call with the control lock held; the caller notifies
+    /// the condvar.
     fn admit(&self, control: &mut Control) {
         while control.active < self.mpl {
             let Some(query_id) = control.pending.pop_front() else {
@@ -325,17 +347,9 @@ impl Shared {
             // detlint: allow(wall-clock, reason = "admission-wait latency observability; results are merged deterministically")
             let admitted_at = Instant::now();
             let admission_wait = admitted_at.duration_since(self.started);
-            // The admission timestamp on the deterministic trace clock:
-            // simulated elapsed time before this query's charges, or the
-            // logical admission counter when the I/O layer is off.  Both
-            // depend only on FIFO admission order (queries are charged at
-            // admission, in query-id order, under this lock), so they are
-            // identical across runs, worker counts and MPLs.
-            let admit_us = match &self.io {
-                Some(io) => us_from_ms(io.sim_elapsed_ms()),
-                None => control.admit_seq,
-            };
-            control.admit_seq += 1;
+            // Stamped in the planning pass from the query-id (= admission)
+            // order alone, so identical across runs, worker counts and MPLs.
+            let admit_us = prepared.admit_us;
             if let Some(rec) = &self.obs {
                 rec.record(
                     Track::Query(query_id as u32),
@@ -397,58 +411,27 @@ impl Shared {
             let first = control.seed_cursor;
             control.seed_cursor = (control.seed_cursor + 1) % workers;
             let tasks = prepared.seed_order.len();
-            // Charge the admitted query's scans against the shared disk
-            // subsystem in *plan order* — admissions happen in query-id
-            // order under the control lock, so the whole stream's I/O
-            // replay is deterministic.
-            let charges = self.io.as_ref().map(|io| {
-                prepared
-                    .fragments
-                    .iter()
-                    .zip(&prepared.fragment_rows)
-                    .enumerate()
-                    .map(|(task, (&fragment, &rows))| {
-                        io.charge_scan_traced(
-                            fragment,
-                            rows,
-                            prepared.bitmap_fragments,
-                            ScanCtx {
-                                query: query_id as u32,
-                                task: task as u32,
-                            },
-                            self.obs.as_ref(),
-                        )
-                    })
-                    .collect::<Vec<_>>()
-            });
             if let Some(rec) = &self.obs {
                 // The query's simulated completion time is already decided:
-                // all of its disk work was just charged, so its span on the
-                // deterministic clock closes here, independent of which
-                // workers later execute the tasks (logical time when the
-                // I/O layer is off: admission and completion coincide).
-                let complete_us = charges.as_deref().map_or(admit_us, |charges| {
-                    charges
-                        .iter()
-                        .map(|c| us_from_ms(c.sim_end_ms))
-                        .fold(admit_us, u64::max)
-                });
+                // all of its disk work was charged in the planning pass, so
+                // its span on the deterministic clock is independent of
+                // which workers later execute the tasks (logical time when
+                // the I/O layer is off: admission and completion coincide).
                 rec.record(
                     Track::Query(query_id as u32),
                     EventKind::Query,
                     admit_us,
-                    complete_us - admit_us,
+                    prepared.complete_us - admit_us,
                     vec![(FieldKey::Fragments, prepared.fragments.len() as u64)],
                 );
                 rec.record(
                     Track::Query(query_id as u32),
                     EventKind::QueryComplete,
-                    complete_us,
+                    prepared.complete_us,
                     0,
                     vec![],
                 );
             }
-            let steal_by_io = self.io.as_ref().is_some_and(|io| io.config().steal_by_io);
             for (position, &task) in prepared.seed_order.iter().enumerate() {
                 // Shared-nothing multi-node pools deal each task to a worker
                 // on its fragment's home node (round-robin within the node's
@@ -469,11 +452,7 @@ impl Shared {
                     }
                     None => (first + position * workers / tasks) % workers,
                 };
-                let charge = charges.as_ref().map(|c| c[task]);
-                let cost = match charge {
-                    Some(c) if steal_by_io => c.cost_units(),
-                    _ => 1,
-                };
+                let charge = prepared.charges.get(task).copied().unwrap_or(NO_IO);
                 self.deques.push(
                     home,
                     Task {
@@ -481,10 +460,10 @@ impl Shared {
                         query: query_id,
                         task,
                         fragment: prepared.fragments[task],
-                        sim_ms: charge.map_or(0.0, |c| c.sim_ms),
+                        sim_ms: charge.sim_ms,
                         bindings: Arc::clone(&prepared.bindings),
                     },
-                    cost,
+                    charge.cost,
                 );
             }
         }
@@ -570,10 +549,7 @@ fn finalize(
 /// submitted query has finished.
 fn worker_loop(shared: &Shared, engine: &StarJoinEngine, worker: usize) -> WorkerMetrics {
     let source = engine.source();
-    let wall_ns_per_sim_ms = shared
-        .io
-        .as_ref()
-        .map_or(0, |io| io.config().wall_ns_per_sim_ms);
+    let wall_ns_per_sim_ms = shared.wall_ns_per_sim_ms;
     let mut metrics = WorkerMetrics {
         worker,
         ..WorkerMetrics::default()
@@ -630,7 +606,7 @@ fn worker_loop(shared: &Shared, engine: &StarJoinEngine, worker: usize) -> Worke
                 // a wall-clock charge only; the simulated clocks, traces
                 // and results never see migration (it is a scheduling
                 // outcome, and charging it would break the deterministic
-                // admission-order replay).
+                // query-id-order replay).
                 metrics.tasks_migrated += 1;
                 let replicated = topology.replicas[node]
                     .plock("node replica set")
@@ -718,6 +694,11 @@ impl<'e> QueryScheduler<'e> {
     /// Plans, admits and executes `queries` on the shared pool, returning
     /// per-query results in submission order plus throughput metrics.
     ///
+    /// With the I/O layer on, every plan is charged against one fresh
+    /// [`SimulatedIo`] in the planning pass, in query-id order (the FIFO
+    /// admission order), exactly as
+    /// [`StarJoinEngine::execute_plan_with_io`] charges a single plan.
+    ///
     /// # Panics
     ///
     /// Panics if a worker thread panics.
@@ -725,10 +706,39 @@ impl<'e> QueryScheduler<'e> {
     pub fn run(&self, queries: &[BoundQuery]) -> StreamOutcome {
         let source = self.engine.source();
         let placement = self.config.exec.placement.as_ref();
+        let recorder = self
+            .config
+            .exec
+            .obs
+            .enabled
+            .then(|| TraceRecorder::new(self.config.exec.obs.capacity));
+        let io = self
+            .config
+            .exec
+            .io
+            .map(|io_config| SimulatedIo::new(io_config, source.schema()));
         let prepared: Vec<Prepared> = queries
             .iter()
-            .map(|bound| {
+            .enumerate()
+            .map(|(query_id, bound)| {
                 let plan = self.engine.plan(bound);
+                if let Some(rec) = &recorder {
+                    // Submission and planning happen before the run clock
+                    // starts: both land at logical time 0.
+                    let track = Track::Query(query_id as u32);
+                    rec.record(track, EventKind::QuerySubmit, 0, 0, vec![]);
+                    rec.record(
+                        track,
+                        EventKind::QueryPlan,
+                        0,
+                        0,
+                        vec![(FieldKey::Fragments, plan.task_count() as u64)],
+                    );
+                }
+                let (charges, admit_us, complete_us) = match &io {
+                    Some(io) => charge(io, &plan, source, query_id, recorder.as_ref()),
+                    None => (Vec::new(), query_id as u64, query_id as u64),
+                };
                 let seed_order = match placement {
                     Some(placement) => placement_seed_order(&plan, source.catalog(), placement),
                     None => (0..plan.task_count()).collect(),
@@ -737,13 +747,10 @@ impl<'e> QueryScheduler<'e> {
                     query_name: plan.query_name().to_string(),
                     seed_order,
                     bindings: Arc::new(plan.bitmap_predicates()),
-                    fragment_rows: plan
-                        .fragments()
-                        .iter()
-                        .map(|&f| source.fragment_rows(f))
-                        .collect(),
-                    bitmap_fragments: plan.bitmap_fragments_per_subquery(source.catalog()),
                     fragments: plan.fragments().to_vec(),
+                    charges,
+                    admit_us,
+                    complete_us,
                 }
             })
             .collect();
@@ -753,32 +760,12 @@ impl<'e> QueryScheduler<'e> {
         let workers = self.config.exec.pool_size(total_tasks);
         let query_count = prepared.len();
 
-        // The run clock starts *after* planning (like `ExecMetrics::wall`),
-        // so admission waits measure queueing delay and queries/sec measures
-        // execution throughput, not upfront plan time.
+        // The run clock starts *after* planning and charging (like
+        // `ExecMetrics::wall`), so admission waits measure queueing delay
+        // and queries/sec measures execution throughput, not upfront plan
+        // and simulated-I/O time.
         // detlint: allow(wall-clock, reason = "stream run clock for qps/latency observability; results never depend on it")
         let started = Instant::now();
-        let recorder = self
-            .config
-            .exec
-            .obs
-            .enabled
-            .then(|| TraceRecorder::new(self.config.exec.obs.capacity));
-        if let Some(rec) = &recorder {
-            // Submission and planning happen before the run clock starts:
-            // both land at logical time 0, in query-id order.
-            for (query_id, prepared) in prepared.iter().enumerate() {
-                let track = Track::Query(query_id as u32);
-                rec.record(track, EventKind::QuerySubmit, 0, 0, vec![]);
-                rec.record(
-                    track,
-                    EventKind::QueryPlan,
-                    0,
-                    0,
-                    vec![(FieldKey::Fragments, prepared.fragments.len() as u64)],
-                );
-            }
-        }
         // The shared-nothing node topology, when the I/O layer simulates
         // more than one node.  Shared-disk multi-node subsystems keep the
         // single-node pool: every node reads every disk at equal cost, so
@@ -798,17 +785,12 @@ impl<'e> QueryScheduler<'e> {
                 results: (0..query_count).map(|_| None).collect(),
                 seed_cursor: 0,
                 node_cursors: vec![0; nodes.as_ref().map_or(0, NodeTopology::node_count)],
-                admit_seq: 0,
             }),
             work: Condvar::new(),
             prepared,
             mpl: self.config.mpl(),
             measure_count: source.measure_count(),
-            io: self
-                .config
-                .exec
-                .io
-                .map(|io_config| SimulatedIo::new(io_config, source.schema())),
+            wall_ns_per_sim_ms: io.as_ref().map_or(0, |io| io.config().wall_ns_per_sim_ms),
             obs: recorder,
             nodes,
             started,
@@ -839,7 +821,7 @@ impl<'e> QueryScheduler<'e> {
         let wall = started.elapsed();
         worker_metrics.sort_by_key(|m| m.worker);
 
-        let io_metrics = shared.io.as_ref().map(SimulatedIo::metrics);
+        let io_metrics = io.as_ref().map(SimulatedIo::metrics);
         let trace = shared.obs.map(TraceRecorder::into_trace);
         let control = shared.control.into_inner().expect("control lock poisoned");
         let results: Vec<ScheduledQuery> = control
@@ -866,6 +848,33 @@ impl<'e> QueryScheduler<'e> {
             trace,
         }
     }
+}
+
+/// Charges `plan` (query `query_id`) against the stream's simulated disk
+/// subsystem, returning each task's charge plus the query's admission and
+/// completion stamps on the deterministic trace clock.
+fn charge(
+    io: &SimulatedIo,
+    plan: &QueryPlan,
+    source: &ScanSource,
+    query_id: usize,
+    recorder: Option<&TraceRecorder>,
+) -> (Vec<TaskCharge>, u64, u64) {
+    let admit_us = us_from_ms(io.sim_elapsed_ms());
+    let steal_by_io = io.config().steal_by_io;
+    let scans = io.charge_plan_traced(plan, source, query_id as u32, recorder);
+    let complete_us = scans
+        .iter()
+        .map(|scan| us_from_ms(scan.sim_end_ms))
+        .fold(admit_us, u64::max);
+    let charges = scans
+        .iter()
+        .map(|scan| TaskCharge {
+            sim_ms: scan.sim_ms,
+            cost: if steal_by_io { scan.cost_units() } else { 1 },
+        })
+        .collect();
+    (charges, admit_us, complete_us)
 }
 
 impl StarJoinEngine {
@@ -1049,10 +1058,55 @@ mod tests {
         // re-scan fragments the cache already holds.
         assert!(io_metrics.cache_hit_rate() > 0.0);
 
-        // The admission-order replay is deterministic: same stream, same
+        // The query-id-order replay is deterministic: same stream, same
         // configuration → identical simulated metrics, at any MPL/workers.
         let again = engine.execute_stream(&queries, &SchedulerConfig::new(2, 8).with_io(io));
         assert_eq!(again.metrics.pool.io, outcome.metrics.pool.io);
+    }
+
+    #[test]
+    fn stream_charges_plans_in_query_id_order() {
+        let engine = engine();
+        let schema = engine.store().schema();
+        // One all-fragment scan, then 1-fragment lookups: at MPL > 1 the
+        // lookups complete before the scan, so completion order is not
+        // query-id order.
+        let mut queries = InterleavedStream::new(schema, &[QueryType::OneStore], 5).take_queries(1);
+        queries.extend(
+            InterleavedStream::new(schema, &[QueryType::OneMonthOneGroup], 6).take_queries(11),
+        );
+        let flat = crate::io::IoConfig::with_disks(8).cache(2_000);
+        let shared_nothing = crate::io::IoConfig {
+            nodes: 4,
+            node_strategy: NodeStrategy::SharedNothing,
+            ..flat
+        };
+        for io in [flat, shared_nothing] {
+            let charged_in = |order: &[usize]| {
+                let sim = SimulatedIo::new(io, schema);
+                for &query in order {
+                    let _ = sim.charge_plan(&engine.plan(&queries[query]), engine.source());
+                }
+                sim.metrics()
+            };
+            let id_order: Vec<usize> = (0..queries.len()).collect();
+            let expected = charged_in(&id_order);
+            // The pin is sensitive: charging the scan after the lookups, as
+            // completion order would, gives different metrics.
+            let mut scan_last: Vec<usize> = (1..queries.len()).collect();
+            scan_last.push(0);
+            assert_ne!(charged_in(&scan_last), expected, "{} nodes", io.nodes);
+            for (workers, mpl) in [(1usize, 1usize), (2, 4), (4, 8)] {
+                let outcome = engine
+                    .execute_stream(&queries, &SchedulerConfig::new(workers, mpl).with_io(io));
+                assert_eq!(
+                    outcome.metrics.pool.io.as_ref(),
+                    Some(&expected),
+                    "{} nodes, {workers} workers, MPL {mpl}",
+                    io.nodes
+                );
+            }
+        }
     }
 
     #[test]
@@ -1099,7 +1153,7 @@ mod tests {
         assert!(io_metrics.total_net_pages() > 0);
         assert!(io_metrics.total_net_ms() > 0.0);
         assert!(io_metrics.node_imbalance() >= 1.0);
-        // I/O is charged at admission in admission order: per-node
+        // I/O is charged in query-id order at plan time: per-node
         // attribution is identical for any worker count and MPL.
         let again = engine.execute_stream(&queries, &SchedulerConfig::new(2, 8).with_io(io));
         assert_eq!(again.metrics.pool.io, outcome.metrics.pool.io);

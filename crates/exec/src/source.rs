@@ -25,6 +25,9 @@ use crate::plan::QueryPlan;
 use crate::store::{ColumnarFragment, FragmentStore};
 
 /// Where a [`crate::StarJoinEngine`] reads its fragments from.
+// One value per engine, never collected or moved on a hot path: boxing
+// the file variant would only add a pointer hop to every fetch.
+#[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
 pub enum ScanSource {
     /// Fragments materialised in memory — the original engine backing.

@@ -6,10 +6,10 @@
 //! stamped from the simulated disk-clock time (`exec::DiskClock`) of the
 //! charge that produced them, converted to integer microseconds here; when
 //! the I/O layer is off there is no simulated clock, and deterministic
-//! call sites fall back to a [`LogicalClock`] — a plain monotonic counter
-//! advanced only on the deterministic path (e.g. once per admission, under
-//! the scheduler's control lock), so its readings depend on admission
-//! order alone.
+//! call sites fall back to a logical count — the scheduler stamps a
+//! query's admission with its query id, its FIFO admission index — or a
+//! [`LogicalClock`]: a plain monotonic counter advanced only on the
+//! deterministic path, so its readings depend on that path's order alone.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

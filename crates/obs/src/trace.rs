@@ -494,7 +494,7 @@ mod tests {
     #[test]
     fn node_track_is_deterministic_and_digested() {
         // NetTransfer events on the node track are part of the deterministic
-        // section (charged at admission, not by thread arrival), and the
+        // section (charged in query-id order, not by thread arrival), and the
         // digest distinguishes node tracks from disk tracks of the same id.
         assert!(EventKind::NetTransfer.is_deterministic());
         let on_node = TraceRecorder::new(4);

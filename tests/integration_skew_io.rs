@@ -74,7 +74,7 @@ fn simulated_io_replay_is_deterministic_across_runs_and_pools() {
     assert_eq!(a.pool.io, b.pool.io, "same configuration, same replay");
 
     // Worker count and MPL change wall-clock scheduling but never the
-    // simulated subsystem: charges happen in admission order.
+    // simulated subsystem: plans are charged in query-id order.
     let io = IoConfig::with_disks(7).cache(256);
     let other = engine
         .execute_stream(&queries, &SchedulerConfig::new(2, 8).with_io(io))
