@@ -4,43 +4,58 @@
 //! The paper's APB-1 fact table (1.87 billion rows) cannot live in RAM; the
 //! simulated `DiskModel` makespans are only honest if the same fragments can
 //! also be read from a real file.  This module serialises a
-//! [`FragmentStore`] into a versioned, page-aligned columnar file and reads
-//! it back fragment by fragment through the LRU [`PagePool`] of
-//! `storage::buffer`, so cache hit/miss accounting stays comparable between
-//! simulated and measured runs.
+//! [`FragmentStore`] into a versioned columnar file, one page-aligned extent
+//! per fragment, and reads it back fragment by fragment through the LRU
+//! [`PagePool`] of `storage::buffer`, so cache hit/miss accounting stays
+//! comparable between simulated and measured runs.
 //!
-//! # File layout (version 1, 4096-byte pages)
+//! # File layout (version 2, 4096-byte pages)
 //!
 //! ```text
 //! page 0        header: "FGMT" magic, version, page size, dimension /
 //!               measure / fragment counts, total rows, metadata length
-//!               and FNV-1a checksum
+//!               and checksum
 //! pages 1..     metadata blob: star schema (fact table, dimensions,
 //!               hierarchies), fragmentation attributes, index-catalog
 //!               kinds, representation policy
-//! then          per fragment, page-aligned segments in fixed order:
-//!                 key column per dimension   (u64 little-endian)
+//! then          per fragment one extent: it starts on a page boundary,
+//!               holds its segments back to back in fixed order
 //!                 measure column per measure (f64 bits little-endian)
 //!                 bitmap index per dimension (BMRP-encoded bitmaps)
+//!                 key column per dimension   (frame-of-reference
+//!                                             bit-packed, see below)
+//!               and is padded to the next page boundary once, at its end
 //! then          page directory: per fragment its row count and per
-//!               segment (offset, length, FNV-1a checksum)
+//!               segment (offset, length, checksum)
 //! last 40 B     trailer: "FGMTEND\0" magic, version, page size,
 //!               directory offset / length / checksum
 //! ```
 //!
+//! A key column is `min: u64`, `width: u8` (at most 64), then
+//! ⌈rows · width / 64⌉ little-endian `u64` words holding `key - min` of every
+//! row in `width` bits, row 0 in the lowest bits of the first word.  MDHF
+//! pins a fragment's fragmentation attributes, so its keys span a narrow
+//! range and pack to a few bits a row.
+//!
+//! One hand-rolled word-wise checksum (four independent 8-byte lanes,
+//! folded with the length at the end) covers every segment, the metadata
+//! blob and the directory.
+//!
 //! Every structural assumption is checked at [`FileStore::open`] — magic,
-//! version, checksums, directory bounds — so corruption surfaces as a typed
-//! [`StorageError`] instead of a panic deep inside a query.
+//! version, checksums, directory bounds and extent contiguity — so
+//! corruption surfaces as a typed [`StorageError`] instead of a panic deep
+//! inside a query.
 //!
 //! # Many readers at once
 //!
 //! The file stands in for the paper's disks, which many processors read at
 //! the same time, so no fetch holds a store-wide lock for long: a fragment
 //! whose decoded form is resident is handed out from its own slot, and a
-//! fragment that has to be loaded is read (positionally, through one shared
-//! handle), verified and decoded with only its own load lock held.  The
-//! page pool sees the hits later, in the order they happened, before it
-//! next has to choose a victim or report its counters — see [`FileStore`].
+//! fragment that has to be loaded is read (one positional read of its
+//! extent, through one shared handle), verified and decoded with only its
+//! own load lock held.  The page pool sees the hits later, in the order
+//! they happened, before it next has to choose a victim or report its
+//! counters — see [`FileStore`].
 
 use std::collections::BTreeMap;
 use std::fs::File;
@@ -63,8 +78,16 @@ use crate::sync::PoisonLock;
 /// Page size of the on-disk format in bytes.
 pub const PAGE_SIZE: u64 = 4096;
 
-/// Current format version.
-pub const FORMAT_VERSION: u32 = 1;
+/// Current format version.  Only this version is read: a file of any other
+/// version fails [`FileStore::open`] with [`StorageError::Corrupt`].
+pub const FORMAT_VERSION: u32 = 2;
+
+/// [`checksum`] of the file [`write_store`] writes for the unit tests'
+/// `small_store()`.  Pins the byte layout of this [`FORMAT_VERSION`]: a
+/// change to it that does not bump the version fails the test
+/// `format_pin_matches_the_committed_checksum`.
+#[cfg(test)]
+const SMALL_STORE_FILE_CHECKSUM: u64 = 0x176A7DCA5397B15F;
 
 /// Header magic, first bytes of the file.
 const HEADER_MAGIC: [u8; 4] = *b"FGMT";
@@ -129,15 +152,68 @@ impl From<ReprDecodeError> for StorageError {
     }
 }
 
-/// FNV-1a over a byte slice — the same hand-rolled checksum family the
-/// deterministic trace digest uses; no external hashing dependency.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+/// Odd multipliers of [`checksum`] (the splitmix64 constants).
+const MUL_A: u64 = 0x9E37_79B9_7F4A_7C15;
+const MUL_B: u64 = 0xBF58_476D_1CE4_E5B9;
+const MUL_C: u64 = 0x94D0_49BB_1331_11EB;
+
+/// One step of a [`checksum`] lane.  For a fixed `word` it is a bijection
+/// of `lane` (add, rotate and multiply by an odd constant all are), and for
+/// a fixed `lane` a bijection of `word`.
+fn lane_step(lane: u64, word: u64) -> u64 {
+    lane.wrapping_add(word.wrapping_mul(MUL_B))
+        .rotate_left(31)
+        .wrapping_mul(MUL_A)
+}
+
+/// The little-endian `u64` of an 8-byte chunk.
+fn le_word(chunk: &[u8]) -> u64 {
+    let mut word = [0u8; 8];
+    word.copy_from_slice(chunk);
+    u64::from_le_bytes(word)
+}
+
+/// The checksum of every FGMT segment, the metadata blob and the directory:
+/// eight bytes per step on four independent lanes, so the steps of
+/// different lanes overlap.  Word `i` of the input (little-endian, the last
+/// one zero-padded) goes to lane `i % 4`; the lanes are folded in order at
+/// the end, starting from the length.
+///
+/// Changing any single word is always detected: it changes its lane's state
+/// at that step, every later step of the lane is a bijection of the state,
+/// and so are each step of the fold (in the lane it takes in) and the final
+/// mix.  Hand-rolled; no hashing dependency.
+fn checksum(bytes: &[u8]) -> u64 {
+    let mut lanes = [MUL_A, MUL_B, MUL_C, MUL_A ^ MUL_B];
+    let mut blocks = bytes.chunks_exact(32);
+    for block in &mut blocks {
+        for (lane, chunk) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+            *lane = lane_step(*lane, le_word(chunk));
+        }
     }
-    hash
+    // At most three whole words and one partial word are left: one more
+    // (incomplete) round over the lanes.
+    let words = blocks.remainder().chunks_exact(8);
+    let partial = words.remainder();
+    let last = (!partial.is_empty()).then(|| {
+        let mut word = [0u8; 8];
+        for (byte, &b) in word.iter_mut().zip(partial) {
+            *byte = b;
+        }
+        u64::from_le_bytes(word)
+    });
+    for (lane, word) in lanes.iter_mut().zip(words.map(le_word).chain(last)) {
+        *lane = lane_step(*lane, word);
+    }
+    let mut hash = (bytes.len() as u64).wrapping_mul(MUL_C);
+    for lane in lanes {
+        hash = (hash ^ lane_step(0, lane))
+            .rotate_left(27)
+            .wrapping_mul(MUL_A);
+    }
+    hash ^= hash >> 31;
+    hash = hash.wrapping_mul(MUL_B);
+    hash ^ (hash >> 29)
 }
 
 /// Number of pages a byte length occupies.
@@ -448,10 +524,36 @@ fn decode_metadata(bytes: &[u8], dimension_count: usize) -> Result<StoreMeta, St
 // Fragment segments.
 // ---------------------------------------------------------------------------
 
+/// Words a bit-packed column of `rows` values `width` bits wide occupies,
+/// or `None` when that overflows.
+fn packed_words(rows: u64, width: u8) -> Option<u64> {
+    Some(rows.checked_mul(u64::from(width))?.div_ceil(64))
+}
+
+/// Frame-of-reference bit-packs a key column: `min`, `width`, then every
+/// `key - min` in `width` bits (see the module docs).
 fn encode_key_column(column: &[u64]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(column.len() * 8);
+    let min = column.iter().copied().min().unwrap_or(0);
+    let max = column.iter().copied().max().unwrap_or(0);
+    let width = (u64::BITS - (max - min).leading_zeros()) as u8;
+    let words = packed_words(column.len() as u64, width).unwrap_or(0);
+    let mut out = Vec::with_capacity(9 + 8 * words as usize);
+    put_u64(&mut out, min);
+    out.push(width);
+    // `pending` holds the `bits` low bits not written yet; fewer than 64
+    // between keys.
+    let (mut pending, mut bits) = (0u128, 0u32);
     for &key in column {
-        put_u64(&mut out, key);
+        pending |= u128::from(key - min) << bits;
+        bits += u32::from(width);
+        if bits >= 64 {
+            put_u64(&mut out, pending as u64);
+            pending >>= 64;
+            bits -= 64;
+        }
+    }
+    if bits > 0 {
+        put_u64(&mut out, pending as u64);
     }
     out
 }
@@ -556,74 +658,114 @@ fn decode_index_segment(
     index.map_err(StorageError::Corrupt)
 }
 
+/// Inverse of [`encode_key_column`] for a fragment of `rows` rows.
 fn decode_key_column(bytes: &[u8], rows: u64) -> Result<Vec<u64>, StorageError> {
-    if bytes.len() as u64 != rows * 8 {
+    let mut r = ByteReader::new(bytes, "key column segment");
+    let min = r.u64()?;
+    let width = r.u8()?;
+    if width > 64 {
         return Err(StorageError::Corrupt(format!(
-            "key column holds {} bytes for {rows} rows",
-            bytes.len()
+            "key column packs {width} bits a key"
         )));
     }
-    let mut r = ByteReader::new(bytes, "key column segment");
-    let mut column = Vec::with_capacity(rows as usize);
+    let payload = packed_words(rows, width)
+        .and_then(|words| usize::try_from(words.checked_mul(8)?).ok())
+        .ok_or_else(|| StorageError::Corrupt(format!("key column of {rows} rows overflows")))?;
+    let words = r.take(payload)?;
+    r.done()?;
+    let mut column = Vec::new();
+    usize::try_from(rows)
+        .ok()
+        .and_then(|rows| column.try_reserve_exact(rows).ok())
+        .ok_or_else(|| StorageError::Corrupt(format!("key column of {rows} rows")))?;
+    if width == 0 {
+        column.extend((0..rows).map(|_| min));
+        return Ok(column);
+    }
+    // A key is cut from the 16 bytes starting at the byte of its first bit
+    // (at most 7 + 64 bits reach past that byte's start), so the last keys
+    // read into a zero tail.
+    let mut packed = Vec::with_capacity(payload + 16);
+    packed.extend_from_slice(words);
+    packed.resize(payload + 16, 0);
+    let width = u64::from(width);
+    let mask = u64::MAX >> (64 - width);
+    let (mut bit, mut overflow) = (0u64, false);
     for _ in 0..rows {
-        column.push(r.u64()?);
+        let bits = packed
+            .get((bit / 8) as usize..)
+            .and_then(|rest| rest.first_chunk::<16>())
+            .map_or(0, |bytes| (u128::from_le_bytes(*bytes) >> (bit % 8)) as u64);
+        let key = min.wrapping_add(bits & mask);
+        overflow |= key < min;
+        column.push(key);
+        bit += width;
+    }
+    if overflow {
+        return Err(StorageError::Corrupt(format!(
+            "key column overflows past its minimum {min}"
+        )));
     }
     Ok(column)
 }
 
+/// Decodes a measure column of `rows` rows: `f64` bits, little-endian.
 fn decode_measure_column(bytes: &[u8], rows: u64) -> Result<Vec<f64>, StorageError> {
-    if bytes.len() as u64 != rows * 8 {
+    if !bytes.len().is_multiple_of(8) || bytes.len() as u64 / 8 != rows {
         return Err(StorageError::Corrupt(format!(
             "measure column holds {} bytes for {rows} rows",
             bytes.len()
         )));
     }
-    let mut r = ByteReader::new(bytes, "measure column segment");
-    let mut column = Vec::with_capacity(rows as usize);
-    for _ in 0..rows {
-        column.push(r.f64()?);
-    }
-    Ok(column)
+    Ok(bytes
+        .chunks_exact(8)
+        .map(|chunk| f64::from_bits(le_word(chunk)))
+        .collect())
 }
 
 // ---------------------------------------------------------------------------
 // Directory.
 // ---------------------------------------------------------------------------
 
-/// Location and checksum of one page-aligned segment.
-#[derive(Debug, Clone, Copy)]
+/// Location and checksum of one segment of a fragment's extent.
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct SegmentEntry {
-    /// Absolute byte offset of the segment start (page-aligned).
+    /// Absolute byte offset of the segment start.
     offset: u64,
     /// Payload length in bytes.
     len: u64,
-    /// FNV-1a checksum of the payload.
+    /// [`checksum`] of the payload.
     checksum: u64,
 }
 
 /// Directory entry of one fragment.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 struct FragmentEntry {
     rows: u64,
-    /// Key columns, then measure columns, then bitmap indices.
+    /// Measure columns, then bitmap indices, then key columns, back to back.
     segments: Vec<SegmentEntry>,
-    /// Number of pages the fragment's segments occupy (pool pages are keyed
+    /// Absolute byte offset of the extent: its first segment's (page-aligned).
+    offset: u64,
+    /// Bytes of the extent: its segments' lengths summed, end padding not
+    /// included.  A miss reads exactly these.
+    len: u64,
+    /// Number of pages the extent spans (pool pages are keyed
     /// `(fragment, page-within-fragment)`).
     page_count: u64,
 }
 
 impl FragmentEntry {
-    /// Page span of a contiguous segment run starting at the run's first
-    /// segment offset.
-    fn page_span(segments: &[SegmentEntry]) -> u64 {
-        let Some(first) = segments.first() else {
-            return 0;
-        };
-        let first_page = first.offset / PAGE_SIZE;
-        let end_page = segments
-            .last()
-            .map_or(first_page, |s| pages_of(s.offset + s.len));
-        end_page.saturating_sub(first_page)
+    /// The entry of a fragment whose `segments` lie back to back.
+    fn new(rows: u64, segments: Vec<SegmentEntry>) -> Self {
+        let offset = segments.first().map_or(0, |s| s.offset);
+        let len = segments.iter().map(|s| s.len).sum();
+        FragmentEntry {
+            rows,
+            segments,
+            offset,
+            len,
+            page_count: pages_of(offset + len) - offset / PAGE_SIZE,
+        }
     }
 }
 
@@ -642,10 +784,15 @@ fn encode_directory(entries: &[FragmentEntry]) -> Vec<u8> {
     out
 }
 
+/// Decodes the page directory and checks every extent: its first segment
+/// starts on a page boundary at or after `data_start`, each later segment
+/// starts where the previous one ended, and the extent ends at or before
+/// `data_end`.
 fn decode_directory(
     bytes: &[u8],
     fragment_count: u64,
     segments_per_fragment: usize,
+    data_start: u64,
     data_end: u64,
 ) -> Result<Vec<FragmentEntry>, StorageError> {
     let mut r = ByteReader::new(bytes, "page directory");
@@ -665,46 +812,107 @@ fn decode_directory(
             )));
         }
         let mut segments = Vec::with_capacity(seg_count);
-        for _ in 0..seg_count {
+        let mut end = None;
+        for index in 0..seg_count {
             let offset = r.u64()?;
             let len = r.u64()?;
             let checksum = r.u64()?;
-            if offset % PAGE_SIZE != 0 {
-                return Err(StorageError::Corrupt(format!(
-                    "fragment {fragment} segment offset {offset} is not page-aligned"
-                )));
+            match end {
+                None if offset % PAGE_SIZE != 0 || offset < data_start => {
+                    return Err(StorageError::Corrupt(format!(
+                        "fragment {fragment} extent starts at {offset}, not on a page boundary \
+                         of the data area"
+                    )));
+                }
+                Some(previous) if offset != previous => {
+                    return Err(StorageError::Corrupt(format!(
+                        "fragment {fragment} segment {index} starts at {offset}, \
+                         its predecessor ends at {previous}"
+                    )));
+                }
+                _ => {}
             }
-            let end = offset
+            let segment_end = offset
                 .checked_add(len)
-                .ok_or_else(|| StorageError::Corrupt("segment range overflows".into()))?;
-            if end > data_end {
-                return Err(StorageError::Corrupt(format!(
-                    "fragment {fragment} segment [{offset}, {end}) reaches past the data area"
-                )));
-            }
+                .filter(|&segment_end| segment_end <= data_end)
+                .ok_or_else(|| {
+                    StorageError::Corrupt(format!(
+                        "fragment {fragment} segment {index} reaches past the data area"
+                    ))
+                })?;
+            end = Some(segment_end);
             segments.push(SegmentEntry {
                 offset,
                 len,
                 checksum,
             });
         }
-        let page_count = FragmentEntry::page_span(&segments);
-        entries.push(FragmentEntry {
-            rows,
-            segments,
-            page_count,
-        });
+        entries.push(FragmentEntry::new(rows, segments));
     }
     r.done()?;
     Ok(entries)
+}
+
+/// The segments of `fragment`'s `extent` (the bytes its directory `entry`
+/// spans), each checked against its checksum before it is handed out.
+fn verified_segments<'a>(
+    fragment: u64,
+    entry: &'a FragmentEntry,
+    extent: &'a [u8],
+) -> impl Iterator<Item = Result<&'a [u8], StorageError>> + 'a {
+    let mut r = ByteReader::new(extent, "fragment extent");
+    (0usize..)
+        .zip(&entry.segments)
+        .map(move |(index, segment)| {
+            let bytes = r.take(segment.len as usize)?;
+            if checksum(bytes) == segment.checksum {
+                Ok(bytes)
+            } else {
+                Err(StorageError::Corrupt(format!(
+                    "checksum mismatch in fragment {fragment}, segment {index}"
+                )))
+            }
+        })
+}
+
+/// Verifies and decodes one fragment from its `extent`, segment by segment
+/// in file order.
+fn decode_extent(
+    meta: &StoreMeta,
+    fragment: u64,
+    entry: &FragmentEntry,
+    extent: &[u8],
+) -> Result<ColumnarFragment, StorageError> {
+    let rows = entry.rows;
+    let mut segments = verified_segments(fragment, entry, extent);
+    let mut next = || {
+        segments.next().unwrap_or_else(|| {
+            Err(StorageError::Corrupt(format!(
+                "fragment {fragment} lists too few segments"
+            )))
+        })
+    };
+    let measures = (0..meta.schema.fact().measures().len())
+        .map(|_| decode_measure_column(next()?, rows))
+        .collect::<Result<_, _>>()?;
+    let dimensions = meta.schema.dimension_count();
+    let indices = (0..dimensions)
+        .map(|dimension| decode_index_segment(next()?, meta, dimension, rows))
+        .collect::<Result<_, _>>()?;
+    let keys = (0..dimensions)
+        .map(|_| decode_key_column(next()?, rows))
+        .collect::<Result<_, _>>()?;
+    Ok(ColumnarFragment::from_parts(
+        fragment, keys, measures, indices,
+    ))
 }
 
 // ---------------------------------------------------------------------------
 // Writer.
 // ---------------------------------------------------------------------------
 
-/// Serialises `store` into the `FGMT` v1 format at `path`, overwriting any
-/// existing file.
+/// Serialises `store` into the `FGMT` format of [`FORMAT_VERSION`] at
+/// `path`, overwriting any existing file.
 ///
 /// # Errors
 ///
@@ -713,7 +921,7 @@ pub fn write_store(store: &FragmentStore, path: impl AsRef<Path>) -> Result<(), 
     let path = path.as_ref();
     let mut file = std::io::BufWriter::new(File::create(path)?);
     let metadata = encode_metadata(store);
-    let meta_checksum = fnv1a(&metadata);
+    let meta_checksum = checksum(&metadata);
     let dimension_count = store.schema().dimension_count();
     let measure_count = store.measure_count();
 
@@ -737,36 +945,25 @@ pub fn write_store(store: &FragmentStore, path: impl AsRef<Path>) -> Result<(), 
     offset += metadata.len() as u64;
     offset = write_page_padding(&mut file, offset)?;
 
-    // Fragment segments.
+    // Fragment extents: segments back to back, padded once at the end.
     let mut entries = Vec::with_capacity(store.fragment_count() as usize);
     for fragment in store.fragments() {
-        let mut segments = Vec::with_capacity(dimension_count + measure_count + dimension_count);
-        let mut payloads: Vec<Vec<u8>> = Vec::with_capacity(segments.capacity());
-        for d in 0..dimension_count {
-            payloads.push(encode_key_column(fragment.key_column(d)));
-        }
-        for m in 0..measure_count {
-            payloads.push(encode_measure_column(fragment.measure_column(m)));
-        }
-        for d in 0..dimension_count {
-            payloads.push(encode_index_segment(fragment.bitmap_index(d)));
-        }
+        let payloads = (0..measure_count)
+            .map(|m| encode_measure_column(fragment.measure_column(m)))
+            .chain((0..dimension_count).map(|d| encode_index_segment(fragment.bitmap_index(d))))
+            .chain((0..dimension_count).map(|d| encode_key_column(fragment.key_column(d))));
+        let mut segments = Vec::with_capacity(measure_count + 2 * dimension_count);
         for payload in payloads {
             segments.push(SegmentEntry {
                 offset,
                 len: payload.len() as u64,
-                checksum: fnv1a(&payload),
+                checksum: checksum(&payload),
             });
             file.write_all(&payload)?;
             offset += payload.len() as u64;
-            offset = write_page_padding(&mut file, offset)?;
         }
-        let page_count = FragmentEntry::page_span(&segments);
-        entries.push(FragmentEntry {
-            rows: fragment.len() as u64,
-            segments,
-            page_count,
-        });
+        offset = write_page_padding(&mut file, offset)?;
+        entries.push(FragmentEntry::new(fragment.len() as u64, segments));
     }
 
     // Directory + trailer.
@@ -779,7 +976,7 @@ pub fn write_store(store: &FragmentStore, path: impl AsRef<Path>) -> Result<(), 
     put_u32(&mut trailer, PAGE_SIZE as u32);
     put_u64(&mut trailer, dir_offset);
     put_u64(&mut trailer, directory.len() as u64);
-    put_u64(&mut trailer, fnv1a(&directory));
+    put_u64(&mut trailer, checksum(&directory));
     file.write_all(&trailer)?;
     file.flush()?;
     Ok(())
@@ -805,9 +1002,10 @@ fn write_page_padding<W: Write>(file: &mut W, offset: u64) -> Result<u64, Storag
 pub struct FileStoreOptions {
     /// Capacity of the LRU page pool in [`PAGE_SIZE`] pages.
     pub cache_pages: usize,
-    /// Verify every segment checksum eagerly at open (full file sweep).
-    /// With verification off, corruption still surfaces as a typed error at
-    /// first read of the affected fragment.
+    /// Verify every segment checksum eagerly at open (one read per fragment
+    /// extent, the whole file swept).  With verification off, corruption
+    /// still surfaces as a typed error at first read of the affected
+    /// fragment, whose segments are always verified before they are decoded.
     pub verify: bool,
 }
 
@@ -831,10 +1029,11 @@ pub struct FileIoMetrics {
     /// subsystem's cache metrics: every fetch counts each page of its
     /// fragment as one hit or one miss.
     pub pool: BufferPoolStats,
-    /// Segments actually read from the file (cache misses at segment
-    /// granularity).
+    /// Segments actually read from the file.  A miss reads its fragment's
+    /// whole extent, so it adds every segment of the fragment.
     pub segment_reads: u64,
-    /// Bytes actually read from the file.
+    /// Bytes actually read from the file: the extents of the fragments
+    /// loaded, their end-of-extent page padding excluded.
     pub bytes_read: u64,
     /// Fragment fetches served from the decoded-fragment cache (every page
     /// resident, no file access by this fetch), including fetches that
@@ -891,9 +1090,11 @@ struct FragmentSlot {
 ///
 /// Fragment reads go through the LRU [`PagePool`]: every page of the
 /// requested fragment is charged to the pool (hits and misses exactly as the
-/// simulated I/O subsystem counts them), missing segments are read from the
-/// file with their checksums re-verified, and fully resident fragments are
-/// served from a decoded cache without touching the file.
+/// simulated I/O subsystem counts them), a fragment that is not fully
+/// resident is read from the file in one positional read of its extent, with
+/// every segment's checksum verified before it is decoded, and fully
+/// resident fragments are served from a decoded cache without touching the
+/// file.
 ///
 /// The store is cheap to share behind [`std::sync::Arc`] and built for many
 /// threads fetching at once (lock order `load` → `backing` → `decoded`):
@@ -906,7 +1107,7 @@ struct FragmentSlot {
 ///   the load, to replay the noted hits into the pool and charge the
 ///   fragment's pages (evictions unpublish their victims), and after it, to
 ///   count the I/O and publish the result if every page is still resident.
-///   The positional reads, FNV-1a verification and decoding in between run
+///   The positional read, checksum verification and decoding in between run
 ///   with only the fragment's `load` lock held, so loads of different
 ///   fragments overlap and no fragment is ever decoded twice at once.
 ///
@@ -978,12 +1179,12 @@ impl FileStore {
         // Trailer.
         let mut trailer = vec![0u8; TRAILER_LEN as usize];
         read_exact_at(&file, &mut trailer, file_len - TRAILER_LEN)?;
-        if trailer[..8] != TRAILER_MAGIC {
+        let mut tr = ByteReader::new(&trailer, "trailer");
+        if tr.array()? != TRAILER_MAGIC {
             return Err(StorageError::Corrupt(
                 "trailer magic mismatch (file truncated or not an FGMT file)".into(),
             ));
         }
-        let mut tr = ByteReader::new(&trailer[8..], "trailer");
         let trailer_version = tr.u32()?;
         let trailer_page = tr.u32()?;
         let dir_offset = tr.u64()?;
@@ -993,12 +1194,12 @@ impl FileStore {
         // Header page.
         let mut header = vec![0u8; PAGE_SIZE as usize];
         read_exact_at(&file, &mut header, 0)?;
-        if header[..4] != HEADER_MAGIC {
+        let mut hr = ByteReader::new(&header, "header");
+        if hr.array()? != HEADER_MAGIC {
             return Err(StorageError::Corrupt(
                 "header magic mismatch (not an FGMT file)".into(),
             ));
         }
-        let mut hr = ByteReader::new(&header[4..], "header");
         let version = hr.u32()?;
         if version != FORMAT_VERSION {
             return Err(StorageError::Corrupt(format!(
@@ -1035,7 +1236,7 @@ impl FileStore {
         }
         let mut metadata = vec![0u8; meta_len as usize];
         read_exact_at(&file, &mut metadata, PAGE_SIZE)?;
-        if fnv1a(&metadata) != meta_checksum {
+        if checksum(&metadata) != meta_checksum {
             return Err(StorageError::Corrupt("metadata checksum mismatch".into()));
         }
         let meta = decode_metadata(&metadata, dimension_count)?;
@@ -1063,36 +1264,34 @@ impl FileStore {
         }
         let mut directory_bytes = vec![0u8; dir_len as usize];
         read_exact_at(&file, &mut directory_bytes, dir_offset)?;
-        if fnv1a(&directory_bytes) != dir_checksum {
+        if checksum(&directory_bytes) != dir_checksum {
             return Err(StorageError::Corrupt(
                 "page directory checksum mismatch".into(),
             ));
         }
-        let segments_per_fragment = dimension_count + measure_count + dimension_count;
         let directory = decode_directory(
             &directory_bytes,
             fragment_count,
-            segments_per_fragment,
+            measure_count + 2 * dimension_count,
+            pages_of(PAGE_SIZE + meta_len) * PAGE_SIZE,
             dir_offset,
         )?;
-        let dir_rows: u64 = directory.iter().map(|e| e.rows).sum();
-        if dir_rows != total_rows {
+        let dir_rows = directory
+            .iter()
+            .try_fold(0u64, |sum, e| sum.checked_add(e.rows));
+        if dir_rows != Some(total_rows) {
             return Err(StorageError::Corrupt(format!(
-                "header declares {total_rows} rows, directory sums to {dir_rows}"
+                "header declares {total_rows} rows, directory sums to {dir_rows:?}"
             )));
         }
 
         if options.verify {
-            let mut buf = Vec::new();
-            for (fragment, entry) in directory.iter().enumerate() {
-                for (index, seg) in entry.segments.iter().enumerate() {
-                    buf.resize(seg.len as usize, 0);
-                    read_exact_at(&file, &mut buf, seg.offset)?;
-                    if fnv1a(&buf) != seg.checksum {
-                        return Err(StorageError::Corrupt(format!(
-                            "checksum mismatch in fragment {fragment}, segment {index}"
-                        )));
-                    }
+            let mut extent = Vec::new();
+            for (fragment, entry) in (0u64..).zip(&directory) {
+                extent.resize(entry.len as usize, 0);
+                read_exact_at(&file, &mut extent, entry.offset)?;
+                for segment in verified_segments(fragment, entry, &extent) {
+                    segment?;
                 }
             }
         }
@@ -1320,48 +1519,21 @@ impl FileStore {
         *resident -= 1;
     }
 
-    /// Reads, verifies and decodes the segments of one fragment.  Touches
-    /// only immutable state and the shared file handle; `read` receives the
-    /// segments and bytes actually read, whether or not the load succeeds.
+    /// Reads one fragment's extent with a single positional read, then
+    /// verifies and decodes it.  Touches only immutable state and the shared
+    /// file handle; `read` receives the segments and bytes actually read,
+    /// whether or not the load succeeds.
     fn load_fragment(
         &self,
         fragment_number: u64,
         entry: &FragmentEntry,
         read: &mut FileIoMetrics,
     ) -> Result<ColumnarFragment, StorageError> {
-        let dimension_count = self.meta.schema.dimension_count();
-        let measure_count = self.meta.schema.fact().measures().len();
-        let mut buf = Vec::new();
-        let mut keys = Vec::with_capacity(dimension_count);
-        let mut measures = Vec::with_capacity(measure_count);
-        let mut indices = Vec::with_capacity(dimension_count);
-        for (index, seg) in entry.segments.iter().enumerate() {
-            buf.resize(seg.len as usize, 0);
-            read_exact_at(&self.file, &mut buf, seg.offset)?;
-            read.segment_reads += 1;
-            read.bytes_read += seg.len;
-            if fnv1a(&buf) != seg.checksum {
-                return Err(StorageError::Corrupt(format!(
-                    "checksum mismatch in fragment {fragment_number}, segment {index}"
-                )));
-            }
-            if index < dimension_count {
-                keys.push(decode_key_column(&buf, entry.rows)?);
-            } else if index < dimension_count + measure_count {
-                measures.push(decode_measure_column(&buf, entry.rows)?);
-            } else {
-                let dimension = index - dimension_count - measure_count;
-                indices.push(decode_index_segment(
-                    &buf, &self.meta, dimension, entry.rows,
-                )?);
-            }
-        }
-        Ok(ColumnarFragment::from_parts(
-            fragment_number,
-            keys,
-            measures,
-            indices,
-        ))
+        let mut extent = vec![0u8; entry.len as usize];
+        read_exact_at(&self.file, &mut extent, entry.offset)?;
+        read.segment_reads += entry.segments.len() as u64;
+        read.bytes_read += entry.len;
+        decode_extent(&self.meta, fragment_number, entry, &extent)
     }
 
     /// Reads the whole file back into an in-memory [`FragmentStore`] —
@@ -1390,7 +1562,8 @@ impl FileStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use schema::apb1::apb1_scaled_down;
+    use proptest::prelude::*;
+    use schema::apb1::{apb1_scaled_down, Apb1Config};
 
     fn small_store() -> FragmentStore {
         let schema = apb1_scaled_down();
@@ -1398,13 +1571,23 @@ mod tests {
         FragmentStore::build(&schema, &fragmentation, 99)
     }
 
-    /// 288 fragments in 3 168 pages: enough of both for replacement to matter.
-    fn month_group_store() -> FragmentStore {
-        let schema = apb1_scaled_down();
+    /// 36 fragments of 5 pages each, 180 pages in all: enough fragments for
+    /// replacement to matter, and enough pages per fragment that a pool can
+    /// evict one page of a resident fragment and keep the others.
+    fn month_channel_store() -> FragmentStore {
+        let schema = Apb1Config {
+            density: 0.1,
+            ..Apb1Config::scaled_down()
+        }
+        .build();
         let fragmentation =
-            Fragmentation::parse(&schema, &["time::month", "product::group"]).unwrap();
+            Fragmentation::parse(&schema, &["time::month", "channel::channel"]).unwrap();
         FragmentStore::build(&schema, &fragmentation, 2024)
     }
+
+    /// Pages of every fragment of `month_channel_store()`.
+    const MONTH_CHANNEL_FRAGMENT_PAGES: u64 = 5;
+    const MONTH_CHANNEL_TOTAL_PAGES: usize = 180;
 
     fn open_unverified(path: &Path, cache_pages: usize) -> FileStore {
         let options = FileStoreOptions {
@@ -1573,7 +1756,7 @@ mod tests {
 
     #[test]
     fn serial_fetches_account_exactly_like_page_by_page_charging() {
-        let store = month_group_store();
+        let store = month_channel_store();
         let file = TempFile(temp_path("exact"));
         write_store(&store, &file.0).unwrap();
         let (total_pages, largest) = {
@@ -1581,7 +1764,8 @@ mod tests {
             let pages = opened.fragments.iter().map(|f| f.entry.page_count as usize);
             (pages.clone().sum::<usize>(), pages.max().unwrap())
         };
-        assert_eq!(total_pages, 3_168);
+        assert_eq!(total_pages, MONTH_CHANNEL_TOTAL_PAGES);
+        assert_eq!(largest as u64, MONTH_CHANNEL_FRAGMENT_PAGES);
         let fetches = skewed_fetches(store.fragment_count(), 6_000, 18);
         for cache_pages in [
             1,
@@ -1617,11 +1801,11 @@ mod tests {
     fn concurrent_fetches_are_correct_and_fully_accounted() {
         const THREADS: u64 = 4;
         const RANDOM_FETCHES: usize = 2_000;
-        let store = month_group_store();
+        let store = month_channel_store();
         let file = TempFile(temp_path("stress"));
         write_store(&store, &file.0).unwrap();
         let fragments = store.fragment_count();
-        let total_pages = 3_168;
+        let total_pages = MONTH_CHANNEL_TOTAL_PAGES;
         for cache_pages in [1, total_pages / 8, 2 * total_pages] {
             let opened = open_unverified(&file.0, cache_pages);
             let start = std::sync::Barrier::new(THREADS as usize);
@@ -1692,11 +1876,11 @@ mod tests {
         let file = TempFile(temp_path("badsegment"));
         write_store(&store, &file.0).unwrap();
         let bad = store.fragment_count() - 1;
-        let segment = open_unverified(&file.0, 64).fragments[bad as usize]
+        let extent = open_unverified(&file.0, 64).fragments[bad as usize]
             .entry
-            .segments[0];
+            .clone();
         let mut bytes = std::fs::read(&file.0).unwrap();
-        bytes[segment.offset as usize] ^= 0xFF;
+        bytes[extent.offset as usize] ^= 0xFF;
         std::fs::write(&file.0, &bytes).unwrap();
 
         let opened = open_unverified(&file.0, 65_536);
@@ -1706,10 +1890,11 @@ mod tests {
                 "{outcome:?}"
             );
         }
-        // Each of the two read the bad segment itself, and only that one.
+        // Each of the two read the bad fragment's extent itself, and only
+        // that one.
         let metrics = opened.metrics();
-        assert_eq!(metrics.segment_reads, 2);
-        assert_eq!(metrics.bytes_read, 2 * segment.len);
+        assert_eq!(metrics.segment_reads, 2 * extent.segments.len() as u64);
+        assert_eq!(metrics.bytes_read, 2 * extent.len);
         assert_eq!(metrics.decoded_cache_hits, 0);
         // Nothing was published and no lock is left held or poisoned.
         assert!(matches!(
@@ -1728,7 +1913,7 @@ mod tests {
         write_store(&store, &file.0).unwrap();
         let opened = FileStore::open(&file.0).unwrap();
         let lost = store.fragment_count() - 1;
-        let keep = opened.fragments[lost as usize].entry.segments[0].offset;
+        let keep = opened.fragments[lost as usize].entry.offset;
         File::options()
             .write(true)
             .open(&file.0)
@@ -1791,10 +1976,12 @@ mod tests {
         let store = small_store();
         let file = TempFile(temp_path("bitflip"));
         write_store(&store, &file.0).unwrap();
+        let middle = open_unverified(&file.0, 64).fragments[store.fragment_count() as usize / 2]
+            .entry
+            .clone();
         let mut bytes = std::fs::read(&file.0).unwrap();
-        // Flip one byte in the middle of the fragment data area.
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0xFF;
+        // Flip one byte in the middle of the middle fragment's extent.
+        bytes[(middle.offset + middle.len / 2) as usize] ^= 0xFF;
         std::fs::write(&file.0, &bytes).unwrap();
         // Eager verification reports the checksum mismatch at open …
         assert!(matches!(
@@ -1848,5 +2035,280 @@ mod tests {
         assert!(std::error::Error::source(&corrupt).is_none());
         let decode = StorageError::from(ReprDecodeError::BadMagic);
         assert!(decode.to_string().contains("decode"));
+    }
+
+    #[test]
+    fn format_pin_matches_the_committed_checksum() {
+        let file = TempFile(temp_path("pin"));
+        write_store(&small_store(), &file.0).unwrap();
+        let bytes = std::fs::read(&file.0).unwrap();
+        assert_eq!(
+            checksum(&bytes),
+            SMALL_STORE_FILE_CHECKSUM,
+            "the FGMT v{FORMAT_VERSION} byte layout changed: bump FORMAT_VERSION, or \
+             restate SMALL_STORE_FILE_CHECKSUM if the change is intended"
+        );
+    }
+
+    #[test]
+    fn open_rejects_a_version_1_file() {
+        let file = TempFile(temp_path("v1"));
+        write_store(&small_store(), &file.0).unwrap();
+        let mut bytes = std::fs::read(&file.0).unwrap();
+        // The version follows the magic in the header and in the trailer.
+        let trailer = bytes.len() - TRAILER_LEN as usize + TRAILER_MAGIC.len();
+        for at in [HEADER_MAGIC.len(), trailer] {
+            bytes[at..at + 4].copy_from_slice(&1u32.to_le_bytes());
+        }
+        std::fs::write(&file.0, &bytes).unwrap();
+        match FileStore::open(&file.0) {
+            Err(StorageError::Corrupt(msg)) => {
+                assert!(msg.starts_with("unsupported format version 1 "), "{msg}");
+            }
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+    }
+
+    /// A fixed pseudo-random byte string.
+    fn noise(len: usize, seed: u64) -> Vec<u8> {
+        (0..len as u64)
+            .map(|i| crate::store::mix64(seed, i) as u8)
+            .collect()
+    }
+
+    #[test]
+    fn checksum_detects_every_single_byte_change_and_every_length() {
+        for len in 0..=100 {
+            let mut bytes = noise(len, 7);
+            let base = checksum(&bytes);
+            for at in 0..len {
+                for flip in [0x01, 0x80, 0xFF] {
+                    bytes[at] ^= flip;
+                    assert_ne!(
+                        checksum(&bytes),
+                        base,
+                        "len {len}, byte {at}, flip {flip:#x}"
+                    );
+                    bytes[at] ^= flip;
+                }
+            }
+        }
+        // Zero padding of the last word never hides a length: all-zero
+        // inputs and the prefixes of one input all differ.
+        let zeros: std::collections::BTreeSet<u64> =
+            (0..=100).map(|len| checksum(&vec![0u8; len])).collect();
+        assert_eq!(zeros.len(), 101);
+        let bytes = noise(100, 8);
+        let prefixes: std::collections::BTreeSet<u64> =
+            (0..=100).map(|len| checksum(&bytes[..len])).collect();
+        assert_eq!(prefixes.len(), 101);
+    }
+
+    #[test]
+    fn bit_packed_keys_cover_the_edge_widths_and_row_counts() {
+        let cases: [&[u64]; 7] = [
+            &[],
+            &[42],
+            &[u64::MAX],
+            &[0, u64::MAX],
+            &[u64::MAX, 0, 17],
+            &[5, 5, 5, 5, 5],
+            &[1 << 63, (1 << 63) + 1, 1 << 63],
+        ];
+        for keys in cases {
+            let packed = encode_key_column(keys);
+            let width = u64::from(packed[8]);
+            assert_eq!(
+                packed.len() as u64,
+                9 + 8 * (keys.len() as u64 * width).div_ceil(64)
+            );
+            assert_eq!(decode_key_column(&packed, keys.len() as u64).unwrap(), keys);
+            // An absurd row count is a typed error, whatever the width.
+            assert!(matches!(
+                decode_key_column(&packed, u64::MAX),
+                Err(StorageError::Corrupt(_))
+            ));
+        }
+        assert_eq!(encode_key_column(&[0, u64::MAX])[8], 64);
+        assert_eq!(encode_key_column(&[9, 9])[8], 0);
+        // A width above 64 is rejected, not shifted out of range.
+        let mut bad = encode_key_column(&[1, 2, 3]);
+        bad[8] = 65;
+        assert!(matches!(
+            decode_key_column(&bad, 3),
+            Err(StorageError::Corrupt(_))
+        ));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Key columns of every width 0–64, any frame of reference and any
+        /// row count (odd ones included) round-trip exactly, in exactly
+        /// ⌈rows · width / 64⌉ words.
+        #[test]
+        fn bit_packed_keys_round_trip(
+            width in 0u32..65,
+            rows in 0usize..200,
+            base in 0u64..u64::MAX,
+            seed in 0u64..u64::MAX,
+        ) {
+            let span = if width == 0 { 0 } else { u64::MAX >> (64 - width) };
+            let min = base.min(u64::MAX - span);
+            let mut keys: Vec<u64> = (0..rows as u64)
+                .map(|row| min + (crate::store::mix64(seed, row) & span))
+                .collect();
+            // Pin both ends of the frame so the column needs all `width` bits.
+            if rows >= 2 {
+                keys[0] = min;
+                keys[rows / 2] = min + span;
+            }
+            let packed = encode_key_column(&keys);
+            let packed_width = u64::from(packed[8]);
+            if rows >= 2 {
+                prop_assert_eq!(packed_width, u64::from(width));
+            }
+            prop_assert_eq!(
+                packed.len() as u64,
+                9 + 8 * (rows as u64 * packed_width).div_ceil(64)
+            );
+            prop_assert_eq!(decode_key_column(&packed, rows as u64).unwrap(), keys);
+        }
+    }
+
+    /// 6 fragments of about 60 rows: small enough to corrupt byte by byte.
+    fn tiny_store() -> FragmentStore {
+        let schema = Apb1Config {
+            channels: 3,
+            months: 6,
+            stores: 16,
+            product_codes: 24,
+            density: 0.05,
+            fact_tuple_bytes: 20,
+        }
+        .build();
+        let fragmentation = Fragmentation::parse(&schema, &["time::month"]).unwrap();
+        FragmentStore::build(&schema, &fragmentation, 5)
+    }
+
+    #[test]
+    fn every_flipped_byte_and_every_truncated_segment_is_corrupt() {
+        let store = tiny_store();
+        let file = TempFile(temp_path("exhaustive"));
+        write_store(&store, &file.0).unwrap();
+        let opened = open_unverified(&file.0, 64);
+        let bytes = std::fs::read(&file.0).unwrap();
+        let mut flips = 0;
+        for (number, fragment) in (0u64..).zip(&opened.fragments) {
+            let entry = &fragment.entry;
+            let start = entry.offset as usize;
+            let mut extent = bytes[start..start + entry.len as usize].to_vec();
+            let decoded = decode_extent(&opened.meta, number, entry, &extent).unwrap();
+            assert_eq!(decoded, *store.fragment(number));
+            for at in 0..extent.len() {
+                extent[at] ^= 0x20;
+                let outcome = decode_extent(&opened.meta, number, entry, &extent);
+                assert!(
+                    matches!(outcome, Err(StorageError::Corrupt(_))),
+                    "fragment {number}, extent byte {at}: {outcome:?}"
+                );
+                extent[at] ^= 0x20;
+                flips += 1;
+            }
+            // Drop the last byte of one segment, as if it had been written
+            // one byte short: caught by its checksum, and with the checksum
+            // restated, by the segment's decoder.
+            for (index, segment) in entry.segments.iter().enumerate() {
+                if segment.len == 0 {
+                    continue;
+                }
+                let cut = (segment.offset + segment.len - 1 - entry.offset) as usize;
+                let mut short = extent.clone();
+                short.remove(cut);
+                let mut segments = entry.segments.clone();
+                segments[index].len -= 1;
+                for later in &mut segments[index + 1..] {
+                    later.offset -= 1;
+                }
+                let mut stale = FragmentEntry::new(entry.rows, segments);
+                let outcome = decode_extent(&opened.meta, number, &stale, &short);
+                assert!(
+                    matches!(&outcome, Err(StorageError::Corrupt(msg)) if msg.contains("checksum")),
+                    "fragment {number}, segment {index} truncated: {outcome:?}"
+                );
+                let start = (stale.segments[index].offset - entry.offset) as usize;
+                stale.segments[index].checksum =
+                    checksum(&short[start..start + segment.len as usize - 1]);
+                let outcome = decode_extent(&opened.meta, number, &stale, &short);
+                assert!(
+                    matches!(outcome, Err(StorageError::Corrupt(_))),
+                    "fragment {number}, segment {index} truncated, checksum restated: {outcome:?}"
+                );
+            }
+        }
+        assert!(flips > 1_000, "only {flips} bytes flipped");
+    }
+
+    /// The directory of `store` as written, with the bounds of its data area.
+    fn written_directory(store: &FragmentStore) -> (Vec<FragmentEntry>, u64, u64) {
+        let file = TempFile(temp_path("directory"));
+        write_store(store, &file.0).unwrap();
+        let opened = open_unverified(&file.0, 64);
+        let entries: Vec<FragmentEntry> =
+            opened.fragments.iter().map(|f| f.entry.clone()).collect();
+        let last = entries.last().unwrap();
+        let data_end = last.offset + last.page_count * PAGE_SIZE;
+        let data_start = entries[0].offset;
+        (entries, data_start, data_end)
+    }
+
+    #[test]
+    fn directory_rejects_misaligned_gapped_overlapping_and_outlying_extents() {
+        let store = small_store();
+        let (entries, data_start, data_end) = written_directory(&store);
+        let segments = entries[0].segments.len();
+        let decode = |entries: &[FragmentEntry]| {
+            decode_directory(
+                &encode_directory(entries),
+                entries.len() as u64,
+                segments,
+                data_start,
+                data_end,
+            )
+        };
+        assert_eq!(decode(&entries).unwrap(), entries);
+
+        let rejected = |change: &dyn Fn(&mut Vec<FragmentEntry>), expect: &str| {
+            let mut changed = entries.clone();
+            change(&mut changed);
+            match decode(&changed) {
+                Err(StorageError::Corrupt(msg)) => assert!(msg.contains(expect), "{msg}"),
+                other => panic!("expected Corrupt({expect:?}), got {other:?}"),
+            }
+        };
+        let shift = |entry: &mut FragmentEntry, by: i64| {
+            for segment in &mut entry.segments {
+                segment.offset = segment.offset.wrapping_add_signed(by);
+            }
+        };
+        // The whole extent moved off its page boundary.
+        rejected(&|e| shift(&mut e[1], 8), "page boundary");
+        // The first extent moved into the metadata pages.
+        rejected(&|e| shift(&mut e[0], -(PAGE_SIZE as i64)), "page boundary");
+        // A gap, then an overlap, between two segments of one extent.
+        rejected(&|e| e[0].segments[2].offset += 1, "predecessor ends");
+        rejected(&|e| e[0].segments[2].offset -= 1, "predecessor ends");
+        // The last segment of the last extent reaches past the data area.
+        rejected(
+            &|e| {
+                let last = e.last_mut().unwrap().segments.last_mut().unwrap();
+                last.len = data_end - last.offset + 1;
+            },
+            "past the data area",
+        );
+        rejected(
+            &|e| e.last_mut().unwrap().segments.last_mut().unwrap().len = u64::MAX,
+            "past the data area",
+        );
     }
 }

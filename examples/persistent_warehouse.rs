@@ -5,8 +5,9 @@
 //! walks the persistent path end to end:
 //!
 //! 1. build a scaled-down APB-1 warehouse and save it with
-//!    [`Warehouse::save`] — a page-aligned columnar file with
-//!    BMRP-encoded bitmap index segments and per-segment checksums,
+//!    [`Warehouse::save`] — a columnar file with one page-aligned extent
+//!    per fragment: measure columns, BMRP-encoded bitmap indices and
+//!    bit-packed key columns back to back, every segment checksummed,
 //! 2. reopen it with [`Warehouse::open`] (corruption and I/O failures
 //!    surface as typed [`WarehouseError`]s, never panics),
 //! 3. run the same queries over both backings and check the results are

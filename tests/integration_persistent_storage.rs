@@ -170,19 +170,19 @@ fn bit_flip_in_the_metadata_blob_fails_its_checksum_at_open() {
 fn bit_flip_in_a_column_segment_fails_its_checksum_at_open() {
     let guard = written_file("flipseg");
     let mut bytes = std::fs::read(&guard.0).expect("read file");
-    // Corrupt a whole page in the data area so the flip cannot land in
-    // inter-segment padding; at least one byte of it belongs to a
-    // checksummed column or bitmap segment.
+    // Flip the first byte of the middle page, which lies in the fragment
+    // data area.  Every fragment extent starts on a page boundary, holds its
+    // segments back to back and is padded only at its end, by less than a
+    // page, so the first byte of every data page belongs to a checksummed
+    // column or bitmap segment.
     let page = warehouse::exec::PAGE_SIZE as usize;
-    let victim_page = (bytes.len() / 2 / page) * page;
-    for byte in &mut bytes[victim_page..victim_page + page] {
-        *byte ^= 0x40;
-    }
+    let victim = (bytes.len() / 2 / page) * page;
+    bytes[victim] ^= 0x40;
     std::fs::write(&guard.0, &bytes).expect("write corrupted file");
-    let error = Warehouse::open(&guard.0).expect_err("corrupt page must not open");
+    let error = Warehouse::open(&guard.0).expect_err("corrupt segment must not open");
     assert!(
-        matches!(error, WarehouseError::Corrupt(_)),
-        "corrupt page surfaced as {error}"
+        matches!(&error, WarehouseError::Corrupt(msg) if msg.contains("checksum")),
+        "corrupt segment surfaced as {error}"
     );
 }
 
