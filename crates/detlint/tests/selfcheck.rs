@@ -45,6 +45,16 @@ fn workspace_lock_graph_has_the_expected_edges() {
         !edges.contains(&("control".into(), "state".into())),
         "simulated I/O charged under the control lock: {edges:?}"
     );
+    // The engine's persistent worker pool guards its tickets with one
+    // `board` lock that is never held while a job runs: it is a leaf, so
+    // no run's `control`/`deques` order can ever meet the pool's.
+    assert!(analysis.locks.contains("board"), "{:?}", analysis.locks);
+    assert!(
+        !edges
+            .iter()
+            .any(|(from, to)| from == "board" || to == "board"),
+        "the pool's board lock nests with another lock: {edges:?}"
+    );
     // The file store takes a fragment's load lock, then the store-wide
     // backing mutex, then a fragment's decoded slot.  The hit path holds a
     // decoded slot alone: taking backing under it would deadlock against an

@@ -1,18 +1,21 @@
 //! The parallel star-join executor.
 //!
-//! [`StarJoinEngine`] executes a planned query over a [`FragmentStore`] on a
-//! pool of `workers` OS threads sharing a work-stealing [`FragmentQueue`] of
-//! pruned fragments — the physical counterpart of the paper's dynamic
-//! assignment of fragment subqueries to processing elements.  Each worker
-//! evaluates its fragments' bitmap predicates — staying in the *compressed
-//! domain* ([`bitmap::WahBitmap::and_many`]) when every selection bitmap is
+//! [`StarJoinEngine`] executes planned queries over a [`ScanSource`] on a
+//! persistent pool: the calling thread works as worker 0 next to up to
+//! `workers − 1` long-lived helper threads, spawned on first need and
+//! joined on drop.  [`StarJoinEngine::execute`] is the
+//! [`crate::scheduler`]'s stream of one query at MPL 1 — one execution
+//! path, the physical counterpart of the paper's dynamic assignment of
+//! fragment subqueries to processing elements.  Each worker evaluates its
+//! fragments' bitmap predicates — staying in the *compressed domain*
+//! ([`bitmap::WahBitmap::and_many`]) when every selection bitmap is
 //! WAH-compressed, falling back to an allocation-free plain intersection
 //! ([`bitmap::Bitmap::and_assign_many`]) otherwise — aggregates partial
-//! sums, and the engine merges the per-fragment partials *in plan order*,
-//! so the floating-point result is **bit-identical for every worker count
-//! and every representation policy**.
+//! sums, and the per-fragment partials are merged *in plan order*, so the
+//! floating-point result is **bit-identical for every worker count and
+//! every representation policy**.
 //!
-//! When an [`ExecConfig::placement`] is set, each worker's initial queue
+//! When an [`ExecConfig::placement`] is set, each worker's initial deque
 //! chunk follows the physical allocation's disk-affinity order
 //! ([`PhysicalAllocation::subquery_disks`]) instead of naive fragment
 //! order, so the pool starts on placement-aligned partitions.
@@ -20,31 +23,32 @@
 //! When an [`ExecConfig::io`] is set, every fragment scan is charged
 //! against the simulated disk subsystem ([`crate::io::SimulatedIo`]) —
 //! deterministically, in plan order — and each task's simulated I/O time
-//! becomes its steal weight in the queue (and, with a throttle, a real
-//! wall-clock delay).  The charges never touch row evaluation, so results
-//! stay bit-identical with the I/O layer on or off.
+//! becomes its steal weight (and, with a throttle, a real wall-clock
+//! delay).  The charges never touch row evaluation, so results stay
+//! bit-identical with the I/O layer on or off.
 
 use std::num::NonZeroUsize;
+use std::sync::Arc;
 use std::thread;
-use std::time::Instant;
 
 use allocation::PhysicalAllocation;
 use bitmap::BitmapRepr;
-use obs::{us_from_ms, EventKind, FieldKey, ObsConfig, Trace, TraceRecorder, Track};
+use obs::{ObsConfig, Trace};
 use workload::BoundQuery;
 
-use crate::io::{throttle_for, IoConfig, SimulatedIo, TaskIo};
-use crate::metrics::{ExecMetrics, WorkerMetrics};
+use crate::io::{IoConfig, SimulatedIo};
+use crate::metrics::ExecMetrics;
 use crate::plan::{PredicateBinding, QueryPlan};
-use crate::queue::{Claim, FragmentQueue};
+use crate::pool::WorkerPool;
+use crate::scheduler::{QueryScheduler, SchedulerConfig, StreamOutcome};
 use crate::source::ScanSource;
 use crate::store::{ColumnarFragment, FragmentStore};
 
 /// Worker-pool configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExecConfig {
-    /// Number of worker threads; `0` resolves to the machine's available
-    /// parallelism.
+    /// Number of workers — the calling thread plus helpers of the engine's
+    /// persistent pool; `0` resolves to the machine's available parallelism.
     pub workers: usize,
     /// Optional physical allocation: when set, worker queues are seeded in
     /// disk-affinity order rather than naive fragment order.  Never affects
@@ -88,16 +92,14 @@ impl ExecConfig {
         .max(1)
     }
 
-    /// The pool size actually spawned for `tasks` runnable tasks: the
+    /// The number of workers a run of `tasks` runnable tasks uses: the
     /// resolved worker count, clamped to the task count and to at least 1.
     ///
-    /// Both execution paths size their pool through this one function: the
-    /// single-query engine passes its plan's fragment count (a pruned Q1
-    /// query must not pay for idle threads), the multi-query
-    /// [`crate::scheduler`] passes the *whole stream's* task count and then
-    /// shares that one pool across all in-flight queries — admitting more
-    /// queries (MPL > 1) interleaves tasks instead of spawning more threads,
-    /// so the machine is never over-subscribed.
+    /// Every run passes its *whole* task count (a pruned Q1 query runs
+    /// inline and wakes no helper) and shares those workers across all
+    /// in-flight queries — admitting more queries (MPL > 1) interleaves
+    /// tasks instead of adding threads, so the machine is never
+    /// over-subscribed.
     #[must_use]
     pub fn pool_size(&self, tasks: usize) -> usize {
         self.resolved_workers().min(tasks).max(1)
@@ -144,10 +146,10 @@ pub(crate) struct FragmentPartial {
 /// Folds per-fragment partials into `(hits, measure_sums)` in ascending
 /// plan-position order.
 ///
-/// This is **the** deterministic merge: both the single-query engine and the
-/// multi-query scheduler route their partials through it, so float addition
-/// order — and therefore the result bits — depends only on the plan, never
-/// on worker count, MPL or scheduling interleave.
+/// This is **the** deterministic merge: every completed query's partials
+/// are folded through it, so float addition order — and therefore the
+/// result bits — depends only on the plan, never on worker count, MPL or
+/// scheduling interleave.
 pub(crate) fn merge_partials(
     partials: &mut [FragmentPartial],
     measure_count: usize,
@@ -165,19 +167,20 @@ pub(crate) fn merge_partials(
 }
 
 /// A parallel star-join execution engine over a [`ScanSource`] — an
-/// in-memory [`FragmentStore`] or a persistent [`crate::FileStore`].
+/// in-memory [`FragmentStore`] or a persistent [`crate::FileStore`] — and
+/// its persistent worker pool, whose helpers concurrent calls share.
 #[derive(Debug)]
 pub struct StarJoinEngine {
-    source: ScanSource,
+    /// Shared with the runs in flight: pool helpers outlive any borrow.
+    pub(crate) source: Arc<ScanSource>,
+    pub(crate) pool: WorkerPool,
 }
 
 impl StarJoinEngine {
     /// Creates an engine over an in-memory `store`.
     #[must_use]
     pub fn new(store: FragmentStore) -> Self {
-        StarJoinEngine {
-            source: ScanSource::Memory(store),
-        }
+        Self::from_source(ScanSource::Memory(store))
     }
 
     /// Creates an engine over any scan source — in-memory or file-backed.
@@ -185,7 +188,8 @@ impl StarJoinEngine {
     #[must_use]
     pub fn from_source(source: impl Into<ScanSource>) -> Self {
         StarJoinEngine {
-            source: source.into(),
+            source: Arc::new(source.into()),
+            pool: WorkerPool::default(),
         }
     }
 
@@ -226,23 +230,14 @@ impl StarJoinEngine {
         self.execute(bound, &ExecConfig::serial())
     }
 
-    /// Executes an existing plan on `config`'s worker pool.
-    ///
-    /// The pool is clamped to the number of planned fragments — a pruned
-    /// Q1 query on one fragment must not pay for spawning idle threads.
-    /// The 1-worker pool runs inline on the calling thread (no spawn
-    /// overhead in the baseline); larger pools use scoped OS threads over a
-    /// shared work-stealing queue.  With [`ExecConfig::io`] set, the plan
-    /// is charged against a fresh simulated disk subsystem first.
+    /// Executes an existing plan as a stream of one at MPL 1 on
+    /// `config.pool_size(fragments)` workers — a pruned Q1 query on one
+    /// fragment runs inline on the calling thread.  With [`ExecConfig::io`]
+    /// set, the plan is charged against a fresh simulated disk subsystem
+    /// first.  A task's panic is re-raised on the calling thread.
     #[must_use]
     pub fn execute_plan(&self, plan: &QueryPlan, config: &ExecConfig) -> QueryResult {
-        match &config.io {
-            Some(io_config) => {
-                let io = SimulatedIo::new(*io_config, self.source.schema());
-                self.execute_plan_with_io(plan, config, &io)
-            }
-            None => self.run_pool(plan, config, None, make_recorder(config)),
-        }
+        self.execute_one(plan, config, None)
     }
 
     /// Executes a plan charging its fragment scans against an *existing*
@@ -256,161 +251,35 @@ impl StarJoinEngine {
         config: &ExecConfig,
         io: &SimulatedIo,
     ) -> QueryResult {
-        let recorder = make_recorder(config);
-        let charges = io.charge_plan_traced(plan, &self.source, 0, recorder.as_ref());
-        self.run_pool(plan, config, Some((io, charges)), recorder)
+        self.execute_one(plan, config, Some(io))
     }
 
-    /// The shared pool loop behind both execution entry points.
-    fn run_pool(
+    /// The stream of one behind every single-query entry point.
+    fn execute_one(
         &self,
         plan: &QueryPlan,
         config: &ExecConfig,
-        io: Option<(&SimulatedIo, Vec<TaskIo>)>,
-        recorder: Option<TraceRecorder>,
+        io: Option<&SimulatedIo>,
     ) -> QueryResult {
-        let workers = config.pool_size(plan.fragments().len());
-        let bitmap_predicates = plan.bitmap_predicates();
-        let (io_sim, charges) = match io {
-            Some((sim, charges)) => (Some(sim), Some(charges)),
-            None => (None, None),
-        };
-        // detlint: allow(wall-clock, reason = "measured wall speedup is observability; query results never depend on it")
-        let start = Instant::now();
-        let seed_order = match &config.placement {
-            Some(placement) => placement_seed_order(plan, self.source.catalog(), placement),
-            None => (0..plan.fragments().len()).collect(),
-        };
-        let queue = match (&charges, io_sim.map(|s| s.config().steal_by_io)) {
-            (Some(charges), Some(true)) => {
-                let costs: Vec<u64> = charges.iter().map(TaskIo::cost_units).collect();
-                FragmentQueue::with_seed_order_and_costs(seed_order, &costs, workers)
-            }
-            _ => FragmentQueue::with_seed_order(seed_order, workers),
-        };
-        let task_io = TaskIoTable {
-            charges: charges.as_deref(),
-            wall_ns_per_sim_ms: io_sim.map_or(0, |s| s.config().wall_ns_per_sim_ms),
-        };
-        if let Some(rec) = recorder.as_ref() {
-            rec.record(Track::Query(0), EventKind::QuerySubmit, 0, 0, vec![]);
-            rec.record(
-                Track::Query(0),
-                EventKind::QueryPlan,
-                0,
-                0,
-                vec![(FieldKey::Fragments, plan.fragments().len() as u64)],
-            );
-            rec.record(Track::Query(0), EventKind::QueryAdmit, 0, 0, vec![]);
-        }
-        let rec = recorder.as_ref();
-        let outputs: Vec<(Vec<FragmentPartial>, WorkerMetrics)> = if workers == 1 {
-            vec![run_worker(
-                &self.source,
-                plan,
-                &bitmap_predicates,
-                &queue,
-                &task_io,
-                0,
-                rec,
-            )]
-        } else {
-            thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|worker| {
-                        let source = &self.source;
-                        let queue = &queue;
-                        let preds = &bitmap_predicates;
-                        let task_io = &task_io;
-                        scope.spawn(move || {
-                            run_worker(source, plan, preds, queue, task_io, worker, rec)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|handle| handle.join().expect("worker panicked"))
-                    .collect()
-            })
-        };
-        let wall = start.elapsed();
-
-        // Deterministic merge: fold the per-fragment partials in plan order,
-        // so float addition order — and therefore the result bits — does not
-        // depend on worker count or scheduling.
-        let mut partials = Vec::with_capacity(plan.fragments().len());
-        let mut worker_metrics = Vec::with_capacity(workers);
-        for (mut fragment_partials, metrics) in outputs {
-            partials.append(&mut fragment_partials);
-            worker_metrics.push(metrics);
-        }
-        worker_metrics.sort_by_key(|m| m.worker);
-        let (hits, measure_sums) = merge_partials(&mut partials, self.source.measure_count());
-        if let Some(rec) = recorder.as_ref() {
-            // The query's simulated span: charge 0 (admission) to the last
-            // charge's completion on the disk clock (0 with the I/O layer
-            // off — lifecycle events then degenerate to logical time 0).
-            let end_ms = charges.as_deref().map_or(0.0, |charges| {
-                charges.iter().map(|c| c.sim_end_ms).fold(0.0, f64::max)
-            });
-            let end_us = us_from_ms(end_ms);
-            rec.record(
-                Track::Query(0),
-                EventKind::Query,
-                0,
-                end_us,
-                vec![(FieldKey::Fragments, plan.fragments().len() as u64)],
-            );
-            rec.record(
-                Track::Query(0),
-                EventKind::QueryComplete,
-                end_us,
-                0,
-                vec![(FieldKey::Rows, hits)],
-            );
-        }
-        QueryResult {
-            query_name: plan.query_name().to_string(),
-            hits,
-            measure_sums,
-            metrics: ExecMetrics {
-                workers: worker_metrics,
-                wall,
-                planned_fragments: plan.fragments().len(),
-                io: io_sim.map(SimulatedIo::metrics),
-                file: self.source.file_metrics(),
+        let scheduler = QueryScheduler::new(
+            self,
+            SchedulerConfig {
+                exec: *config,
+                max_in_flight: 1,
             },
-            trace: recorder.map(TraceRecorder::into_trace),
-        }
-    }
-}
-
-/// The run's event sink when tracing is enabled (`None` is zero-cost).
-fn make_recorder(config: &ExecConfig) -> Option<TraceRecorder> {
-    config
-        .obs
-        .enabled
-        .then(|| TraceRecorder::new(config.obs.capacity))
-}
-
-/// The per-task simulated I/O charges a pool run executes under: `None`
-/// charges when the I/O layer is off.
-struct TaskIoTable<'a> {
-    charges: Option<&'a [TaskIo]>,
-    wall_ns_per_sim_ms: u64,
-}
-
-impl TaskIoTable<'_> {
-    /// "Performs" task `task`'s simulated I/O: spins for the configured
-    /// wall fraction and returns the simulated ms for worker accounting.
-    fn perform(&self, task: usize) -> f64 {
-        match self.charges {
-            Some(charges) => {
-                let sim_ms = charges[task].sim_ms;
-                throttle_for(sim_ms, self.wall_ns_per_sim_ms);
-                sim_ms
-            }
-            None => 0.0,
+        );
+        let StreamOutcome {
+            queries,
+            metrics,
+            trace,
+        } = scheduler.run_plans(std::slice::from_ref(plan), io);
+        let [query] = <[_; 1]>::try_from(queries).expect("a stream of one yields one result");
+        QueryResult {
+            query_name: query.query_name,
+            hits: query.hits,
+            measure_sums: query.measure_sums,
+            metrics: metrics.pool,
+            trace,
         }
     }
 }
@@ -428,77 +297,6 @@ pub(crate) fn placement_seed_order(
     tasks
         .sort_by_cached_key(|&task| placement.subquery_disks(plan.fragments()[task], bitmap_count));
     tasks
-}
-
-/// One worker's loop: claim fragments until the queue is dry.
-#[allow(clippy::too_many_arguments)]
-fn run_worker(
-    source: &ScanSource,
-    plan: &QueryPlan,
-    bitmap_predicates: &[PredicateBinding],
-    queue: &FragmentQueue,
-    task_io: &TaskIoTable<'_>,
-    worker: usize,
-    recorder: Option<&TraceRecorder>,
-) -> (Vec<FragmentPartial>, WorkerMetrics) {
-    // detlint: allow(wall-clock, reason = "per-worker busy-time metrics; never part of query results")
-    let started = Instant::now();
-    let mut partials = Vec::new();
-    let mut metrics = WorkerMetrics {
-        worker,
-        ..WorkerMetrics::default()
-    };
-    // This worker's position on its own simulated timeline: the sum of
-    // simulated I/O it has executed so far.  Task-run events are
-    // thread-attributed (which worker ran a task is a scheduling outcome),
-    // but each worker's timeline is internally exact.
-    let mut sim_cursor_ms = 0.0f64;
-    while let Some(claim) = queue.claim(worker) {
-        let task = claim.task();
-        let stolen = matches!(claim, Claim::Stolen(_));
-        if stolen {
-            metrics.fragments_stolen += 1;
-        }
-        let sim_ms = task_io.perform(task);
-        metrics.sim_io_ms += sim_ms;
-        let fragment = source.fetch(plan.fragments()[task]);
-        let (partial, compressed) =
-            process_fragment(&fragment, bitmap_predicates, source.measure_count(), task);
-        metrics.fragments_processed += 1;
-        metrics.fragments_compressed += usize::from(compressed);
-        metrics.rows_scanned += partial.rows;
-        metrics.rows_matched += partial.hits;
-        if let Some(rec) = recorder {
-            let ts_us = us_from_ms(sim_cursor_ms);
-            if stolen {
-                rec.record(
-                    Track::Worker(worker as u32),
-                    EventKind::Steal,
-                    ts_us,
-                    0,
-                    vec![(FieldKey::Query, 0), (FieldKey::Task, task as u64)],
-                );
-            }
-            rec.record(
-                Track::Worker(worker as u32),
-                EventKind::TaskRun,
-                ts_us,
-                us_from_ms(sim_ms),
-                vec![
-                    (FieldKey::Query, 0),
-                    (FieldKey::Task, task as u64),
-                    (FieldKey::Fragment, plan.fragments()[task]),
-                    (FieldKey::Rows, partial.rows),
-                    (FieldKey::Stolen, u64::from(stolen)),
-                    (FieldKey::SimMsBits, sim_ms.to_bits()),
-                ],
-            );
-        }
-        sim_cursor_ms += sim_ms;
-        partials.push(partial);
-    }
-    metrics.busy = started.elapsed();
-    (partials, metrics)
 }
 
 /// Evaluates one fragment: bitmap-AND selection (or the IOC1 whole-fragment
@@ -1123,5 +921,6 @@ mod prop_tests {
                 );
             }
         }
+
     }
 }

@@ -29,9 +29,9 @@
 //!   traced as `NetTransfer` spans on the node track.
 //! * **A [`DiskClock`].**  All simulated time lives on a deterministic
 //!   clock: scans are charged in *plan order*, one query's plan after the
-//!   other in query-id order — the single-query engine before it runs its
-//!   pool, the scheduler in its planning pass, before any worker starts
-//!   (query-id order is its FIFO admission order) — never in
+//!   other in query-id order — in the scheduler's planning pass, before
+//!   any worker starts (query-id order is its FIFO admission order; a
+//!   single `execute` is a stream of one) — never in
 //!   thread-arrival order.  So every per-disk busy time, queue wait, cache
 //!   hit count and the simulated makespan are bit-identical across runs,
 //!   worker counts and MPLs, and no charge runs under a scheduler lock.
@@ -236,7 +236,7 @@ impl TaskIo {
 /// `Scan` and `DiskService` trace events a charge emits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ScanCtx {
-    /// Query id (0 for single-query engine runs).
+    /// Query id (0 for a single `execute`, a stream of one).
     pub query: u32,
     /// Task index within the query's plan.
     pub task: u32,

@@ -18,14 +18,14 @@
 //!   WAH-compressed; adaptive by default),
 //! * [`QueryPlan`] prunes the fragment list via the MDHF classifier and
 //!   annotates which predicates still need bitmap access,
-//! * [`StarJoinEngine`] executes the plan on a worker pool sharing a
-//!   work-stealing [`FragmentQueue`] (the paper's dynamic load balancing
-//!   across processing elements) — optionally seeded in
-//!   [`allocation::PhysicalAllocation`] disk-affinity order — with
-//!   per-worker bitmap-AND selection (compressed-domain when every
-//!   selection bitmap is WAH) and partial aggregation, and a deterministic
-//!   merge — parallel results are bit-identical to serial ones under every
-//!   representation policy,
+//! * [`StarJoinEngine`] executes plans on a persistent worker pool — the
+//!   calling thread plus long-lived helper threads over work-stealing
+//!   deques (the paper's dynamic load balancing across processing
+//!   elements), optionally seeded in [`allocation::PhysicalAllocation`]
+//!   disk-affinity order — with per-worker bitmap-AND selection
+//!   (compressed-domain when every selection bitmap is compressed) and
+//!   partial aggregation, and a deterministic merge — parallel results are
+//!   bit-identical to serial ones under every representation policy,
 //! * [`ExecMetrics`] reports per-worker accounting and wall-clock speedup,
 //! * [`SimulatedIo`] (optional, [`ExecConfig::io`]) charges every
 //!   fragment scan against per-disk FIFO service queues (track-based seek +
@@ -34,19 +34,19 @@
 //!   victims are weighted by remaining simulated I/O (the skew-resilience
 //!   path), and [`IoMetrics`] reports per-disk utilisation, queue depth and
 //!   cache hit rates,
-//! * [`QueryScheduler`] lifts the engine from one query at a time to the
-//!   paper's **multi-user** regime: a stream of bound queries is admitted
-//!   under an MPL limit onto a *single shared* work-stealing pool, tasks
-//!   from all in-flight queries interleave (tagged with query id and disk
-//!   affinity), each query's result is merged deterministically (bit-
-//!   identical to its serial run) and [`ThroughputMetrics`] reports
-//!   queries/sec, the latency distribution, utilisation, steals and the
-//!   disk-affinity hit rate.
+//! * [`QueryScheduler`] is the one execution path: a stream of bound
+//!   queries is admitted under an MPL limit onto a *single shared*
+//!   work-stealing pool, tasks from all in-flight queries interleave
+//!   (tagged with query id and disk affinity), each query's result is
+//!   merged deterministically (bit-identical to its serial run) and
+//!   [`ThroughputMetrics`] reports queries/sec, the latency distribution,
+//!   utilisation, steals and the disk-affinity hit rate.  A single
+//!   [`StarJoinEngine::execute`] is a stream of one query at MPL 1.
 //!
 //! # Quick start
 //!
 //! ```
-//! use exec::{ExecConfig, FragmentStore, StarJoinEngine};
+//! use exec::{ExecConfig, FragmentStore, SchedulerConfig, StarJoinEngine};
 //! use mdhf::Fragmentation;
 //! use workload::{BoundQuery, QueryType};
 //!
@@ -55,16 +55,22 @@
 //!     Fragmentation::parse(&schema, &["time::month", "product::group"]).unwrap();
 //! let engine = StarJoinEngine::new(FragmentStore::build(&schema, &fragmentation, 2024));
 //!
-//! // One month, one product group — pruned to a single fragment (Q1).
-//! let query = QueryType::OneMonthOneGroup.to_star_query(&schema);
-//! let bound = BoundQuery::new(&schema, query, vec![3, 1]);
-//! assert_eq!(engine.plan(&bound).fragments().len(), 1);
+//! // One product group in every month: several fragments on two workers,
+//! // the caller and a helper of the engine's persistent pool.
+//! let query = QueryType::OneGroup.to_star_query(&schema);
+//! let bound = BoundQuery::new(&schema, query, vec![1]);
+//! assert!(engine.plan(&bound).fragments().len() > 1);
 //!
 //! let serial = engine.execute_serial(&bound);
 //! let config = ExecConfig { workers: 2, ..ExecConfig::default() };
 //! let parallel = engine.execute(&bound, &config);
 //! assert_eq!(serial.hits, parallel.hits);
 //! assert_eq!(serial.measure_sums, parallel.measure_sums); // bit-identical
+//!
+//! // `execute` is a stream of one query at MPL 1.
+//! let one = SchedulerConfig { exec: config, max_in_flight: 1 };
+//! let stream = engine.execute_stream(std::slice::from_ref(&bound), &one);
+//! assert_eq!(stream.queries[0].measure_sums, parallel.measure_sums);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -75,7 +81,8 @@ pub mod file;
 pub mod io;
 pub mod metrics;
 pub mod plan;
-pub mod queue;
+mod pool;
+mod queue;
 pub mod scheduler;
 pub mod source;
 pub mod store;
@@ -92,7 +99,6 @@ pub use io::{
 pub use metrics::{ExecMetrics, ThroughputMetrics, WorkerMetrics};
 pub use obs::ObsConfig;
 pub use plan::{PredicateBinding, QueryPlan};
-pub use queue::{Claim, FragmentQueue};
 pub use scheduler::{QueryScheduler, ScheduledQuery, SchedulerConfig, StreamOutcome};
 pub use source::{FragmentRef, ScanSource};
 pub use store::{ColumnarFragment, FragmentStore};

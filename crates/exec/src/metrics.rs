@@ -35,7 +35,8 @@ pub struct WorkerMetrics {
     /// worker's node: the first cross-node pull ships a replica (a
     /// wall-clock charge); later migrations of the same fragment hit it.
     pub fragments_replicated: usize,
-    /// Time the worker spent between its first and last claim.
+    /// Summed wall time of the tasks this worker executed (idle waiting
+    /// excluded), on every entry point.
     pub busy: Duration,
 }
 

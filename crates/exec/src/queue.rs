@@ -1,11 +1,12 @@
-//! A shared fragment queue with cost-weighted work stealing.
+//! Per-worker task deques with cost-weighted work stealing.
 //!
 //! The paper's execution model assigns fragment subqueries to processing
 //! elements *dynamically* to balance load (fragments differ in size and the
-//! PEs in speed).  This queue mirrors that: each worker owns a deque seeded
-//! with a contiguous chunk of the plan's fragment list (preserving the
-//! allocation order's locality), pops work from its own front, and — once
-//! empty — steals from the back of another worker.
+//! PEs in speed).  These deques mirror that: the scheduler deals each
+//! admitted query's tasks to the workers in contiguous chunks of its seed
+//! order (preserving the allocation order's locality), a worker pops work
+//! from its own front, and — once empty — steals from the back of another
+//! worker.
 //!
 //! Every task carries a **cost weight**.  With uniform weights (the
 //! default) a steal targets the victim with the most queued tasks, exactly
@@ -26,14 +27,12 @@ struct CostedDeque<T> {
     remaining_cost: u64,
 }
 
-/// The lock-per-worker deque set underneath every work-stealing queue in
-/// this crate: [`FragmentQueue`] (one query, tasks fixed up front) and the
-/// multi-query [`crate::scheduler`] (tasks arrive as queries are admitted).
+/// The lock-per-worker deque set underneath the [`crate::scheduler`]'s
+/// work-stealing pool (tasks arrive as queries are admitted).
 ///
 /// Each worker owns one deque; owners pop from the front, thieves steal
 /// from the back of the victim with the highest remaining cost.  `T` is
-/// whatever the caller uses as a task — a bare fragment index for the
-/// single-query engine, a query-tagged task for the scheduler.
+/// whatever the caller uses as a task.
 #[derive(Debug)]
 pub(crate) struct StealDeques<T> {
     deques: Vec<Mutex<CostedDeque<T>>>,
@@ -62,6 +61,15 @@ impl<T> StealDeques<T> {
     /// Number of workers the deque set was created for.
     pub fn workers(&self) -> usize {
         self.deques.len()
+    }
+
+    /// The worker that position `position` of a `tasks`-task seed order is
+    /// dealt to: balanced contiguous chunks (worker `w` owns the positions
+    /// with `position * workers / tasks == w`), rotated by `first` so that
+    /// consecutive small queries start on different workers.
+    pub fn chunk_owner(&self, first: usize, position: usize, tasks: usize) -> usize {
+        let workers = self.deques.len();
+        (first + position * workers / tasks) % workers
     }
 
     /// Appends `task` with steal weight `cost` to the back of `worker`'s
@@ -123,166 +131,86 @@ impl<T> StealDeques<T> {
     }
 }
 
-/// How a task was obtained from the queue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Claim {
-    /// Taken from the worker's own deque.
-    Own(usize),
-    /// Stolen from another worker's deque.
-    Stolen(usize),
-}
-
-impl Claim {
-    /// The claimed task index, regardless of provenance.
-    #[must_use]
-    pub fn task(self) -> usize {
-        match self {
-            Claim::Own(t) | Claim::Stolen(t) => t,
-        }
-    }
-}
-
-/// A work-stealing queue over task indices `0..tasks`.
-#[derive(Debug)]
-pub struct FragmentQueue {
-    deques: StealDeques<usize>,
-}
-
-impl FragmentQueue {
-    /// Creates a queue of `tasks` task indices for `workers` workers, seeding
-    /// each worker with a contiguous, evenly sized chunk in task order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `workers` is zero.
-    #[must_use]
-    pub fn new(tasks: usize, workers: usize) -> Self {
-        Self::with_seed_order((0..tasks).collect(), workers)
-    }
-
-    /// Creates a queue whose workers are seeded with contiguous chunks of
-    /// `order` — e.g. a disk-affinity permutation of the task indices, so
-    /// each worker's initial chunk touches a distinct slice of the physical
-    /// allocation and work stealing starts from a placement-aligned
-    /// partition.  All tasks weigh 1, so steals follow deque length.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `workers` is zero or `order` is not a permutation of
-    /// `0..order.len()` (a duplicate index would make a fragment's partial
-    /// count twice in the merge).
-    #[must_use]
-    pub fn with_seed_order(order: Vec<usize>, workers: usize) -> Self {
-        let costs = vec![1u64; order.len()];
-        Self::with_seed_order_and_costs(order, &costs, workers)
-    }
-
-    /// [`FragmentQueue::with_seed_order`] with an explicit steal weight per
-    /// task (`costs` is indexed by *task id*, not seed position) — e.g. each
-    /// task's remaining simulated I/O, making steal-victim selection
-    /// skew-aware.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `workers` is zero, `costs` is not as long as `order`, or
-    /// `order` is not a permutation of `0..order.len()`.
-    #[must_use]
-    pub fn with_seed_order_and_costs(order: Vec<usize>, costs: &[u64], workers: usize) -> Self {
-        let tasks = order.len();
-        assert_eq!(costs.len(), tasks, "one cost per task");
-        let mut seen = vec![false; tasks];
-        for &task in &order {
-            assert!(
-                task < tasks && !std::mem::replace(&mut seen[task], true),
-                "seed order must be a permutation of 0..{tasks}"
-            );
-        }
-        let deques = StealDeques::new(workers);
-        for (position, task) in order.into_iter().enumerate() {
-            // Balanced contiguous chunks: worker w owns the positions with
-            // position * workers / tasks == w.
-            let owner = position * workers / tasks;
-            deques.push(owner, task, costs[task]);
-        }
-        FragmentQueue { deques }
-    }
-
-    /// Number of workers the queue was created for.
-    #[must_use]
-    pub fn workers(&self) -> usize {
-        self.deques.workers()
-    }
-
-    /// Claims the next task for `worker`: first from its own deque's front,
-    /// otherwise stolen from the back of the other deque with the most
-    /// remaining cost.  Returns `None` only when every deque is empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `worker` is out of range or a deque lock is poisoned.
-    #[must_use]
-    pub fn claim(&self, worker: usize) -> Option<Claim> {
-        if let Some(task) = self.deques.pop_own(worker) {
-            return Some(Claim::Own(task));
-        }
-        self.deques
-            .steal(worker)
-            .map(|(task, _)| Claim::Stolen(task))
-    }
-
-    /// Total number of unclaimed tasks across all deques.
-    #[must_use]
-    pub fn remaining(&self) -> usize {
-        self.deques.total_len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::collections::BTreeSet;
 
+    /// Deals `order` in unit-cost chunks, as admission does.
+    fn dealt(order: &[usize], workers: usize) -> StealDeques<usize> {
+        let deques = StealDeques::new(workers);
+        for (position, &task) in order.iter().enumerate() {
+            deques.push(deques.chunk_owner(0, position, order.len()), task, 1);
+        }
+        deques
+    }
+
+    /// Drains `worker`'s own deque front to back.
+    fn drain_own(deques: &StealDeques<usize>, worker: usize) -> Vec<usize> {
+        std::iter::from_fn(|| deques.pop_own(worker)).collect()
+    }
+
+    /// Drains everything `worker` can claim: its own front, then steals.
+    fn drain_all(deques: &StealDeques<usize>, worker: usize) -> Vec<usize> {
+        std::iter::from_fn(|| {
+            (deques.pop_own(worker)).or_else(|| deques.steal(worker).map(|(task, _)| task))
+        })
+        .collect()
+    }
+
     #[test]
     fn chunks_are_contiguous_and_balanced() {
-        let queue = FragmentQueue::new(10, 3);
-        assert_eq!(queue.workers(), 3);
-        assert_eq!(queue.remaining(), 10);
-        // Worker 0 drains its own chunk front-to-back before stealing.
-        let mut own = Vec::new();
-        while let Some(Claim::Own(t)) = queue.claim(0) {
-            own.push(t);
+        let order: Vec<usize> = (0..10).collect();
+        let deques = dealt(&order, 3);
+        assert_eq!(deques.workers(), 3);
+        assert_eq!(deques.total_len(), 10);
+        assert_eq!(drain_own(&deques, 0), vec![0, 1, 2, 3]);
+        assert_eq!(drain_own(&deques, 1), vec![4, 5, 6]);
+        assert_eq!(drain_own(&deques, 2), vec![7, 8, 9]);
+        // The rotation shifts whole chunks: a one-task query lands on the
+        // cursor's worker.
+        assert_eq!(deques.chunk_owner(2, 0, 1), 2);
+        assert_eq!(deques.chunk_owner(1, 9, 10), 0);
+    }
+
+    #[test]
+    fn seed_order_controls_initial_ownership() {
+        // A reversed order deals worker 0 the *last* task indices.
+        let deques = dealt(&[5, 4, 3, 2, 1, 0], 2);
+        assert_eq!(drain_own(&deques, 0), vec![5, 4, 3]);
+        // Every remaining task is still claimed exactly once.
+        let mut rest = BTreeSet::new();
+        while let Some((task, victim)) = deques.steal(0) {
+            assert_eq!(victim, 1);
+            assert!(rest.insert(task));
         }
-        assert_eq!(own, vec![0, 1, 2, 3]);
+        assert_eq!(rest, BTreeSet::from([0, 1, 2]));
     }
 
     #[test]
     fn every_task_is_claimed_exactly_once() {
-        let queue = FragmentQueue::new(25, 4);
+        let order: Vec<usize> = (0..25).collect();
+        let deques = dealt(&order, 4);
         let mut seen = BTreeSet::new();
-        // A single worker drains the whole queue via stealing.
-        while let Some(claim) = queue.claim(2) {
-            assert!(
-                seen.insert(claim.task()),
-                "task {} claimed twice",
-                claim.task()
-            );
+        // A single worker drains every deque: its own, then by stealing.
+        for task in drain_all(&deques, 2) {
+            assert!(seen.insert(task), "task {task} claimed twice");
         }
         assert_eq!(seen.len(), 25);
-        assert_eq!(queue.remaining(), 0);
-        assert_eq!(queue.claim(2), None);
+        assert_eq!(deques.total_len(), 0);
+        assert_eq!(deques.steal(2), None);
     }
 
     #[test]
     fn steals_come_from_the_most_loaded_victim() {
-        let queue = FragmentQueue::new(9, 3);
-        // Drain worker 1's own chunk so its first claim afterwards must steal.
-        while let Some(Claim::Own(_)) = queue.claim(1) {}
-        // Worker 0 and 2 both still hold 3 unit-cost tasks; a steal takes
+        let order: Vec<usize> = (0..9).collect();
+        let deques = dealt(&order, 3);
+        // Drain worker 1's own chunk so its next claim must steal.
+        assert_eq!(drain_own(&deques, 1), vec![3, 4, 5]);
+        // Workers 0 and 2 both still hold 3 unit-cost tasks; a steal takes
         // from a back.
-        match queue.claim(1) {
-            Some(Claim::Stolen(t)) => assert!(t == 2 || t == 8, "stole {t}"),
-            other => panic!("expected a steal, got {other:?}"),
-        }
+        let (task, victim) = deques.steal(1).expect("work left to steal");
+        assert!((task, victim) == (2, 0) || (task, victim) == (8, 2));
     }
 
     #[test]
@@ -319,18 +247,13 @@ mod tests {
     fn concurrent_drain_claims_every_task_once() {
         let tasks = 500;
         let workers = 4;
-        let queue = FragmentQueue::new(tasks, workers);
+        let order: Vec<usize> = (0..tasks).collect();
+        let deques = dealt(&order, workers);
         let claimed: Vec<Vec<usize>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
                 .map(|w| {
-                    let queue = &queue;
-                    scope.spawn(move || {
-                        let mut mine = Vec::new();
-                        while let Some(claim) = queue.claim(w) {
-                            mine.push(claim.task());
-                        }
-                        mine
-                    })
+                    let deques = &deques;
+                    scope.spawn(move || drain_all(deques, w))
                 })
                 .collect();
             handles
@@ -345,48 +268,19 @@ mod tests {
     }
 
     #[test]
-    fn seed_order_controls_initial_ownership() {
-        // A reversed order seeds worker 0 with the *last* task indices.
-        let queue = FragmentQueue::with_seed_order(vec![5, 4, 3, 2, 1, 0], 2);
-        let own: Vec<usize> = (0..3)
-            .map(|_| match queue.claim(0) {
-                Some(Claim::Own(t)) => t,
-                other => panic!("expected own claim, got {other:?}"),
-            })
-            .collect();
-        assert_eq!(own, vec![5, 4, 3]);
-        // Every remaining task is still claimed exactly once across the pool.
-        let mut rest = BTreeSet::new();
-        while let Some(claim) = queue.claim(1) {
-            assert!(rest.insert(claim.task()));
-        }
-        assert_eq!(rest, BTreeSet::from([0, 1, 2]));
-    }
-
-    #[test]
-    #[should_panic(expected = "permutation")]
-    fn duplicate_seed_order_rejected() {
-        let _ = FragmentQueue::with_seed_order(vec![0, 0, 1], 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "one cost per task")]
-    fn mismatched_costs_rejected() {
-        let _ = FragmentQueue::with_seed_order_and_costs(vec![0, 1], &[1], 2);
-    }
-
-    #[test]
     fn empty_queue_and_single_worker() {
-        let queue = FragmentQueue::new(0, 2);
-        assert_eq!(queue.claim(0), None);
-        let queue = FragmentQueue::new(3, 1);
-        assert_eq!(queue.claim(0), Some(Claim::Own(0)));
-        assert_eq!(queue.remaining(), 2);
+        let deques: StealDeques<usize> = StealDeques::new(2);
+        assert_eq!(deques.pop_own(0), None);
+        assert_eq!(deques.steal(0), None);
+        let deques = dealt(&[0, 1, 2], 1);
+        assert_eq!(deques.pop_own(0), Some(0));
+        assert_eq!(deques.steal(0), None, "a lone worker has no victim");
+        assert_eq!(deques.total_len(), 2);
     }
 
     #[test]
     #[should_panic(expected = "at least one worker")]
     fn zero_workers_rejected() {
-        let _ = FragmentQueue::new(5, 0);
+        let _ = StealDeques::<usize>::new(0);
     }
 }

@@ -1,10 +1,10 @@
 //! The concurrent multi-query scheduler: inter-query parallelism over one
 //! shared worker pool.
 //!
-//! The paper's multi-user experiments stress exactly the regime the
-//! single-query engine cannot reach: many concurrent star queries competing
-//! for the same disks and CPUs, where throughput — not single-query speedup
-//! — decides the fragmentation and allocation choice.  [`QueryScheduler`]
+//! The paper's multi-user experiments stress the regime one query at a
+//! time cannot reach: many concurrent star queries competing for the same
+//! disks and CPUs, where throughput — not single-query speedup — decides
+//! the fragmentation and allocation choice.  [`QueryScheduler`]
 //! supplies the missing layer:
 //!
 //! * a stream of [`BoundQuery`]s is planned up front and **admitted** under
@@ -20,7 +20,10 @@
 //! * **one** work-stealing pool of [`ExecConfig::pool_size`] workers serves
 //!   *all* in-flight queries — tasks from different queries interleave in
 //!   the shared deques instead of each query spawning its own pool, so
-//!   MPL > 1 never over-subscribes the machine,
+//!   MPL > 1 never over-subscribes the machine.  The workers are the
+//!   calling thread plus helpers borrowed from the engine's persistent
+//!   worker pool; no run spawns a thread.  A single query's
+//!   [`StarJoinEngine::execute`] is this same run: a stream of one at MPL 1,
 //! * with [`ExecConfig::io`] set, **one** simulated disk subsystem
 //!   ([`crate::io::SimulatedIo`]) serves the whole stream: each query's
 //!   plan is charged in the planning pass, in query-id order — which is
@@ -30,10 +33,9 @@
 //!   scans of hot fragments hit it); admission only deals the precomputed
 //!   charges, and tasks are steal-weighted by their simulated I/O,
 //! * each completed query is merged **deterministically** in plan order
-//!   through the same fold as the single-query engine (the shared
-//!   `merge_partials`), so every query's hits and measure sums are
-//!   bit-identical to its isolated serial run, for every MPL, worker count
-//!   and scheduling interleave,
+//!   through one fold (the engine's `merge_partials`), so every query's
+//!   hits and measure sums are bit-identical to its isolated serial run,
+//!   for every MPL, worker count and scheduling interleave,
 //! * when the I/O layer simulates a **shared-nothing multi-node** system
 //!   ([`crate::io::IoConfig::nodes`] > 1 with
 //!   [`allocation::NodeStrategy::SharedNothing`]), the pool splits into
@@ -52,8 +54,8 @@
 //!   utilisation, queue depth and cache statistics.
 
 use std::collections::{BTreeSet, VecDeque};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::thread;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use allocation::{NodePlacement, NodeStrategy};
@@ -67,6 +69,7 @@ use crate::engine::{
 use crate::io::{throttle_for, SimulatedIo};
 use crate::metrics::{ExecMetrics, ThroughputMetrics, WorkerMetrics};
 use crate::plan::{PredicateBinding, QueryPlan};
+use crate::pool::Job;
 use crate::queue::StealDeques;
 use crate::source::ScanSource;
 use crate::sync::PoisonLock;
@@ -191,8 +194,6 @@ struct Task {
     /// Simulated I/O charged to this task in the planning pass (0 with
     /// the I/O layer off).
     sim_ms: f64,
-    /// The owning query's bitmap predicates (shared across its tasks).
-    bindings: Arc<Vec<PredicateBinding>>,
 }
 
 /// What admission deals for one task: its simulated I/O and steal weight.
@@ -220,7 +221,7 @@ struct Prepared {
     /// Task indices in seeding order: the disk-affinity permutation when a
     /// placement is configured, plan order otherwise.
     seed_order: Vec<usize>,
-    bindings: Arc<Vec<PredicateBinding>>,
+    bindings: Vec<PredicateBinding>,
     /// Per plan position: the task's precomputed simulated I/O (empty with
     /// the I/O layer off, when every task deals as [`NO_IO`]).
     charges: Vec<TaskCharge>,
@@ -250,8 +251,6 @@ struct Control {
     free_slots: Vec<usize>,
     /// Number of admitted-but-unfinished queries.
     active: usize,
-    /// Number of submitted-but-unfinished queries (admitted or pending).
-    unfinished: usize,
     /// Results by query id.
     results: Vec<Option<ScheduledQuery>>,
     /// Rotating worker cursor so consecutive small queries start on
@@ -261,13 +260,18 @@ struct Control {
     /// node-homed tasks are dealt round-robin over their home node's worker
     /// range, so a node's workers share its load evenly.
     node_cursors: Vec<usize>,
+    /// Per-worker accounting, filed by each worker as it leaves the run (a
+    /// helper that arrived after the run finished ran nothing).
+    finished: Vec<WorkerMetrics>,
 }
 
-/// Everything the workers share.
+/// Everything the workers share, owned by the run: pool helpers outlive
+/// any borrow.
 struct Shared {
+    source: Arc<ScanSource>,
     deques: StealDeques<Task>,
     control: Mutex<Control>,
-    /// Signalled when tasks are pushed or the run finishes.
+    /// Signalled when queries are admitted or the run aborts.
     work: Condvar,
     prepared: Vec<Prepared>,
     mpl: usize,
@@ -283,6 +287,9 @@ struct Shared {
     /// than one node; `None` runs the classic single-node pool.
     nodes: Option<NodeTopology>,
     started: Instant,
+    /// Set when a task panicked: the run will never finish, so every
+    /// worker leaves at its next claim.
+    aborted: AtomicBool,
 }
 
 /// The pool's node layout under a shared-nothing multi-node I/O subsystem:
@@ -336,13 +343,15 @@ impl Shared {
     /// Admits pending queries until the MPL limit is reached, dealing each
     /// admitted query's tasks — with their precomputed simulated I/O —
     /// across the worker deques in seed order.  Zero-task queries complete
-    /// at admission.  Call with the control lock held; the caller notifies
-    /// the condvar.
-    fn admit(&self, control: &mut Control) {
+    /// at admission.  Call with the control lock held; returns whether any
+    /// query was admitted, so the caller can notify the condvar.
+    fn admit(&self, control: &mut Control) -> bool {
+        let mut admitted = false;
         while control.active < self.mpl {
             let Some(query_id) = control.pending.pop_front() else {
                 break;
             };
+            admitted = true;
             let prepared = &self.prepared[query_id];
             // detlint: allow(wall-clock, reason = "admission-wait latency observability; results are merged deterministically")
             let admitted_at = Instant::now();
@@ -351,33 +360,26 @@ impl Shared {
             // order alone, so identical across runs, worker counts and MPLs.
             let admit_us = prepared.admit_us;
             if let Some(rec) = &self.obs {
+                // The query's simulated completion time is already decided:
+                // all of its disk work was charged in the planning pass, so
+                // its span on the deterministic clock is independent of
+                // which workers later execute the tasks (logical time when
+                // the I/O layer is off: admission and completion coincide).
+                let track = Track::Query(query_id as u32);
+                rec.record(track, EventKind::QueryAdmit, admit_us, 0, vec![]);
                 rec.record(
-                    Track::Query(query_id as u32),
-                    EventKind::QueryAdmit,
+                    track,
+                    EventKind::Query,
                     admit_us,
-                    0,
-                    vec![],
+                    prepared.complete_us - admit_us,
+                    vec![(FieldKey::Fragments, prepared.fragments.len() as u64)],
                 );
+                let complete_us = prepared.complete_us;
+                rec.record(track, EventKind::QueryComplete, complete_us, 0, vec![]);
             }
             if prepared.fragments.is_empty() {
                 // Defensive: plans currently always hold ≥1 fragment, but an
                 // empty one must complete rather than hang the stream.
-                if let Some(rec) = &self.obs {
-                    rec.record(
-                        Track::Query(query_id as u32),
-                        EventKind::Query,
-                        admit_us,
-                        0,
-                        vec![(FieldKey::Fragments, 0)],
-                    );
-                    rec.record(
-                        Track::Query(query_id as u32),
-                        EventKind::QueryComplete,
-                        admit_us,
-                        0,
-                        vec![(FieldKey::Rows, 0)],
-                    );
-                }
                 control.results[query_id] = Some(finalize(
                     query_id,
                     prepared,
@@ -386,7 +388,6 @@ impl Shared {
                     admission_wait,
                     Duration::ZERO,
                 ));
-                control.unfinished -= 1;
                 continue;
             }
             let slot = control.free_slots.pop().unwrap_or_else(|| {
@@ -402,36 +403,13 @@ impl Shared {
             });
             control.active += 1;
             // Deal the tasks in balanced contiguous chunks of the seed
-            // order (the same `position * workers / tasks` chunking as
-            // `FragmentQueue::with_seed_order`, rotated by the cursor):
+            // order, rotated by the cursor (`StealDeques::chunk_owner`):
             // big queries spread over the whole pool with no worker left
             // empty by rounding, and consecutive single-task queries land
             // on distinct workers.
-            let workers = self.deques.workers();
             let first = control.seed_cursor;
-            control.seed_cursor = (control.seed_cursor + 1) % workers;
+            control.seed_cursor = (control.seed_cursor + 1) % self.deques.workers();
             let tasks = prepared.seed_order.len();
-            if let Some(rec) = &self.obs {
-                // The query's simulated completion time is already decided:
-                // all of its disk work was charged in the planning pass, so
-                // its span on the deterministic clock is independent of
-                // which workers later execute the tasks (logical time when
-                // the I/O layer is off: admission and completion coincide).
-                rec.record(
-                    Track::Query(query_id as u32),
-                    EventKind::Query,
-                    admit_us,
-                    prepared.complete_us - admit_us,
-                    vec![(FieldKey::Fragments, prepared.fragments.len() as u64)],
-                );
-                rec.record(
-                    Track::Query(query_id as u32),
-                    EventKind::QueryComplete,
-                    prepared.complete_us,
-                    0,
-                    vec![],
-                );
-            }
             for (position, &task) in prepared.seed_order.iter().enumerate() {
                 // Shared-nothing multi-node pools deal each task to a worker
                 // on its fragment's home node (round-robin within the node's
@@ -447,10 +425,10 @@ impl Shared {
                             *cursor += 1;
                             worker
                         } else {
-                            (first + position * workers / tasks) % workers
+                            self.deques.chunk_owner(first, position, tasks)
                         }
                     }
-                    None => (first + position * workers / tasks) % workers,
+                    None => self.deques.chunk_owner(first, position, tasks),
                 };
                 let charge = prepared.charges.get(task).copied().unwrap_or(NO_IO);
                 self.deques.push(
@@ -461,12 +439,12 @@ impl Shared {
                         task,
                         fragment: prepared.fragments[task],
                         sim_ms: charge.sim_ms,
-                        bindings: Arc::clone(&prepared.bindings),
                     },
                     charge.cost,
                 );
             }
         }
+        admitted
     }
 
     /// Deposits one finished task's partial; on a query's last task, frees
@@ -491,11 +469,12 @@ impl Shared {
             let done = control.slots[task_slot].take().expect("slot just used");
             control.free_slots.push(task_slot);
             control.active -= 1;
-            self.admit(&mut control);
-            // Wake idle workers for the newly dealt tasks.  `unfinished`
-            // stays counted until the result below is stored, so no worker
-            // can exit before every result exists.
-            self.work.notify_all();
+            // Workers only wait while queries are pending, and only
+            // admission changes that: wake them for the newly dealt tasks
+            // (or to find nothing pending and leave).
+            if self.admit(&mut control) {
+                self.work.notify_all();
+            }
             done
         };
         let latency = done.admitted_at.elapsed();
@@ -507,13 +486,7 @@ impl Shared {
             done.admission_wait,
             latency,
         );
-        let mut control = self.lock_control();
-        control.results[done.query_id] = Some(result);
-        control.unfinished -= 1;
-        if control.unfinished == 0 {
-            // Nothing left anywhere: wake everyone so they observe the end.
-            self.work.notify_all();
-        }
+        self.lock_control().results[done.query_id] = Some(result);
         Some(done.query_id)
     }
 
@@ -545,22 +518,43 @@ fn finalize(
     }
 }
 
+impl Job for Shared {
+    fn work(&self, worker: usize) {
+        worker_loop(self, worker);
+    }
+
+    fn abort(&self) {
+        // The flag publishes no data (hence `Relaxed`); taking the lock
+        // orders it before any idle worker's next check, so the wake-up
+        // below cannot be lost.
+        self.aborted.store(true, Ordering::Relaxed);
+        drop(self.control.plock_after_panic());
+        self.work.notify_all();
+    }
+}
+
 /// One worker's loop: claim tasks from any in-flight query until every
-/// submitted query has finished.
-fn worker_loop(shared: &Shared, engine: &StarJoinEngine, worker: usize) -> WorkerMetrics {
-    let source = engine.source();
+/// query is admitted and every task claimed (or the run aborted), then file
+/// this worker's accounting.  Tasks still running finish on the workers
+/// that claimed them; the pool returns only once all workers have left.
+fn worker_loop(shared: &Shared, worker: usize) {
+    let source = &*shared.source;
     let wall_ns_per_sim_ms = shared.wall_ns_per_sim_ms;
     let mut metrics = WorkerMetrics {
         worker,
         ..WorkerMetrics::default()
     };
-    // This worker's position on its own simulated timeline (see the engine's
-    // `run_worker`): thread-attributed trace events are stamped from it.
+    // This worker's position on its own simulated timeline (the simulated
+    // I/O it has executed): thread-attributed trace events are stamped
+    // from it.
     let mut sim_cursor_ms = 0.0f64;
     // This worker's node and its node's worker range under a shared-nothing
     // multi-node topology: steal node-locally before migrating across.
     let my_node = shared.nodes.as_ref().map(|t| t.node_of_worker(worker));
     loop {
+        if shared.aborted.load(Ordering::Relaxed) {
+            return;
+        }
         let claimed = shared
             .deques
             .pop_own(worker)
@@ -578,18 +572,22 @@ fn worker_loop(shared: &Shared, engine: &StarJoinEngine, worker: usize) -> Worke
                     .map(|(task, victim)| (task, Some(victim)))
             });
         let Some((task, stolen_from)) = claimed else {
+            // Tasks are only pushed by admission, under the control lock,
+            // so an empty deque set observed *while holding it* cannot race
+            // a push: with nothing pending it stays empty for good, else
+            // wait for the next admission (or an abort).
             let mut control = shared.lock_control();
-            if control.unfinished == 0 {
-                break;
-            }
-            // Tasks are only pushed under the control lock, so an
-            // empty deque set observed *while holding it* cannot race
-            // a push: wait for the next deposit/admission signal.
             if shared.deques.total_len() == 0 {
-                control = shared
-                    .work
-                    .wait(control)
-                    .expect("scheduler control lock poisoned");
+                if control.pending.is_empty() {
+                    control.finished[worker] = metrics;
+                    return;
+                }
+                if !shared.aborted.load(Ordering::Relaxed) {
+                    control = shared
+                        .work
+                        .wait(control)
+                        .unwrap_or_else(PoisonError::into_inner);
+                }
             }
             drop(control);
             continue;
@@ -618,8 +616,9 @@ fn worker_loop(shared: &Shared, engine: &StarJoinEngine, worker: usize) -> Worke
             }
         }
         let fragment = source.fetch(task.fragment);
+        let bindings = &shared.prepared[task.query].bindings;
         let (partial, compressed) =
-            process_fragment(&fragment, &task.bindings, source.measure_count(), task.task);
+            process_fragment(&fragment, bindings, source.measure_count(), task.task);
         metrics.busy += task_started.elapsed();
         metrics.fragments_processed += 1;
         metrics.fragments_stolen += usize::from(stolen);
@@ -668,7 +667,6 @@ fn worker_loop(shared: &Shared, engine: &StarJoinEngine, worker: usize) -> Worke
             );
         }
     }
-    metrics
 }
 
 /// A concurrent multi-query scheduler over a [`StarJoinEngine`]'s store.
@@ -696,14 +694,25 @@ impl<'e> QueryScheduler<'e> {
     ///
     /// With the I/O layer on, every plan is charged against one fresh
     /// [`SimulatedIo`] in the planning pass, in query-id order (the FIFO
-    /// admission order), exactly as
-    /// [`StarJoinEngine::execute_plan_with_io`] charges a single plan.
+    /// admission order).
     ///
     /// # Panics
     ///
-    /// Panics if a worker thread panics.
+    /// Re-raises a panic of any query's task on the calling thread, once
+    /// every worker has left the run; the engine's pool stays usable.
     #[must_use]
     pub fn run(&self, queries: &[BoundQuery]) -> StreamOutcome {
+        let plans: Vec<QueryPlan> = queries.iter().map(|q| self.engine.plan(q)).collect();
+        self.run_plans(&plans, None)
+    }
+
+    /// Executes already planned queries — the one execution path behind
+    /// [`QueryScheduler::run`] and every `StarJoinEngine::execute*` entry
+    /// point.  Plans are charged against `io` when given (so cache and arm
+    /// state persist across calls, and [`ExecMetrics::io`] is cumulative
+    /// over `io`'s lifetime), else against a fresh subsystem built from
+    /// [`ExecConfig::io`] when that is set.
+    pub(crate) fn run_plans(&self, plans: &[QueryPlan], io: Option<&SimulatedIo>) -> StreamOutcome {
         let source = self.engine.source();
         let placement = self.config.exec.placement.as_ref();
         let recorder = self
@@ -712,16 +721,14 @@ impl<'e> QueryScheduler<'e> {
             .obs
             .enabled
             .then(|| TraceRecorder::new(self.config.exec.obs.capacity));
-        let io = self
-            .config
-            .exec
-            .io
+        let fresh_io = (self.config.exec.io)
+            .filter(|_| io.is_none())
             .map(|io_config| SimulatedIo::new(io_config, source.schema()));
-        let prepared: Vec<Prepared> = queries
+        let io = io.or(fresh_io.as_ref());
+        let prepared: Vec<Prepared> = plans
             .iter()
             .enumerate()
-            .map(|(query_id, bound)| {
-                let plan = self.engine.plan(bound);
+            .map(|(query_id, plan)| {
                 if let Some(rec) = &recorder {
                     // Submission and planning happen before the run clock
                     // starts: both land at logical time 0.
@@ -735,18 +742,18 @@ impl<'e> QueryScheduler<'e> {
                         vec![(FieldKey::Fragments, plan.task_count() as u64)],
                     );
                 }
-                let (charges, admit_us, complete_us) = match &io {
-                    Some(io) => charge(io, &plan, source, query_id, recorder.as_ref()),
+                let (charges, admit_us, complete_us) = match io {
+                    Some(io) => charge(io, plan, source, query_id, recorder.as_ref()),
                     None => (Vec::new(), query_id as u64, query_id as u64),
                 };
                 let seed_order = match placement {
-                    Some(placement) => placement_seed_order(&plan, source.catalog(), placement),
+                    Some(placement) => placement_seed_order(plan, source.catalog(), placement),
                     None => (0..plan.task_count()).collect(),
                 };
                 Prepared {
                     query_name: plan.query_name().to_string(),
                     seed_order,
-                    bindings: Arc::new(plan.bitmap_predicates()),
+                    bindings: plan.bitmap_predicates(),
                     fragments: plan.fragments().to_vec(),
                     charges,
                     admit_us,
@@ -755,8 +762,8 @@ impl<'e> QueryScheduler<'e> {
             })
             .collect();
         let total_tasks: usize = prepared.iter().map(|p| p.fragments.len()).sum();
-        // One shared pool for the whole stream — sized once, by the same
-        // rule as the single-query engine, never per admitted query.
+        // One shared pool for the whole stream — sized once, never per
+        // admitted query.
         let workers = self.config.exec.pool_size(total_tasks);
         let query_count = prepared.len();
 
@@ -770,60 +777,48 @@ impl<'e> QueryScheduler<'e> {
         // more than one node.  Shared-disk multi-node subsystems keep the
         // single-node pool: every node reads every disk at equal cost, so
         // there is no home-node locality to preserve.
-        let nodes = self.config.exec.io.and_then(|io_config| {
+        let nodes = io.map(SimulatedIo::config).and_then(|io_config| {
             (io_config.nodes > 1 && io_config.node_strategy == NodeStrategy::SharedNothing)
                 .then(|| NodeTopology::new(io_config.node_placement(), workers))
         });
         let shared = Shared {
+            source: Arc::clone(&self.engine.source),
             deques: StealDeques::new(workers),
             control: Mutex::new(Control {
                 pending: (0..query_count).collect(),
                 slots: Vec::new(),
                 free_slots: Vec::new(),
                 active: 0,
-                unfinished: query_count,
                 results: (0..query_count).map(|_| None).collect(),
                 seed_cursor: 0,
                 node_cursors: vec![0; nodes.as_ref().map_or(0, NodeTopology::node_count)],
+                finished: (0..workers)
+                    .map(|worker| WorkerMetrics {
+                        worker,
+                        ..WorkerMetrics::default()
+                    })
+                    .collect(),
             }),
             work: Condvar::new(),
             prepared,
             mpl: self.config.mpl(),
             measure_count: source.measure_count(),
-            wall_ns_per_sim_ms: io.as_ref().map_or(0, |io| io.config().wall_ns_per_sim_ms),
+            wall_ns_per_sim_ms: io.map_or(0, |io| io.config().wall_ns_per_sim_ms),
             obs: recorder,
             nodes,
             started,
+            aborted: AtomicBool::new(false),
         };
 
-        {
-            let mut control = shared.lock_control();
-            shared.admit(&mut control);
-        }
-
-        let mut worker_metrics: Vec<WorkerMetrics> = if workers == 1 {
-            vec![worker_loop(&shared, self.engine, 0)]
-        } else {
-            thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|worker| {
-                        let shared = &shared;
-                        let engine = self.engine;
-                        scope.spawn(move || worker_loop(shared, engine, worker))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|handle| handle.join().expect("scheduler worker panicked"))
-                    .collect()
-            })
-        };
+        shared.admit(&mut shared.lock_control());
+        let shared = self.engine.pool.run(workers, shared);
         let wall = started.elapsed();
-        worker_metrics.sort_by_key(|m| m.worker);
 
-        let io_metrics = io.as_ref().map(SimulatedIo::metrics);
         let trace = shared.obs.map(TraceRecorder::into_trace);
-        let control = shared.control.into_inner().expect("control lock poisoned");
+        let control = shared
+            .control
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner);
         let results: Vec<ScheduledQuery> = control
             .results
             .into_iter()
@@ -834,11 +829,11 @@ impl<'e> QueryScheduler<'e> {
         StreamOutcome {
             metrics: ThroughputMetrics::new(
                 ExecMetrics {
-                    workers: worker_metrics,
+                    workers: control.finished,
                     wall,
                     planned_fragments: total_tasks,
-                    io: io_metrics,
-                    file: self.engine.source().file_metrics(),
+                    io: io.map(SimulatedIo::metrics),
+                    file: source.file_metrics(),
                 },
                 queries_completed,
                 latencies,

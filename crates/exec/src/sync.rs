@@ -7,7 +7,7 @@
 //! suspect.  `detlint`'s `lock-unwrap` rule rejects any bare `.lock()`
 //! outside this module, so the discipline is mechanical, not conventional.
 
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Extension trait: named, poison-propagating acquisition.
 pub(crate) trait PoisonLock<T> {
@@ -15,12 +15,21 @@ pub(crate) trait PoisonLock<T> {
     /// panicked (poisoned the lock) — the shared state may be inconsistent
     /// and no silent recovery is sound for bit-identical execution.
     fn plock(&self, what: &'static str) -> MutexGuard<'_, T>;
+
+    /// Acquires the lock whether or not a holder panicked — only for the
+    /// failure path that wakes a run's waiters after a panic, which must
+    /// not panic itself.
+    fn plock_after_panic(&self) -> MutexGuard<'_, T>;
 }
 
 impl<T> PoisonLock<T> for Mutex<T> {
     fn plock(&self, what: &'static str) -> MutexGuard<'_, T> {
         self.lock()
             .unwrap_or_else(|_| panic!("{what} lock poisoned: a thread panicked while holding it"))
+    }
+
+    fn plock_after_panic(&self) -> MutexGuard<'_, T> {
+        self.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -52,5 +61,7 @@ mod tests {
         .expect_err("poisoned lock must panic");
         let msg = panic.downcast_ref::<String>().cloned().unwrap_or_default();
         assert!(msg.contains("victim lock poisoned"), "got: {msg}");
+        // The failure path still gets in.
+        assert_eq!(*m.plock_after_panic(), 0);
     }
 }

@@ -194,10 +194,22 @@ fn single_query_engine_trace_reconciles() {
         trace.count_of(EventKind::Steal),
         result.metrics.total_stolen()
     );
-    // The engine path also reports the query's hit count at completion.
-    let complete = trace
-        .events_of(EventKind::QueryComplete)
-        .next()
-        .expect("one completion");
-    assert_eq!(complete.field(FieldKey::Rows), Some(result.hits));
+    // `execute` is a stream of one at MPL 1: its deterministic section is
+    // exactly that stream's, whatever the worker count.
+    let stream = engine.execute_stream(
+        std::slice::from_ref(&bound),
+        &SchedulerConfig {
+            exec: ExecConfig {
+                workers: 1,
+                ..config
+            },
+            max_in_flight: 1,
+        },
+    );
+    let stream_trace = stream.trace.as_ref().expect("tracing enabled");
+    assert_eq!(
+        trace.deterministic_events(),
+        stream_trace.deterministic_events()
+    );
+    assert_eq!(trace.digest(), stream_trace.digest());
 }

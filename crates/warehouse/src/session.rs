@@ -516,6 +516,150 @@ mod tests {
         assert_eq!(io.disks(), 6);
     }
 
+    /// A mix of valid queries and their serial result bits.
+    fn reference(
+        warehouse: &Warehouse,
+        schema: &schema::StarSchema,
+    ) -> Vec<(BoundQuery, u64, Vec<u64>)> {
+        [
+            (QueryType::OneStore, vec![7u64]),
+            (QueryType::OneGroup, vec![4]),
+            (QueryType::OneMonthOneGroup, vec![3, 1]),
+            (QueryType::OneCode, vec![65]),
+            (QueryType::OneQuarter, vec![2]),
+        ]
+        .into_iter()
+        .map(|(t, v)| {
+            let bound = BoundQuery::new(schema, t.to_star_query(schema), v);
+            let serial = warehouse.session().build().execute(&bound);
+            let bits = serial.measure_sums.iter().map(|s| s.to_bits()).collect();
+            (bound, serial.hits, bits)
+        })
+        .collect()
+    }
+
+    /// A query bound against the full APB-1 schema whose store is out of
+    /// range for the scaled-down store, so each of its fragment tasks
+    /// panics in bitmap selection.  Planning succeeds: the store is not a
+    /// fragmentation attribute.  With `one_fragment` the query also pins a
+    /// month and a product group, so it prunes to a single task — which
+    /// panics on one worker while the others carry on.
+    fn panicking_query(one_fragment: bool) -> BoundQuery {
+        let big = schema::apb1::apb1_schema();
+        let attrs: &[&str] = if one_fragment {
+            &["time::month", "product::group", "customer::store"]
+        } else {
+            &["customer::store"]
+        };
+        let shape = mdhf::StarQuery::exact_match(&big, "BAD", attrs);
+        let store = shape.predicates()[attrs.len() - 1].attr.cardinality(&big) - 1;
+        let mut values = vec![0; attrs.len() - 1];
+        values.push(store);
+        BoundQuery::new(&big, shape, values)
+    }
+
+    /// Checks every reference query on `session`, `rounds` times, and once
+    /// more as a stream.
+    fn assert_session_answers(
+        session: &Session<'_>,
+        reference: &[(BoundQuery, u64, Vec<u64>)],
+        rounds: usize,
+    ) {
+        for (bound, hits, bits) in reference.iter().cycle().take(rounds) {
+            let result = session.execute(bound);
+            assert_eq!(result.hits, *hits, "{}", result.query_name);
+            let got: Vec<u64> = result.measure_sums.iter().map(|s| s.to_bits()).collect();
+            assert_eq!(&got, bits, "{}", result.query_name);
+        }
+        let queries: Vec<BoundQuery> = reference.iter().map(|(b, _, _)| b.clone()).collect();
+        let outcome = session.stream(&queries);
+        for (scheduled, (_, hits, bits)) in outcome.queries.iter().zip(reference) {
+            assert_eq!(scheduled.hits, *hits);
+            let got: Vec<u64> = scheduled.measure_sums.iter().map(|s| s.to_bits()).collect();
+            assert_eq!(&got, bits, "{}", scheduled.query_name);
+        }
+    }
+
+    /// Runs `f` on its own thread and fails if it has not finished within
+    /// a minute — a hung pool fails the test instead of the whole suite.
+    fn within_a_minute(f: impl FnOnce() + Send + 'static) {
+        let (done, finished) = std::sync::mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            f();
+            let _ = done.send(());
+        });
+        match finished.recv_timeout(std::time::Duration::from_secs(60)) {
+            Ok(()) => worker.join().expect("test body"),
+            Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
+                // The body panicked: surface its payload.
+                if let Err(payload) = worker.join() {
+                    std::panic::resume_unwind(payload);
+                }
+            }
+            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => panic!("hung for a minute"),
+        }
+    }
+
+    #[test]
+    fn a_panicking_execute_leaves_the_pool_usable() {
+        within_a_minute(|| {
+            let (schema, store) = store();
+            let warehouse = Warehouse::in_memory(store);
+            let reference = reference(&warehouse, &schema);
+            let session = warehouse.session().workers(2).build();
+            let bad = panicking_query(false);
+            let caught =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| session.execute(&bad)));
+            assert!(caught.is_err(), "the caller re-raises the task panic");
+            assert_session_answers(&session, &reference, 100);
+        });
+    }
+
+    #[test]
+    fn a_panicking_stream_query_neither_hangs_nor_kills_the_pool() {
+        within_a_minute(|| {
+            let (schema, store) = store();
+            let warehouse = Warehouse::in_memory(store);
+            let reference = reference(&warehouse, &schema);
+            let session = warehouse
+                .session()
+                .workers(2)
+                .policy(AdmissionPolicy::Concurrent { max_in_flight: 2 })
+                .build();
+            let mut queries: Vec<BoundQuery> =
+                reference.iter().map(|(b, _, _)| b.clone()).collect();
+            queries.insert(2, panicking_query(true));
+            let caught =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| session.stream(&queries)));
+            assert!(caught.is_err(), "the caller re-raises the task panic");
+            assert_session_answers(&session, &reference, 100);
+        });
+    }
+
+    #[test]
+    fn concurrent_callers_share_one_pool_bit_identically() {
+        within_a_minute(|| {
+            let (schema, store) = store();
+            let warehouse = Warehouse::in_memory(store);
+            let reference = reference(&warehouse, &schema);
+            let session = warehouse.session().workers(2).build();
+            std::thread::scope(|scope| {
+                for caller in 0..4 {
+                    let (session, reference) = (&session, &reference);
+                    scope.spawn(move || {
+                        for (bound, hits, bits) in reference.iter().cycle().skip(caller).take(50) {
+                            let result = session.execute(bound);
+                            assert_eq!(result.hits, *hits);
+                            let got: Vec<u64> =
+                                result.measure_sums.iter().map(|s| s.to_bits()).collect();
+                            assert_eq!(&got, bits, "caller {caller}: {}", result.query_name);
+                        }
+                    });
+                }
+            });
+        });
+    }
+
     #[test]
     fn open_surfaces_typed_errors() {
         let missing = Warehouse::open("/nonexistent/definitely/absent.fgmt");
