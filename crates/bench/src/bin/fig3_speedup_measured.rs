@@ -89,15 +89,14 @@ fn main() {
     let mut four_worker_metrics: Option<ExecMetrics> = None;
     for &workers in worker_counts {
         let metrics = best_of(repeats, || {
+            let config = RunConfig {
+                workers,
+                ..RunConfig::default()
+            };
             engine
-                .execute_plan(
-                    &plan,
-                    &ExecConfig {
-                        workers,
-                        ..ExecConfig::default()
-                    },
-                )
+                .run(std::slice::from_ref(&plan), &config, None)
                 .metrics
+                .pool
         });
         if workers == 4 {
             four_worker_metrics = Some(metrics.clone());

@@ -42,9 +42,13 @@ fn measure(
     workers: usize,
     mpl: usize,
 ) -> ThroughputMetrics {
-    engine
-        .execute_stream(queries, &SchedulerConfig::new(workers, mpl))
-        .metrics
+    let plans: Vec<QueryPlan> = queries.iter().map(|q| engine.plan(q)).collect();
+    let config = RunConfig {
+        workers,
+        mpl,
+        ..RunConfig::default()
+    };
+    engine.run(&plans, &config, None).metrics
 }
 
 fn main() {

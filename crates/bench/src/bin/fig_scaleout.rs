@@ -124,6 +124,7 @@ fn main() {
                 QueryType::OneGroupOneStore,
             ],
         );
+        let plans: Vec<QueryPlan> = queries.iter().map(|q| engine.plan(q)).collect();
         let mut reference: Option<Vec<(u64, Vec<u64>)>> = None;
         for &nodes in &node_axis {
             for (strategy, shared_nothing) in [
@@ -133,14 +134,14 @@ fn main() {
                 let placement = NodePlacement::new(nodes, disks_per_node, strategy);
                 for &mpl in mpl_axis {
                     let io = IoConfig::with_nodes(placement).cache(4_096);
-                    let metrics = engine
-                        .execute_stream(
-                            &queries,
-                            &SchedulerConfig::new(workers, mpl)
-                                .with_placement(*placement.allocation())
-                                .with_io(io),
-                        )
-                        .metrics;
+                    let config = RunConfig {
+                        workers,
+                        mpl,
+                        placement: Some(*placement.allocation()),
+                        io: Some(io),
+                        ..RunConfig::default()
+                    };
+                    let metrics = engine.run(&plans, &config, None).metrics;
                     let io_metrics = metrics.pool.io.as_ref().expect("I/O metrics");
                     let (predicted, predicted_shares) =
                         predicted_node_imbalance(&engine, &queries, &placement, &io, rows_per_page);
@@ -222,12 +223,14 @@ fn main() {
                 // GATE 3 (bit-identity): every query's result is identical
                 // across node counts and strategies — compare against the
                 // 1-node shared-disk reference of this θ.
-                let outcome = engine.execute_stream(
-                    &queries,
-                    &SchedulerConfig::new(workers, mpl_axis[0])
-                        .with_placement(*placement.allocation())
-                        .with_io(IoConfig::with_nodes(placement).cache(4_096)),
-                );
+                let config = RunConfig {
+                    workers,
+                    mpl: mpl_axis[0],
+                    placement: Some(*placement.allocation()),
+                    io: Some(IoConfig::with_nodes(placement).cache(4_096)),
+                    ..RunConfig::default()
+                };
+                let outcome = engine.run(&plans, &config, None);
                 let bits: Vec<(u64, Vec<u64>)> = outcome
                     .queries
                     .iter()

@@ -124,8 +124,16 @@ fn main() {
             stream_len,
             &[QueryType::OneMonthOneGroup, QueryType::OneCode],
         );
+        let plans: Vec<QueryPlan> = queries.iter().map(|q| engine.plan(q)).collect();
         for &disks in disks_axis {
             let allocation = PhysicalAllocation::round_robin(disks);
+            let placed = |workers, io| RunConfig {
+                workers,
+                mpl,
+                placement: Some(allocation),
+                io: Some(io),
+                ..RunConfig::default()
+            };
             let (predicted_imbalance, predicted_cold) = predicted_imbalances(
                 &engine,
                 &queries,
@@ -135,28 +143,15 @@ fn main() {
 
             // The uncached reference: every scan hits the platter, so the
             // hot fragments' repeat scans pile onto their disks.
-            let nocache = engine
-                .execute_stream(
-                    &queries,
-                    &SchedulerConfig::new(4, mpl)
-                        .with_placement(allocation)
-                        .with_io(IoConfig::with_allocation(allocation).cache(0)),
-                )
-                .metrics;
+            let nocache_io = IoConfig::with_allocation(allocation).cache(0);
+            let nocache = engine.run(&plans, &placed(4, nocache_io), None).metrics;
             let nocache_imbalance = nocache.pool.disk_imbalance();
 
             for &workers in workers_axis {
                 let io = IoConfig::with_allocation(allocation)
                     .cache(4_096)
                     .throttle(throttle_ns);
-                let metrics = engine
-                    .execute_stream(
-                        &queries,
-                        &SchedulerConfig::new(workers, mpl)
-                            .with_placement(allocation)
-                            .with_io(io),
-                    )
-                    .metrics;
+                let metrics = engine.run(&plans, &placed(workers, io), None).metrics;
                 let io_metrics = metrics.pool.io.as_ref().expect("I/O metrics");
                 let qps = metrics.queries_per_sec();
                 let latency_mean_ms = metrics.latency_mean().as_secs_f64() * 1e3;
@@ -230,14 +225,7 @@ fn main() {
                     if !by_io {
                         io = io.steal_by_queue_len();
                     }
-                    let metrics = engine
-                        .execute_stream(
-                            &queries,
-                            &SchedulerConfig::new(4, mpl)
-                                .with_placement(allocation)
-                                .with_io(io),
-                        )
-                        .metrics;
+                    let metrics = engine.run(&plans, &placed(4, io), None).metrics;
                     steal_ab.push((by_io, metrics.pool.load_imbalance(), metrics.steal_rate()));
                 }
             }

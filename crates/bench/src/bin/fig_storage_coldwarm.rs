@@ -167,7 +167,7 @@ fn main() {
     // In-memory reference results — the file-backed passes must reproduce
     // these bit for bit.
     let memory_engine = StarJoinEngine::new(store);
-    let serial = ExecConfig::serial();
+    let serial = RunConfig::serial();
     let expected: Vec<QueryResult> = queries
         .iter()
         .map(|q| memory_engine.execute(q, &serial))
@@ -179,20 +179,20 @@ fn main() {
     // the cold pass into the warm one.
     let io_config = IoConfig::with_disks(4).cache(FileStoreOptions::default().cache_pages);
     let sim_io = SimulatedIo::new(io_config, &schema);
-    let sim_config = ExecConfig {
+    let sim_config = RunConfig {
         workers,
-        ..ExecConfig::default()
+        ..RunConfig::default()
     };
-    for query in &queries {
-        let plan = memory_engine.plan(query);
-        let _ = memory_engine.execute_plan_with_io(&plan, &sim_config, &sim_io);
-    }
+    let plans: Vec<QueryPlan> = queries.iter().map(|q| memory_engine.plan(q)).collect();
+    let sim_pass = || {
+        for plan in &plans {
+            let _ = memory_engine.run(std::slice::from_ref(plan), &sim_config, Some(&sim_io));
+        }
+    };
+    sim_pass();
     let sim_cold = sim_io.metrics();
     let predicted_cold_io_ms = sim_cold.elapsed_ms;
-    for query in &queries {
-        let plan = memory_engine.plan(query);
-        let _ = memory_engine.execute_plan_with_io(&plan, &sim_config, &sim_io);
-    }
+    sim_pass();
     let sim_total = sim_io.metrics();
     let sim_cold_hit_rate = sim_cold.cache_hit_rate();
     let warm_hits: u64 = sim_total.cache.hits - sim_cold.cache.hits;

@@ -33,19 +33,20 @@ use warehouse::prelude::*;
 /// One traced run of the stream.
 fn run(
     engine: &StarJoinEngine,
-    queries: &[BoundQuery],
+    plans: &[QueryPlan],
     workers: usize,
     mpl: usize,
     disks: u64,
 ) -> StreamOutcome {
     let allocation = PhysicalAllocation::round_robin(disks);
-    engine.execute_stream(
-        queries,
-        &SchedulerConfig::new(workers, mpl)
-            .with_placement(allocation)
-            .with_io(IoConfig::with_allocation(allocation).cache(4_096))
-            .with_obs(ObsConfig::enabled()),
-    )
+    let config = RunConfig {
+        workers,
+        mpl,
+        placement: Some(allocation),
+        io: Some(IoConfig::with_allocation(allocation).cache(4_096)),
+        obs: ObsConfig::enabled(),
+    };
+    engine.run(plans, &config, None)
 }
 
 /// Asserts every trace-derived total reconciles *exactly* with the run's
@@ -226,6 +227,7 @@ fn main() {
         stream_len,
         &[QueryType::OneMonthOneGroup, QueryType::OneCode],
     );
+    let plans: Vec<QueryPlan> = queries.iter().map(|q| engine.plan(q)).collect();
     println!(
         "Deterministic trace timeline: Zipf(θ={theta}) stream, {disks} disks, {workers} workers"
     );
@@ -244,7 +246,7 @@ fn main() {
     );
     let mut reference: Option<StreamOutcome> = None;
     for &mpl in mpl_axis {
-        let outcome = run(&engine, &queries, workers, mpl, disks);
+        let outcome = run(&engine, &plans, workers, mpl, disks);
         let digest = assert_reconciles(&outcome, &format!("mpl {mpl}"));
         let trace = outcome.trace.as_ref().expect("tracing enabled");
         let io = outcome.metrics.pool.io.as_ref().expect("I/O metrics");
@@ -274,7 +276,7 @@ fn main() {
     // the simulated-clock section must not).
     let reference_events = reference_trace.deterministic_events();
     for rerun_workers in [workers, 1, 2, 8] {
-        let again = run(&engine, &queries, rerun_workers, reference_mpl, disks);
+        let again = run(&engine, &plans, rerun_workers, reference_mpl, disks);
         assert_reconciles(&again, &format!("{rerun_workers}-worker re-run"));
         let trace = again.trace.as_ref().expect("tracing enabled");
         assert_eq!(

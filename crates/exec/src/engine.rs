@@ -3,24 +3,25 @@
 //! [`StarJoinEngine`] executes planned queries over a [`ScanSource`] on a
 //! persistent pool: the calling thread works as worker 0 next to up to
 //! `workers − 1` long-lived helper threads, spawned on first need and
-//! joined on drop.  [`StarJoinEngine::execute`] is the
-//! [`crate::scheduler`]'s stream of one query at MPL 1 — one execution
-//! path, the physical counterpart of the paper's dynamic assignment of
-//! fragment subqueries to processing elements.  Each worker evaluates its
-//! fragments' bitmap predicates — staying in the *compressed domain*
-//! ([`bitmap::WahBitmap::and_many`]) when every selection bitmap is
-//! WAH-compressed, falling back to an allocation-free plain intersection
-//! ([`bitmap::Bitmap::and_assign_many`]) otherwise — aggregates partial
-//! sums, and the per-fragment partials are merged *in plan order*, so the
-//! floating-point result is **bit-identical for every worker count and
-//! every representation policy**.
+//! joined on drop.  [`StarJoinEngine::run`] is the one execution path (see
+//! [`crate::scheduler`]): a stream of plans admitted under the
+//! [`RunConfig::mpl`] limit, the physical counterpart of the paper's
+//! dynamic assignment of fragment subqueries to processing elements; a
+//! single query is a stream of one ([`StarJoinEngine::execute`]).  Each
+//! worker evaluates its fragments' bitmap predicates — staying in the
+//! *compressed domain* when every selection bitmap is WAH- or
+//! Roaring-compressed, falling back to an allocation-free plain
+//! intersection otherwise ([`bitmap::BitmapRepr::and_many_owned`]) —
+//! aggregates partial sums, and the per-fragment partials are merged *in
+//! plan order*, so the floating-point result is **bit-identical for every
+//! worker count, MPL and representation policy**.
 //!
-//! When an [`ExecConfig::placement`] is set, each worker's initial deque
+//! When a [`RunConfig::placement`] is set, each worker's initial deque
 //! chunk follows the physical allocation's disk-affinity order
 //! ([`PhysicalAllocation::subquery_disks`]) instead of naive fragment
 //! order, so the pool starts on placement-aligned partitions.
 //!
-//! When an [`ExecConfig::io`] is set, every fragment scan is charged
+//! When a [`RunConfig::io`] is set, every fragment scan is charged
 //! against the simulated disk subsystem ([`crate::io::SimulatedIo`]) —
 //! deterministically, in plan order — and each task's simulated I/O time
 //! becomes its steal weight (and, with a throttle, a real wall-clock
@@ -36,47 +37,52 @@ use bitmap::BitmapRepr;
 use obs::{ObsConfig, Trace};
 use workload::BoundQuery;
 
-use crate::io::{IoConfig, SimulatedIo};
+use crate::io::IoConfig;
 use crate::metrics::ExecMetrics;
 use crate::plan::{PredicateBinding, QueryPlan};
 use crate::pool::WorkerPool;
-use crate::scheduler::{QueryScheduler, SchedulerConfig, StreamOutcome};
+use crate::scheduler::StreamOutcome;
 use crate::source::ScanSource;
 use crate::store::{ColumnarFragment, FragmentStore};
 
-/// Worker-pool configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ExecConfig {
+/// The configuration of one run: pool size, admission limit, placement,
+/// simulated I/O and tracing.  The default runs on the machine's available
+/// parallelism, one query at a time, placement-unaware, with the I/O layer
+/// and tracing off.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct RunConfig {
     /// Number of workers — the calling thread plus helpers of the engine's
     /// persistent pool; `0` resolves to the machine's available parallelism.
     pub workers: usize,
-    /// Optional physical allocation: when set, worker queues are seeded in
-    /// disk-affinity order rather than naive fragment order.  Never affects
-    /// results, only the initial work partition.
+    /// Admission-control limit: the maximum number of queries decomposed
+    /// into tasks at any time (the multi-programming level).  `0` is
+    /// clamped to 1, the single-user regime.
+    pub mpl: usize,
+    /// Optional physical allocation: when set, each admitted query's tasks
+    /// are seeded in disk-affinity order rather than naive fragment order.
+    /// Never affects results, only the initial work partition.
     pub placement: Option<PhysicalAllocation>,
     /// Optional simulated disk subsystem: when set, fragment scans charge
     /// simulated I/O, tasks are steal-weighted by it, and
     /// [`ExecMetrics::io`] reports per-disk and cache statistics.  One
-    /// fresh subsystem is built per executed plan; use
-    /// [`StarJoinEngine::execute_plan_with_io`] to share cache state
-    /// across queries.  Never
-    /// affects results, only cost accounting (and wall time when a
-    /// throttle is configured).
+    /// fresh subsystem serves each run unless [`StarJoinEngine::run`] is
+    /// handed an existing one.  Never affects results, only cost
+    /// accounting (and wall time when a throttle is configured).
     pub io: Option<IoConfig>,
     /// Deterministic tracing: when enabled, the run records typed events
     /// (query lifecycle, scans, disk service, per-worker task runs) into a
-    /// bounded ring and returns them as [`QueryResult::trace`].  Never
+    /// bounded ring and returns them as [`StreamOutcome::trace`].  Never
     /// affects results or metrics; disabled is zero-cost.
     pub obs: ObsConfig,
 }
 
-impl ExecConfig {
+impl RunConfig {
     /// The serial (1-worker) configuration — the speedup baseline.
     #[must_use]
     pub fn serial() -> Self {
-        ExecConfig {
+        RunConfig {
             workers: 1,
-            ..ExecConfig::default()
+            ..RunConfig::default()
         }
     }
 
@@ -104,17 +110,11 @@ impl ExecConfig {
     pub fn pool_size(&self, tasks: usize) -> usize {
         self.resolved_workers().min(tasks).max(1)
     }
-}
 
-impl Default for ExecConfig {
-    /// Defaults to the machine's available parallelism, placement-unaware.
-    fn default() -> Self {
-        ExecConfig {
-            workers: 0,
-            placement: None,
-            io: None,
-            obs: ObsConfig::default(),
-        }
+    /// The effective multi-programming level: `mpl`, at least 1.
+    #[must_use]
+    pub fn resolved_mpl(&self) -> usize {
+        self.mpl.max(1)
     }
 }
 
@@ -130,8 +130,24 @@ pub struct QueryResult {
     pub measure_sums: Vec<f64>,
     /// Execution metrics (per-worker accounting, wall clock).
     pub metrics: ExecMetrics,
-    /// The recorded trace when [`ExecConfig::obs`] was enabled.
+    /// The recorded trace when [`RunConfig::obs`] was enabled.
     pub trace: Option<Trace>,
+}
+
+impl From<StreamOutcome> for QueryResult {
+    /// A stream of one as that query's result, with the run's pool metrics
+    /// and trace.  Of a longer stream only the first query's answer is
+    /// kept; an empty stream reads as no hits.
+    fn from(outcome: StreamOutcome) -> Self {
+        let query = outcome.queries.into_iter().next().unwrap_or_default();
+        QueryResult {
+            query_name: query.query_name,
+            hits: query.hits,
+            measure_sums: query.measure_sums,
+            metrics: outcome.metrics.pool,
+            trace: outcome.trace,
+        }
+    }
 }
 
 /// Partial aggregate of one fragment, tagged with its plan position so the
@@ -217,70 +233,11 @@ impl StarJoinEngine {
         QueryPlan::new(self.source.schema(), self.source.fragmentation(), bound)
     }
 
-    /// Plans and executes `bound` on `config`'s worker pool.
+    /// Plans and runs `bound` alone: [`Self::run`] on a stream of one.
     #[must_use]
-    pub fn execute(&self, bound: &BoundQuery, config: &ExecConfig) -> QueryResult {
-        let plan = self.plan(bound);
-        self.execute_plan(&plan, config)
-    }
-
-    /// Plans and executes `bound` serially — the speedup baseline.
-    #[must_use]
-    pub fn execute_serial(&self, bound: &BoundQuery) -> QueryResult {
-        self.execute(bound, &ExecConfig::serial())
-    }
-
-    /// Executes an existing plan as a stream of one at MPL 1 on
-    /// `config.pool_size(fragments)` workers — a pruned Q1 query on one
-    /// fragment runs inline on the calling thread.  With [`ExecConfig::io`]
-    /// set, the plan is charged against a fresh simulated disk subsystem
-    /// first.  A task's panic is re-raised on the calling thread.
-    #[must_use]
-    pub fn execute_plan(&self, plan: &QueryPlan, config: &ExecConfig) -> QueryResult {
-        self.execute_one(plan, config, None)
-    }
-
-    /// Executes a plan charging its fragment scans against an *existing*
-    /// simulated disk subsystem, so cache and arm state persist across
-    /// queries (the repeated-scan / warm-cache experiments).  The returned
-    /// [`ExecMetrics::io`] snapshot is cumulative over `io`'s lifetime.
-    #[must_use]
-    pub fn execute_plan_with_io(
-        &self,
-        plan: &QueryPlan,
-        config: &ExecConfig,
-        io: &SimulatedIo,
-    ) -> QueryResult {
-        self.execute_one(plan, config, Some(io))
-    }
-
-    /// The stream of one behind every single-query entry point.
-    fn execute_one(
-        &self,
-        plan: &QueryPlan,
-        config: &ExecConfig,
-        io: Option<&SimulatedIo>,
-    ) -> QueryResult {
-        let scheduler = QueryScheduler::new(
-            self,
-            SchedulerConfig {
-                exec: *config,
-                max_in_flight: 1,
-            },
-        );
-        let StreamOutcome {
-            queries,
-            metrics,
-            trace,
-        } = scheduler.run_plans(std::slice::from_ref(plan), io);
-        let [query] = <[_; 1]>::try_from(queries).expect("a stream of one yields one result");
-        QueryResult {
-            query_name: query.query_name,
-            hits: query.hits,
-            measure_sums: query.measure_sums,
-            metrics: metrics.pool,
-            trace,
-        }
+    pub fn execute(&self, bound: &BoundQuery, config: &RunConfig) -> QueryResult {
+        self.run(std::slice::from_ref(&self.plan(bound)), config, None)
+            .into()
     }
 }
 
@@ -422,7 +379,7 @@ mod tests {
             (QueryType::OneGroupOneStore, vec![4, 11]),
         ] {
             let bound = BoundQuery::new(&schema, query_type.to_star_query(&schema), values);
-            let result = engine.execute_serial(&bound);
+            let result = engine.execute(&bound, &RunConfig::serial());
             let (expected_hits, expected_sums) = brute_force(&schema, &bound);
             assert_eq!(result.hits, expected_hits, "{}", result.query_name);
             for (got, want) in result.measure_sums.iter().zip(&expected_sums) {
@@ -444,13 +401,13 @@ mod tests {
             (QueryType::OneCodeOneQuarter, vec![31, 3]),
         ] {
             let bound = BoundQuery::new(&schema, query_type.to_star_query(&schema), values);
-            let serial = engine.execute_serial(&bound);
+            let serial = engine.execute(&bound, &RunConfig::serial());
             for workers in [2usize, 3, 4, 8] {
                 let parallel = engine.execute(
                     &bound,
-                    &ExecConfig {
+                    &RunConfig {
                         workers,
-                        ..ExecConfig::default()
+                        ..RunConfig::default()
                     },
                 );
                 assert_eq!(parallel.hits, serial.hits);
@@ -473,9 +430,9 @@ mod tests {
         let bound = BoundQuery::new(&schema, QueryType::OneStore.to_star_query(&schema), vec![0]);
         let result = engine.execute(
             &bound,
-            &ExecConfig {
+            &RunConfig {
                 workers: 4,
-                ..ExecConfig::default()
+                ..RunConfig::default()
             },
         );
         assert_eq!(result.metrics.worker_count(), 4);
@@ -505,54 +462,64 @@ mod tests {
         );
         let plan = engine.plan(&bound);
         assert!(plan.bitmap_predicates().is_empty());
-        let result = engine.execute_plan(&plan, &ExecConfig::serial());
+        let result = engine.execute(&bound, &RunConfig::serial());
         let fragment = engine.store().fragment(plan.fragments()[0]);
         assert_eq!(result.hits, fragment.len() as u64);
     }
 
     #[test]
     fn config_resolution() {
-        assert_eq!(ExecConfig::serial().resolved_workers(), 1);
+        assert_eq!(RunConfig::serial().resolved_workers(), 1);
         assert_eq!(
-            ExecConfig {
+            RunConfig {
                 workers: 6,
-                ..ExecConfig::default()
+                ..RunConfig::default()
             }
             .resolved_workers(),
             6
         );
-        assert!(ExecConfig::default().resolved_workers() >= 1);
+        assert!(RunConfig::default().resolved_workers() >= 1);
         // The shared pool-sizing rule: clamped to the task count, never 0.
         assert_eq!(
-            ExecConfig {
+            RunConfig {
                 workers: 8,
-                ..ExecConfig::default()
+                ..RunConfig::default()
             }
             .pool_size(3),
             3
         );
         assert_eq!(
-            ExecConfig {
+            RunConfig {
                 workers: 2,
-                ..ExecConfig::default()
+                ..RunConfig::default()
             }
             .pool_size(100),
             2
         );
         assert_eq!(
-            ExecConfig {
+            RunConfig {
                 workers: 5,
-                ..ExecConfig::default()
+                ..RunConfig::default()
             }
             .pool_size(0),
             1
         );
-        assert!(ExecConfig::default().pool_size(64) >= 1);
-        assert_eq!(ExecConfig::default().placement, None);
-        let placed = ExecConfig {
+        assert!(RunConfig::default().pool_size(64) >= 1);
+        // The one MPL clamp: 0 admits one query at a time.
+        assert_eq!(RunConfig::default().resolved_mpl(), 1);
+        assert_eq!(
+            RunConfig {
+                mpl: 3,
+                ..RunConfig::default()
+            }
+            .resolved_mpl(),
+            3
+        );
+        assert_eq!(RunConfig::default().placement, None);
+        let placed = RunConfig {
             workers: 2,
             placement: Some(PhysicalAllocation::round_robin(8)),
-            ..ExecConfig::default()
+            ..RunConfig::default()
         };
         assert_eq!(placed.placement, Some(PhysicalAllocation::round_robin(8)));
     }
@@ -579,17 +546,17 @@ mod tests {
         // Seeding never changes the result bits.
         let baseline = engine.execute(
             &bound,
-            &ExecConfig {
+            &RunConfig {
                 workers: 4,
-                ..ExecConfig::default()
+                ..RunConfig::default()
             },
         );
         let placed = engine.execute(
             &bound,
-            &ExecConfig {
+            &RunConfig {
                 workers: 4,
                 placement: Some(placement),
-                ..ExecConfig::default()
+                ..RunConfig::default()
             },
         );
         assert_eq!(placed.hits, baseline.hits);
@@ -612,7 +579,7 @@ mod tests {
         let engine = StarJoinEngine::new(store);
         // 1STORE hits the simple customer index: all selections compressed.
         let bound = BoundQuery::new(&schema, QueryType::OneStore.to_star_query(&schema), vec![7]);
-        let result = engine.execute_serial(&bound);
+        let result = engine.execute(&bound, &RunConfig::serial());
         assert_eq!(
             result.metrics.total_compressed(),
             result.metrics.total_fragments()
@@ -620,7 +587,7 @@ mod tests {
 
         // The adaptive default store returns identical bits either way.
         let adaptive = StarJoinEngine::new(FragmentStore::build(&schema, &fragmentation, 2024));
-        let adaptive_result = adaptive.execute_serial(&bound);
+        let adaptive_result = adaptive.execute(&bound, &RunConfig::serial());
         assert_eq!(adaptive_result.hits, result.hits);
         let a: Vec<u64> = adaptive_result
             .measure_sums
@@ -646,7 +613,7 @@ mod tests {
         // 1STORE hits the simple customer index: all selections compressed,
         // and the homogeneous roaring operands stay in the roaring domain.
         let bound = BoundQuery::new(&schema, QueryType::OneStore.to_star_query(&schema), vec![7]);
-        let result = engine.execute_serial(&bound);
+        let result = engine.execute(&bound, &RunConfig::serial());
         assert_eq!(
             result.metrics.total_compressed(),
             result.metrics.total_fragments()
@@ -663,7 +630,7 @@ mod tests {
                 2024,
                 policy,
             ));
-            let other_result = other.execute_serial(&bound);
+            let other_result = other.execute(&bound, &RunConfig::serial());
             assert_eq!(other_result.hits, result.hits);
             let a: Vec<u64> = other_result
                 .measure_sums
@@ -681,9 +648,9 @@ mod tests {
         let bound = BoundQuery::new(&schema, QueryType::OneStore.to_star_query(&schema), vec![7]);
         let baseline = engine.execute(
             &bound,
-            &ExecConfig {
+            &RunConfig {
                 workers: 4,
-                ..ExecConfig::default()
+                ..RunConfig::default()
             },
         );
         assert!(baseline.metrics.io.is_none());
@@ -691,10 +658,10 @@ mod tests {
         let io = crate::io::IoConfig::with_disks(10).cache(256);
         let with_io = engine.execute(
             &bound,
-            &ExecConfig {
+            &RunConfig {
                 workers: 4,
                 io: Some(io),
-                ..ExecConfig::default()
+                ..RunConfig::default()
             },
         );
         assert_eq!(with_io.hits, baseline.hits);
@@ -719,10 +686,10 @@ mod tests {
     fn io_charging_is_deterministic_for_identical_configs() {
         let (schema, engine) = engine();
         let bound = BoundQuery::new(&schema, QueryType::OneCode.to_star_query(&schema), vec![65]);
-        let config = ExecConfig {
+        let config = RunConfig {
             workers: 3,
             io: Some(crate::io::IoConfig::with_disks(7).cache(128)),
-            ..ExecConfig::default()
+            ..RunConfig::default()
         };
         let a = engine.execute(&bound, &config);
         let b = engine.execute(&bound, &config);
@@ -734,19 +701,20 @@ mod tests {
         let (schema, engine) = engine();
         let bound = BoundQuery::new(&schema, QueryType::OneMonth.to_star_query(&schema), vec![3]);
         let plan = engine.plan(&bound);
-        let config = ExecConfig {
+        let config = RunConfig {
             workers: 2,
-            ..ExecConfig::default()
+            ..RunConfig::default()
         };
         let io = crate::io::SimulatedIo::new(
             crate::io::IoConfig::with_disks(4).cache(100_000),
             engine.store().schema(),
         );
-        let cold = engine.execute_plan_with_io(&plan, &config, &io);
-        let warm = engine.execute_plan_with_io(&plan, &config, &io);
-        assert_eq!(warm.hits, cold.hits);
-        let cold_io = cold.metrics.io.unwrap();
-        let warm_io = warm.metrics.io.unwrap();
+        let plans = std::slice::from_ref(&plan);
+        let cold = engine.run(plans, &config, Some(&io));
+        let warm = engine.run(plans, &config, Some(&io));
+        assert_eq!(warm.queries[0].hits, cold.queries[0].hits);
+        let cold_io = cold.metrics.pool.io.unwrap();
+        let warm_io = warm.metrics.pool.io.unwrap();
         // The second pass found every page in the shared cache: cumulative
         // pages read did not grow and the hit rate jumped.
         assert_eq!(warm_io.total_pages_read(), cold_io.total_pages_read());
@@ -770,7 +738,7 @@ mod tests {
                 QueryType::OneMonthOneGroup.to_star_query(&schema),
                 vec![coords.0[0], coords.0[1]],
             );
-            let result = engine.execute_serial(&bound);
+            let result = engine.execute(&bound, &RunConfig::serial());
             assert_eq!(result.hits, 0);
             assert!(result.measure_sums.iter().all(|&s| s == 0.0));
         }
@@ -853,9 +821,9 @@ mod prop_tests {
                 .collect();
             let bound = BoundQuery::new(&schema, shape, values);
 
-            let serial = engine.execute(&bound, &ExecConfig { workers: 1, ..ExecConfig::default() });
+            let serial = engine.execute(&bound, &RunConfig { workers: 1, ..RunConfig::default() });
             for workers in [2usize, 8] {
-                let parallel = engine.execute(&bound, &ExecConfig { workers, ..ExecConfig::default() });
+                let parallel = engine.execute(&bound, &RunConfig { workers, ..RunConfig::default() });
                 prop_assert_eq!(parallel.hits, serial.hits);
                 let serial_bits: Vec<u64> =
                     serial.measure_sums.iter().map(|s| s.to_bits()).collect();
@@ -903,10 +871,10 @@ mod prop_tests {
             let bound = BoundQuery::new(&schema, shape, values);
 
             let io = crate::io::IoConfig::with_disks(disks).cache(cache_pages);
-            let serial = engine.execute(&bound, &ExecConfig { workers: 1, io: Some(io), ..ExecConfig::default() });
+            let serial = engine.execute(&bound, &RunConfig { workers: 1, io: Some(io), ..RunConfig::default() });
             for workers in [2usize, 8] {
                 let parallel =
-                    engine.execute(&bound, &ExecConfig { workers, io: Some(io), ..ExecConfig::default() });
+                    engine.execute(&bound, &RunConfig { workers, io: Some(io), ..RunConfig::default() });
                 prop_assert_eq!(parallel.hits, serial.hits);
                 let serial_bits: Vec<u64> =
                     serial.measure_sums.iter().map(|s| s.to_bits()).collect();

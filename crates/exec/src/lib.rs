@@ -14,39 +14,39 @@
 //! * [`FragmentStore`] materialises a (scaled-down) fact table, partitions it
 //!   under a [`mdhf::Fragmentation`] and builds *fragment-aligned* bitmap
 //!   join indices per fragment, each bitmap stored in its
-//!   [`bitmap::RepresentationPolicy`]-chosen representation (plain or
-//!   WAH-compressed; adaptive by default),
+//!   [`bitmap::RepresentationPolicy`]-chosen representation (plain, WAH or
+//!   Roaring; adaptive by default); [`FileStore`] serves the same fragments
+//!   from a persistent `FGMT` file,
 //! * [`QueryPlan`] prunes the fragment list via the MDHF classifier and
 //!   annotates which predicates still need bitmap access,
-//! * [`StarJoinEngine`] executes plans on a persistent worker pool — the
-//!   calling thread plus long-lived helper threads over work-stealing
-//!   deques (the paper's dynamic load balancing across processing
-//!   elements), optionally seeded in [`allocation::PhysicalAllocation`]
-//!   disk-affinity order — with per-worker bitmap-AND selection
-//!   (compressed-domain when every selection bitmap is compressed) and
-//!   partial aggregation, and a deterministic merge — parallel results are
-//!   bit-identical to serial ones under every representation policy,
+//! * [`StarJoinEngine::run`] is the one execution path: a stream of plans
+//!   is admitted under the [`RunConfig::mpl`] limit onto a *single shared*
+//!   persistent worker pool — the calling thread plus long-lived helper
+//!   threads over work-stealing deques (the paper's dynamic load balancing
+//!   across processing elements), optionally seeded in
+//!   [`allocation::PhysicalAllocation`] disk-affinity order.  Tasks from
+//!   all in-flight queries interleave (tagged with query id and disk
+//!   affinity); each worker runs bitmap-AND selection (compressed-domain
+//!   when every selection bitmap is compressed) and partial aggregation,
+//!   and each query's partials are merged deterministically — results are
+//!   bit-identical to the serial run for every worker count, MPL and
+//!   representation policy.  The single-user mode is the same run at
+//!   MPL 1, and [`StarJoinEngine::execute`] a stream of one query,
 //! * [`ExecMetrics`] reports per-worker accounting and wall-clock speedup,
-//! * [`SimulatedIo`] (optional, [`ExecConfig::io`]) charges every
+//!   [`ThroughputMetrics`] queries/sec, the latency distribution,
+//!   utilisation, steals and the disk-affinity hit rate,
+//! * [`SimulatedIo`] (optional, [`RunConfig::io`]) charges every
 //!   fragment scan against per-disk FIFO service queues (track-based seek +
 //!   transfer costs) behind a shared LRU page cache, on a deterministic
 //!   [`DiskClock`] — fragments finally *cost* something to read, steal
 //!   victims are weighted by remaining simulated I/O (the skew-resilience
 //!   path), and [`IoMetrics`] reports per-disk utilisation, queue depth and
-//!   cache hit rates,
-//! * [`QueryScheduler`] is the one execution path: a stream of bound
-//!   queries is admitted under an MPL limit onto a *single shared*
-//!   work-stealing pool, tasks from all in-flight queries interleave
-//!   (tagged with query id and disk affinity), each query's result is
-//!   merged deterministically (bit-identical to its serial run) and
-//!   [`ThroughputMetrics`] reports queries/sec, the latency distribution,
-//!   utilisation, steals and the disk-affinity hit rate.  A single
-//!   [`StarJoinEngine::execute`] is a stream of one query at MPL 1.
+//!   cache hit rates.
 //!
 //! # Quick start
 //!
 //! ```
-//! use exec::{ExecConfig, FragmentStore, SchedulerConfig, StarJoinEngine};
+//! use exec::{FragmentStore, RunConfig, StarJoinEngine};
 //! use mdhf::Fragmentation;
 //! use workload::{BoundQuery, QueryType};
 //!
@@ -59,18 +59,19 @@
 //! // the caller and a helper of the engine's persistent pool.
 //! let query = QueryType::OneGroup.to_star_query(&schema);
 //! let bound = BoundQuery::new(&schema, query, vec![1]);
-//! assert!(engine.plan(&bound).fragments().len() > 1);
+//! let plan = engine.plan(&bound);
+//! assert!(plan.fragments().len() > 1);
 //!
-//! let serial = engine.execute_serial(&bound);
-//! let config = ExecConfig { workers: 2, ..ExecConfig::default() };
+//! let serial = engine.execute(&bound, &RunConfig::serial());
+//! let config = RunConfig { workers: 2, ..RunConfig::default() };
 //! let parallel = engine.execute(&bound, &config);
 //! assert_eq!(serial.hits, parallel.hits);
 //! assert_eq!(serial.measure_sums, parallel.measure_sums); // bit-identical
 //!
-//! // `execute` is a stream of one query at MPL 1.
-//! let one = SchedulerConfig { exec: config, max_in_flight: 1 };
-//! let stream = engine.execute_stream(std::slice::from_ref(&bound), &one);
-//! assert_eq!(stream.queries[0].measure_sums, parallel.measure_sums);
+//! // `execute` is `run` on a stream of one; MPL 4 admits up to four
+//! // queries at a time onto the same two workers.
+//! let stream = engine.run(&[plan.clone(), plan], &RunConfig { mpl: 4, ..config }, None);
+//! assert_eq!(stream.queries[1].measure_sums, parallel.measure_sums);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -88,7 +89,7 @@ pub mod source;
 pub mod store;
 mod sync;
 
-pub use engine::{ExecConfig, QueryResult, StarJoinEngine};
+pub use engine::{QueryResult, RunConfig, StarJoinEngine};
 pub use file::{
     write_store, FileIoMetrics, FileStore, FileStoreOptions, StorageError, FORMAT_VERSION,
     PAGE_SIZE,
@@ -99,6 +100,6 @@ pub use io::{
 pub use metrics::{ExecMetrics, ThroughputMetrics, WorkerMetrics};
 pub use obs::ObsConfig;
 pub use plan::{PredicateBinding, QueryPlan};
-pub use scheduler::{QueryScheduler, ScheduledQuery, SchedulerConfig, StreamOutcome};
+pub use scheduler::{ScheduledQuery, StreamOutcome};
 pub use source::{FragmentRef, ScanSource};
 pub use store::{ColumnarFragment, FragmentStore};

@@ -1,30 +1,31 @@
-//! The concurrent multi-query scheduler: inter-query parallelism over one
-//! shared worker pool.
+//! The one execution path: inter-query parallelism over one shared worker
+//! pool.
 //!
 //! The paper's multi-user experiments stress the regime one query at a
 //! time cannot reach: many concurrent star queries competing for the same
 //! disks and CPUs, where throughput — not single-query speedup — decides
-//! the fragmentation and allocation choice.  [`QueryScheduler`]
-//! supplies the missing layer:
+//! the fragmentation and allocation choice.  Its single-user mode is the
+//! same mechanism at MPL 1: the next query starts when the previous one
+//! ends.  [`StarJoinEngine::run`] serves both:
 //!
-//! * a stream of [`BoundQuery`]s is planned up front and **admitted** under
-//!   an MPL (multi-programming level) limit — at most
-//!   [`SchedulerConfig::max_in_flight`] queries are decomposed into
-//!   per-fragment tasks at any time, the rest wait in FIFO order,
+//! * a stream of [`QueryPlan`]s is **admitted** under an MPL
+//!   (multi-programming level) limit — at most [`RunConfig::mpl`] queries
+//!   are decomposed into per-fragment tasks at any time, the rest wait in
+//!   FIFO order,
 //! * every task is tagged with its query's in-flight slot and its plan
 //!   position, and carries its disk affinity: when a placement is
 //!   configured, each admitted query's tasks are dealt to the workers in
 //!   [`allocation::PhysicalAllocation::subquery_disks`] order (the
 //!   engine's placement seed order), so a worker's chunk maps to a
 //!   contiguous disk stripe,
-//! * **one** work-stealing pool of [`ExecConfig::pool_size`] workers serves
+//! * **one** work-stealing pool of [`RunConfig::pool_size`] workers serves
 //!   *all* in-flight queries — tasks from different queries interleave in
 //!   the shared deques instead of each query spawning its own pool, so
 //!   MPL > 1 never over-subscribes the machine.  The workers are the
 //!   calling thread plus helpers borrowed from the engine's persistent
 //!   worker pool; no run spawns a thread.  A single query's
-//!   [`StarJoinEngine::execute`] is this same run: a stream of one at MPL 1,
-//! * with [`ExecConfig::io`] set, **one** simulated disk subsystem
+//!   [`StarJoinEngine::execute`] is this same run: a stream of one,
+//! * with [`RunConfig::io`] set, **one** simulated disk subsystem
 //!   ([`crate::io::SimulatedIo`]) serves the whole stream: each query's
 //!   plan is charged in the planning pass, in query-id order — which is
 //!   the FIFO admission order, so the replay is the one an
@@ -59,11 +60,10 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use allocation::{NodePlacement, NodeStrategy};
-use obs::{us_from_ms, EventKind, FieldKey, ObsConfig, Trace, TraceRecorder, Track};
-use workload::{BoundQuery, QueryStream};
+use obs::{us_from_ms, EventKind, FieldKey, Trace, TraceRecorder, Track};
 
 use crate::engine::{
-    merge_partials, placement_seed_order, process_fragment, ExecConfig, FragmentPartial,
+    merge_partials, placement_seed_order, process_fragment, FragmentPartial, RunConfig,
     StarJoinEngine,
 };
 use crate::io::{throttle_for, SimulatedIo};
@@ -74,79 +74,11 @@ use crate::queue::StealDeques;
 use crate::source::ScanSource;
 use crate::sync::PoisonLock;
 
-/// Configuration of a multi-query scheduler run.
-#[derive(Debug, Clone)]
-pub struct SchedulerConfig {
-    /// The shared pool: worker count and optional placement (which seeds
-    /// each admitted query's tasks in disk-affinity order).
-    pub exec: ExecConfig,
-    /// Admission-control limit: the maximum number of queries decomposed
-    /// into tasks at any time (the multi-programming level).  `0` is
-    /// clamped to 1.
-    pub max_in_flight: usize,
-}
-
-impl SchedulerConfig {
-    /// A pool of `workers` threads admitting at most `max_in_flight`
-    /// queries.
-    #[must_use]
-    pub fn new(workers: usize, max_in_flight: usize) -> Self {
-        SchedulerConfig {
-            exec: ExecConfig {
-                workers,
-                ..ExecConfig::default()
-            },
-            max_in_flight,
-        }
-    }
-
-    /// Derives the MPL from a workload stream description: a single-user
-    /// stream admits one query at a time, a multi-user stream as many as it
-    /// has concurrent users.
-    #[must_use]
-    pub fn from_stream(workers: usize, stream: QueryStream) -> Self {
-        SchedulerConfig::new(workers, stream.max_in_flight())
-    }
-
-    /// Seeds every admitted query's tasks in `placement`'s disk-affinity
-    /// order.
-    #[must_use]
-    pub fn with_placement(mut self, placement: allocation::PhysicalAllocation) -> Self {
-        self.exec.placement = Some(placement);
-        self
-    }
-
-    /// Charges the whole stream against one shared simulated disk
-    /// subsystem built from `io` (cache state persists across the stream's
-    /// queries).
-    #[must_use]
-    pub fn with_io(mut self, io: crate::io::IoConfig) -> Self {
-        self.exec.io = Some(io);
-        self
-    }
-
-    /// Records a deterministic trace of the run (see [`ObsConfig`]):
-    /// query lifecycle, scan and disk-service events on the simulated
-    /// clock plus per-worker task/steal/merge events, returned as
-    /// [`StreamOutcome::trace`].
-    #[must_use]
-    pub fn with_obs(mut self, obs: ObsConfig) -> Self {
-        self.exec.obs = obs;
-        self
-    }
-
-    /// The effective MPL (at least 1).
-    #[must_use]
-    pub fn mpl(&self) -> usize {
-        self.max_in_flight.max(1)
-    }
-}
-
 /// The result of one scheduled query, in submission order.
 ///
 /// `hits` and `measure_sums` are bit-identical to the query's isolated
-/// serial execution ([`StarJoinEngine::execute_serial`]).
-#[derive(Debug, Clone)]
+/// serial execution (a stream of one on [`RunConfig::serial`]).
+#[derive(Debug, Clone, Default)]
 pub struct ScheduledQuery {
     /// Position of the query in the submitted stream.
     pub query_id: usize,
@@ -168,16 +100,15 @@ pub struct ScheduledQuery {
     pub latency: Duration,
 }
 
-/// The outcome of one scheduler run: per-query results in submission order
-/// plus the shared pool's throughput metrics.
+/// The outcome of one run: per-query results in submission order plus the
+/// shared pool's throughput metrics.
 #[derive(Debug, Clone)]
 pub struct StreamOutcome {
     /// One result per submitted query, in submission order.
     pub queries: Vec<ScheduledQuery>,
     /// Aggregate throughput metrics of the run.
     pub metrics: ThroughputMetrics,
-    /// The recorded trace when [`ObsConfig`] was enabled on the
-    /// configuration.
+    /// The recorded trace when [`RunConfig::obs`] was enabled.
     pub trace: Option<Trace>,
 }
 
@@ -669,59 +600,37 @@ fn worker_loop(shared: &Shared, worker: usize) {
     }
 }
 
-/// A concurrent multi-query scheduler over a [`StarJoinEngine`]'s store.
-#[derive(Debug)]
-pub struct QueryScheduler<'e> {
-    engine: &'e StarJoinEngine,
-    config: SchedulerConfig,
-}
-
-impl<'e> QueryScheduler<'e> {
-    /// Creates a scheduler over `engine`'s store with `config`.
-    #[must_use]
-    pub fn new(engine: &'e StarJoinEngine, config: SchedulerConfig) -> Self {
-        QueryScheduler { engine, config }
-    }
-
-    /// The scheduler's configuration.
-    #[must_use]
-    pub fn config(&self) -> &SchedulerConfig {
-        &self.config
-    }
-
-    /// Plans, admits and executes `queries` on the shared pool, returning
-    /// per-query results in submission order plus throughput metrics.
+impl StarJoinEngine {
+    /// Admits and executes `plans` on the engine's shared pool under
+    /// `config`, returning per-query results in submission order plus
+    /// throughput metrics — the one execution path.
     ///
-    /// With the I/O layer on, every plan is charged against one fresh
-    /// [`SimulatedIo`] in the planning pass, in query-id order (the FIFO
-    /// admission order).
+    /// Plans are charged against `io` when given (so cache and arm state
+    /// persist across calls, and [`ExecMetrics::io`] is cumulative over
+    /// `io`'s lifetime), else against a fresh subsystem built from
+    /// [`RunConfig::io`] when that is set.  Either way every plan is
+    /// charged in the planning pass, in query-id order (the FIFO admission
+    /// order).
     ///
     /// # Panics
     ///
     /// Re-raises a panic of any query's task on the calling thread, once
     /// every worker has left the run; the engine's pool stays usable.
     #[must_use]
-    pub fn run(&self, queries: &[BoundQuery]) -> StreamOutcome {
-        let plans: Vec<QueryPlan> = queries.iter().map(|q| self.engine.plan(q)).collect();
-        self.run_plans(&plans, None)
-    }
-
-    /// Executes already planned queries — the one execution path behind
-    /// [`QueryScheduler::run`] and every `StarJoinEngine::execute*` entry
-    /// point.  Plans are charged against `io` when given (so cache and arm
-    /// state persist across calls, and [`ExecMetrics::io`] is cumulative
-    /// over `io`'s lifetime), else against a fresh subsystem built from
-    /// [`ExecConfig::io`] when that is set.
-    pub(crate) fn run_plans(&self, plans: &[QueryPlan], io: Option<&SimulatedIo>) -> StreamOutcome {
-        let source = self.engine.source();
-        let placement = self.config.exec.placement.as_ref();
-        let recorder = self
-            .config
-            .exec
+    pub fn run(
+        &self,
+        plans: &[QueryPlan],
+        config: &RunConfig,
+        io: Option<&SimulatedIo>,
+    ) -> StreamOutcome {
+        let source = self.source();
+        let placement = config.placement.as_ref();
+        let recorder = config
             .obs
             .enabled
-            .then(|| TraceRecorder::new(self.config.exec.obs.capacity));
-        let fresh_io = (self.config.exec.io)
+            .then(|| TraceRecorder::new(config.obs.capacity));
+        let fresh_io = config
+            .io
             .filter(|_| io.is_none())
             .map(|io_config| SimulatedIo::new(io_config, source.schema()));
         let io = io.or(fresh_io.as_ref());
@@ -764,7 +673,7 @@ impl<'e> QueryScheduler<'e> {
         let total_tasks: usize = prepared.iter().map(|p| p.fragments.len()).sum();
         // One shared pool for the whole stream — sized once, never per
         // admitted query.
-        let workers = self.config.exec.pool_size(total_tasks);
+        let workers = config.pool_size(total_tasks);
         let query_count = prepared.len();
 
         // The run clock starts *after* planning and charging (like
@@ -782,7 +691,7 @@ impl<'e> QueryScheduler<'e> {
                 .then(|| NodeTopology::new(io_config.node_placement(), workers))
         });
         let shared = Shared {
-            source: Arc::clone(&self.engine.source),
+            source: Arc::clone(&self.source),
             deques: StealDeques::new(workers),
             control: Mutex::new(Control {
                 pending: (0..query_count).collect(),
@@ -801,7 +710,7 @@ impl<'e> QueryScheduler<'e> {
             }),
             work: Condvar::new(),
             prepared,
-            mpl: self.config.mpl(),
+            mpl: config.resolved_mpl(),
             measure_count: source.measure_count(),
             wall_ns_per_sim_ms: io.map_or(0, |io| io.config().wall_ns_per_sim_ms),
             obs: recorder,
@@ -811,7 +720,7 @@ impl<'e> QueryScheduler<'e> {
         };
 
         shared.admit(&mut shared.lock_control());
-        let shared = self.engine.pool.run(workers, shared);
+        let shared = self.pool.run(workers, shared);
         let wall = started.elapsed();
 
         let trace = shared.obs.map(TraceRecorder::into_trace);
@@ -837,7 +746,7 @@ impl<'e> QueryScheduler<'e> {
                 },
                 queries_completed,
                 latencies,
-                self.config.mpl(),
+                config.resolved_mpl(),
             ),
             queries: results,
             trace,
@@ -872,19 +781,6 @@ fn charge(
     (charges, admit_us, complete_us)
 }
 
-impl StarJoinEngine {
-    /// Plans, admits and executes a stream of queries concurrently on one
-    /// shared worker pool — see [`QueryScheduler`].
-    #[must_use]
-    pub fn execute_stream(
-        &self,
-        queries: &[BoundQuery],
-        config: &SchedulerConfig,
-    ) -> StreamOutcome {
-        QueryScheduler::new(self, config.clone()).run(queries)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -892,13 +788,32 @@ mod tests {
     use allocation::PhysicalAllocation;
     use mdhf::Fragmentation;
     use schema::apb1::apb1_scaled_down;
-    use workload::{InterleavedStream, QueryType};
+    use workload::{BoundQuery, InterleavedStream, QueryType};
 
     fn engine() -> StarJoinEngine {
         let schema = apb1_scaled_down();
         let fragmentation =
             Fragmentation::parse(&schema, &["time::month", "product::group"]).unwrap();
         StarJoinEngine::new(FragmentStore::build(&schema, &fragmentation, 2024))
+    }
+
+    /// A pool of `workers` admitting at most `mpl` queries at a time.
+    pub(super) fn config(workers: usize, mpl: usize) -> RunConfig {
+        RunConfig {
+            workers,
+            mpl,
+            ..RunConfig::default()
+        }
+    }
+
+    /// Plans `queries` and runs them as one stream.
+    pub(super) fn run_queries(
+        engine: &StarJoinEngine,
+        queries: &[BoundQuery],
+        config: &RunConfig,
+    ) -> StreamOutcome {
+        let plans: Vec<QueryPlan> = queries.iter().map(|q| engine.plan(q)).collect();
+        engine.run(&plans, config, None)
     }
 
     fn stream(engine: &StarJoinEngine, count: usize) -> Vec<BoundQuery> {
@@ -916,12 +831,12 @@ mod tests {
     }
 
     fn assert_bits_match_serial(engine: &StarJoinEngine, queries: &[BoundQuery], mpl: usize) {
-        let outcome = engine.execute_stream(queries, &SchedulerConfig::new(4, mpl));
+        let outcome = run_queries(engine, queries, &config(4, mpl));
         assert_eq!(outcome.queries.len(), queries.len());
         assert_eq!(outcome.metrics.queries_completed, queries.len());
         assert_eq!(outcome.metrics.mpl, mpl.max(1));
         for (query_id, (bound, scheduled)) in queries.iter().zip(&outcome.queries).enumerate() {
-            let serial = engine.execute_serial(bound);
+            let serial = engine.execute(bound, &RunConfig::serial());
             assert_eq!(scheduled.query_id, query_id);
             assert_eq!(scheduled.query_name, serial.query_name);
             assert_eq!(scheduled.hits, serial.hits, "MPL {mpl} query {query_id}");
@@ -954,7 +869,7 @@ mod tests {
             .map(|q| engine.store().planned_rows(&engine.plan(q)))
             .sum();
         let expected_tasks: usize = queries.iter().map(|q| engine.plan(q).task_count()).sum();
-        let outcome = engine.execute_stream(&queries, &SchedulerConfig::new(3, 4));
+        let outcome = run_queries(&engine, &queries, &config(3, 4));
         assert_eq!(outcome.metrics.pool.total_rows_scanned(), expected_rows);
         assert_eq!(outcome.metrics.pool.total_fragments(), expected_tasks);
         assert_eq!(outcome.metrics.pool.planned_fragments, expected_tasks);
@@ -969,7 +884,7 @@ mod tests {
         let engine = engine();
         let queries = stream(&engine, 12);
         // MPL 8 on a 4-worker pool: still exactly 4 workers.
-        let outcome = engine.execute_stream(&queries, &SchedulerConfig::new(4, 8));
+        let outcome = run_queries(&engine, &queries, &config(4, 8));
         assert_eq!(outcome.metrics.pool.worker_count(), 4);
         // A stream with fewer tasks than workers clamps the pool.
         let one = &queries[0..1];
@@ -979,7 +894,7 @@ mod tests {
             .cloned()
             .collect();
         if !single_task.is_empty() {
-            let outcome = engine.execute_stream(&single_task, &SchedulerConfig::new(16, 4));
+            let outcome = run_queries(&engine, &single_task, &config(16, 4));
             assert_eq!(outcome.metrics.pool.worker_count(), 1);
         }
     }
@@ -987,7 +902,7 @@ mod tests {
     #[test]
     fn empty_stream_completes_immediately() {
         let engine = engine();
-        let outcome = engine.execute_stream(&[], &SchedulerConfig::new(4, 2));
+        let outcome = run_queries(&engine, &[], &config(4, 2));
         assert!(outcome.queries.is_empty());
         assert_eq!(outcome.metrics.queries_completed, 0);
         assert_eq!(outcome.metrics.pool.total_fragments(), 0);
@@ -998,7 +913,7 @@ mod tests {
     fn latencies_and_waits_are_recorded_in_submission_order() {
         let engine = engine();
         let queries = stream(&engine, 6);
-        let outcome = engine.execute_stream(&queries, &SchedulerConfig::new(2, 2));
+        let outcome = run_queries(&engine, &queries, &config(2, 2));
         assert_eq!(outcome.metrics.latencies.len(), 6);
         for (query_id, scheduled) in outcome.queries.iter().enumerate() {
             assert_eq!(scheduled.query_id, query_id);
@@ -1016,10 +931,14 @@ mod tests {
     fn placement_seeding_changes_nothing_but_order() {
         let engine = engine();
         let queries = stream(&engine, 6);
-        let baseline = engine.execute_stream(&queries, &SchedulerConfig::new(4, 4));
-        let placed = engine.execute_stream(
+        let baseline = run_queries(&engine, &queries, &config(4, 4));
+        let placed = run_queries(
+            &engine,
             &queries,
-            &SchedulerConfig::new(4, 4).with_placement(PhysicalAllocation::round_robin(10)),
+            &RunConfig {
+                placement: Some(PhysicalAllocation::round_robin(10)),
+                ..config(4, 4)
+            },
         );
         for (a, b) in baseline.queries.iter().zip(&placed.queries) {
             assert_eq!(a.hits, b.hits);
@@ -1034,10 +953,17 @@ mod tests {
         let engine = engine();
         let queries = stream(&engine, 10);
         let io = crate::io::IoConfig::with_disks(6).cache(50_000);
-        let outcome = engine.execute_stream(&queries, &SchedulerConfig::new(4, 4).with_io(io));
+        let outcome = run_queries(
+            &engine,
+            &queries,
+            &RunConfig {
+                io: Some(io),
+                ..config(4, 4)
+            },
+        );
         // Results still bit-identical to isolated serial runs.
         for (bound, scheduled) in queries.iter().zip(&outcome.queries) {
-            let serial = engine.execute_serial(bound);
+            let serial = engine.execute(bound, &RunConfig::serial());
             assert_eq!(scheduled.hits, serial.hits);
             let a: Vec<u64> = serial.measure_sums.iter().map(|s| s.to_bits()).collect();
             let b: Vec<u64> = scheduled.measure_sums.iter().map(|s| s.to_bits()).collect();
@@ -1055,7 +981,14 @@ mod tests {
 
         // The query-id-order replay is deterministic: same stream, same
         // configuration → identical simulated metrics, at any MPL/workers.
-        let again = engine.execute_stream(&queries, &SchedulerConfig::new(2, 8).with_io(io));
+        let again = run_queries(
+            &engine,
+            &queries,
+            &RunConfig {
+                io: Some(io),
+                ..config(2, 8)
+            },
+        );
         assert_eq!(again.metrics.pool.io, outcome.metrics.pool.io);
     }
 
@@ -1092,8 +1025,14 @@ mod tests {
             scan_last.push(0);
             assert_ne!(charged_in(&scan_last), expected, "{} nodes", io.nodes);
             for (workers, mpl) in [(1usize, 1usize), (2, 4), (4, 8)] {
-                let outcome = engine
-                    .execute_stream(&queries, &SchedulerConfig::new(workers, mpl).with_io(io));
+                let outcome = run_queries(
+                    &engine,
+                    &queries,
+                    &RunConfig {
+                        io: Some(io),
+                        ..config(workers, mpl)
+                    },
+                );
                 assert_eq!(
                     outcome.metrics.pool.io.as_ref(),
                     Some(&expected),
@@ -1108,9 +1047,13 @@ mod tests {
     fn multi_node_results_are_bit_identical_across_node_counts() {
         let engine = engine();
         let queries = stream(&engine, 10);
-        let reference = engine.execute_stream(
+        let reference = run_queries(
+            &engine,
             &queries,
-            &SchedulerConfig::new(4, 4).with_io(crate::io::IoConfig::with_disks(8).cache(20_000)),
+            &RunConfig {
+                io: Some(crate::io::IoConfig::with_disks(8).cache(20_000)),
+                ..config(4, 4)
+            },
         );
         for nodes in [1u64, 2, 4, 8] {
             for strategy in [NodeStrategy::SharedNothing, NodeStrategy::SharedDisk] {
@@ -1119,8 +1062,14 @@ mod tests {
                     node_strategy: strategy,
                     ..crate::io::IoConfig::with_disks(8).cache(20_000)
                 };
-                let outcome =
-                    engine.execute_stream(&queries, &SchedulerConfig::new(4, 4).with_io(io));
+                let outcome = run_queries(
+                    &engine,
+                    &queries,
+                    &RunConfig {
+                        io: Some(io),
+                        ..config(4, 4)
+                    },
+                );
                 for (a, b) in reference.queries.iter().zip(&outcome.queries) {
                     assert_eq!(a.hits, b.hits, "{nodes} nodes, {strategy:?}");
                     let a_bits: Vec<u64> = a.measure_sums.iter().map(|s| s.to_bits()).collect();
@@ -1140,7 +1089,14 @@ mod tests {
             node_strategy: NodeStrategy::SharedNothing,
             ..crate::io::IoConfig::with_disks(8).cache(50_000)
         };
-        let outcome = engine.execute_stream(&queries, &SchedulerConfig::new(4, 4).with_io(io));
+        let outcome = run_queries(
+            &engine,
+            &queries,
+            &RunConfig {
+                io: Some(io),
+                ..config(4, 4)
+            },
+        );
         let io_metrics = outcome.metrics.pool.io.as_ref().expect("I/O metrics");
         assert_eq!(io_metrics.node_count(), 4);
         // Staggered bitmap placement crosses node boundaries, so a
@@ -1150,15 +1106,28 @@ mod tests {
         assert!(io_metrics.node_imbalance() >= 1.0);
         // I/O is charged in query-id order at plan time: per-node
         // attribution is identical for any worker count and MPL.
-        let again = engine.execute_stream(&queries, &SchedulerConfig::new(2, 8).with_io(io));
+        let again = run_queries(
+            &engine,
+            &queries,
+            &RunConfig {
+                io: Some(io),
+                ..config(2, 8)
+            },
+        );
         assert_eq!(again.metrics.pool.io, outcome.metrics.pool.io);
         // The shared-disk twin never touches the interconnect.
         let shared_disk = crate::io::IoConfig {
             node_strategy: NodeStrategy::SharedDisk,
             ..io
         };
-        let disk_outcome =
-            engine.execute_stream(&queries, &SchedulerConfig::new(4, 4).with_io(shared_disk));
+        let disk_outcome = run_queries(
+            &engine,
+            &queries,
+            &RunConfig {
+                io: Some(shared_disk),
+                ..config(4, 4)
+            },
+        );
         let disk_metrics = disk_outcome.metrics.pool.io.as_ref().expect("I/O metrics");
         assert_eq!(disk_metrics.total_net_pages(), 0);
     }
@@ -1175,7 +1144,14 @@ mod tests {
             node_strategy: NodeStrategy::SharedNothing,
             ..crate::io::IoConfig::with_disks(4)
         };
-        let outcome = engine.execute_stream(&queries, &SchedulerConfig::new(1, 2).with_io(io));
+        let outcome = run_queries(
+            &engine,
+            &queries,
+            &RunConfig {
+                io: Some(io),
+                ..config(1, 2)
+            },
+        );
         let pool = &outcome.metrics.pool;
         assert_eq!(pool.worker_count(), 1);
         assert!(pool.total_migrated() > 0, "node-1 tasks must have migrated");
@@ -1183,25 +1159,16 @@ mod tests {
         assert!(pool.total_replicated() <= pool.total_migrated());
         assert!(outcome.metrics.migration_rate() > 0.0);
         // A single-node run of the same stream migrates nothing.
-        let single = engine.execute_stream(
+        let single = run_queries(
+            &engine,
             &queries,
-            &SchedulerConfig::new(1, 2).with_io(crate::io::IoConfig::with_disks(4)),
+            &RunConfig {
+                io: Some(crate::io::IoConfig::with_disks(4)),
+                ..config(1, 2)
+            },
         );
         assert_eq!(single.metrics.pool.total_migrated(), 0);
         assert_eq!(single.metrics.pool.total_replicated(), 0);
-    }
-
-    #[test]
-    fn config_constructors() {
-        let config = SchedulerConfig::new(4, 0);
-        assert_eq!(config.mpl(), 1);
-        assert_eq!(config.exec.workers, 4);
-        let from_stream = SchedulerConfig::from_stream(2, QueryStream::MultiUser { streams: 8 });
-        assert_eq!(from_stream.mpl(), 8);
-        assert_eq!(
-            SchedulerConfig::from_stream(2, QueryStream::SingleUser).mpl(),
-            1
-        );
     }
 }
 
@@ -1212,7 +1179,9 @@ mod prop_tests {
     use mdhf::Fragmentation;
     use proptest::prelude::*;
     use schema::apb1::Apb1Config;
-    use workload::QueryType;
+    use workload::{BoundQuery, QueryType};
+
+    use super::tests::{config, run_queries};
 
     /// The same deliberately tiny schema as the engine proptests, so each
     /// case (store build + stream + per-query serial baselines) stays fast
@@ -1227,6 +1196,28 @@ mod prop_tests {
             fact_tuple_bytes: 20,
         }
         .build()
+    }
+
+    /// One standard-mix query per type seed, its values drawn in turn
+    /// from `raw_values` and reduced into each attribute's range.
+    fn random_stream(
+        schema: &schema::StarSchema,
+        type_seeds: &[usize],
+        raw_values: &[u64],
+    ) -> Vec<BoundQuery> {
+        let mut raw = raw_values.iter().cycle();
+        type_seeds
+            .iter()
+            .map(|&type_idx| {
+                let shape = QueryType::standard_mix()[type_idx].to_star_query(schema);
+                let values: Vec<u64> = shape
+                    .predicates()
+                    .iter()
+                    .map(|p| raw.next().unwrap() % p.attr.cardinality(schema))
+                    .collect();
+                BoundQuery::new(schema, shape, values)
+            })
+            .collect()
     }
 
     const FRAGMENTATIONS: [&[&str]; 3] = [
@@ -1256,29 +1247,17 @@ mod prop_tests {
             let store = FragmentStore::build(&schema, &fragmentation, seed);
             let engine = StarJoinEngine::new(store);
 
-            let mut raw = raw_values.iter().cycle();
-            let queries: Vec<BoundQuery> = type_seeds
-                .iter()
-                .map(|&type_idx| {
-                    let shape = QueryType::standard_mix()[type_idx].to_star_query(&schema);
-                    let values: Vec<u64> = shape
-                        .predicates()
-                        .iter()
-                        .map(|p| raw.next().unwrap() % p.attr.cardinality(&schema))
-                        .collect();
-                    BoundQuery::new(&schema, shape, values)
-                })
-                .collect();
+            let queries = random_stream(&schema, &type_seeds, &raw_values);
 
-            let serial: Vec<_> = queries.iter().map(|q| engine.execute_serial(q)).collect();
+            let serial: Vec<_> =
+                queries.iter().map(|q| engine.execute(q, &RunConfig::serial())).collect();
             let expected_rows: u64 = queries
                 .iter()
                 .map(|q| engine.store().planned_rows(&engine.plan(q)))
                 .sum();
 
             for mpl in [1usize, 2, 8] {
-                let outcome =
-                    engine.execute_stream(&queries, &SchedulerConfig::new(workers, mpl));
+                let outcome = run_queries(&engine, &queries, &config(workers, mpl));
                 prop_assert_eq!(outcome.queries.len(), queries.len());
                 prop_assert_eq!(outcome.metrics.pool.total_rows_scanned(), expected_rows);
                 for (scheduled, baseline) in outcome.queries.iter().zip(&serial) {
@@ -1310,19 +1289,7 @@ mod prop_tests {
             let store = FragmentStore::build(&schema, &fragmentation, seed);
             let engine = StarJoinEngine::new(store);
 
-            let mut raw = raw_values.iter().cycle();
-            let queries: Vec<BoundQuery> = type_seeds
-                .iter()
-                .map(|&type_idx| {
-                    let shape = QueryType::standard_mix()[type_idx].to_star_query(&schema);
-                    let values: Vec<u64> = shape
-                        .predicates()
-                        .iter()
-                        .map(|p| raw.next().unwrap() % p.attr.cardinality(&schema))
-                        .collect();
-                    BoundQuery::new(&schema, shape, values)
-                })
-                .collect();
+            let queries = random_stream(&schema, &type_seeds, &raw_values);
 
             let strategy = if shared_nothing {
                 NodeStrategy::SharedNothing
@@ -1330,12 +1297,11 @@ mod prop_tests {
                 NodeStrategy::SharedDisk
             };
             let flat = crate::io::IoConfig::with_disks(8).cache(4_096);
-            let baseline =
-                engine.execute_stream(&queries, &SchedulerConfig::new(workers, 2).with_io(flat));
+            let with_io = |io| RunConfig { io: Some(io), ..config(workers, 2) };
+            let baseline = run_queries(&engine, &queries, &with_io(flat));
             for nodes in [2u64, 8] {
                 let io = crate::io::IoConfig { nodes, node_strategy: strategy, ..flat };
-                let outcome =
-                    engine.execute_stream(&queries, &SchedulerConfig::new(workers, 2).with_io(io));
+                let outcome = run_queries(&engine, &queries, &with_io(io));
                 for (a, b) in baseline.queries.iter().zip(&outcome.queries) {
                     prop_assert_eq!(a.hits, b.hits);
                     let a_bits: Vec<u64> = a.measure_sums.iter().map(|s| s.to_bits()).collect();
@@ -1363,38 +1329,21 @@ mod prop_tests {
             let store = FragmentStore::build(&schema, &fragmentation, seed);
             let engine = StarJoinEngine::new(store);
 
-            let mut raw = raw_values.iter().cycle();
-            let queries: Vec<BoundQuery> = type_seeds
-                .iter()
-                .map(|&type_idx| {
-                    let shape = QueryType::standard_mix()[type_idx].to_star_query(&schema);
-                    let values: Vec<u64> = shape
-                        .predicates()
-                        .iter()
-                        .map(|p| raw.next().unwrap() % p.attr.cardinality(&schema))
-                        .collect();
-                    BoundQuery::new(&schema, shape, values)
-                })
-                .collect();
+            let queries = random_stream(&schema, &type_seeds, &raw_values);
 
-            let config = |workers: usize, mpl: usize| {
-                let mut config = SchedulerConfig::new(workers, mpl)
-                    .with_obs(obs::ObsConfig::enabled());
-                if with_io {
-                    config = config.with_io(crate::io::IoConfig::with_disks(4).cache(10_000));
-                }
-                config
+            let traced = |workers: usize, mpl: usize| RunConfig {
+                io: with_io.then(|| crate::io::IoConfig::with_disks(4).cache(10_000)),
+                obs: obs::ObsConfig::enabled(),
+                ..config(workers, mpl)
             };
 
-            let reference = engine
-                .execute_stream(&queries, &config(1, 1))
+            let reference = run_queries(&engine, &queries, &traced(1, 1))
                 .trace
                 .expect("tracing enabled");
             prop_assert_eq!(reference.dropped, 0);
             let reference_events = reference.deterministic_events();
             for (workers, mpl) in [(1usize, 1usize), (2, 2), (4, 8), (3, 1)] {
-                let trace = engine
-                    .execute_stream(&queries, &config(workers, mpl))
+                let trace = run_queries(&engine, &queries, &traced(workers, mpl))
                     .trace
                     .expect("tracing enabled");
                 prop_assert_eq!(trace.dropped, 0);

@@ -6,7 +6,9 @@
 
 #![forbid(unsafe_code)]
 
-use exec::{ExecConfig, FragmentStore, IoConfig, ObsConfig, SchedulerConfig, StarJoinEngine};
+use exec::{
+    FragmentStore, IoConfig, ObsConfig, QueryPlan, RunConfig, StarJoinEngine, StreamOutcome,
+};
 use mdhf::Fragmentation;
 use obs::{EventKind, FieldKey, Trace, Track};
 use schema::apb1::apb1_scaled_down;
@@ -32,15 +34,33 @@ fn stream(engine: &StarJoinEngine, count: usize) -> Vec<BoundQuery> {
     source.take_queries(count)
 }
 
-fn traced_config(workers: usize, mpl: usize) -> SchedulerConfig {
-    SchedulerConfig::new(workers, mpl)
-        .with_io(IoConfig::with_disks(5).cache(20_000))
-        .with_obs(ObsConfig::enabled())
+/// Plans `queries` and runs them as one stream over five simulated disks,
+/// recording a trace when `traced`.
+fn run(
+    engine: &StarJoinEngine,
+    queries: &[BoundQuery],
+    workers: usize,
+    mpl: usize,
+    traced: bool,
+) -> StreamOutcome {
+    let plans: Vec<QueryPlan> = queries.iter().map(|q| engine.plan(q)).collect();
+    let config = RunConfig {
+        workers,
+        mpl,
+        io: Some(IoConfig::with_disks(5).cache(20_000)),
+        obs: if traced {
+            ObsConfig::enabled()
+        } else {
+            ObsConfig::default()
+        },
+        ..RunConfig::default()
+    };
+    engine.run(&plans, &config, None)
 }
 
 /// Asserts every reconciliation invariant between one run's trace and its
 /// pool/disk metrics.
-fn assert_reconciles(outcome: &exec::StreamOutcome, trace: &Trace, queries: usize) {
+fn assert_reconciles(outcome: &StreamOutcome, trace: &Trace, queries: usize) {
     let pool = &outcome.metrics.pool;
     assert_eq!(trace.dropped, 0, "ring must not overflow in this workload");
 
@@ -119,7 +139,7 @@ fn assert_reconciles(outcome: &exec::StreamOutcome, trace: &Trace, queries: usiz
 fn scheduler_trace_reconciles_with_metrics() {
     let engine = engine();
     let queries = stream(&engine, 12);
-    let outcome = engine.execute_stream(&queries, &traced_config(4, 4));
+    let outcome = run(&engine, &queries, 4, 4, true);
     let trace = outcome.trace.as_ref().expect("tracing enabled");
     assert_reconciles(&outcome, trace, queries.len());
 }
@@ -128,14 +148,14 @@ fn scheduler_trace_reconciles_with_metrics() {
 fn deterministic_section_is_bit_identical_across_runs_and_shapes() {
     let engine = engine();
     let queries = stream(&engine, 10);
-    let reference = engine.execute_stream(&queries, &traced_config(4, 4));
+    let reference = run(&engine, &queries, 4, 4, true);
     let reference_trace = reference.trace.as_ref().expect("tracing enabled");
     let reference_events = reference_trace.deterministic_events();
 
     // Same configuration twice, plus different worker counts and MPLs: the
     // deterministic section never moves.
     for (workers, mpl) in [(4usize, 4usize), (1, 1), (2, 8), (7, 2)] {
-        let outcome = engine.execute_stream(&queries, &traced_config(workers, mpl));
+        let outcome = run(&engine, &queries, workers, mpl, true);
         let trace = outcome.trace.as_ref().expect("tracing enabled");
         assert_reconciles(&outcome, trace, queries.len());
         assert_eq!(
@@ -151,10 +171,9 @@ fn deterministic_section_is_bit_identical_across_runs_and_shapes() {
 fn disabled_tracing_returns_no_trace_and_identical_results() {
     let engine = engine();
     let queries = stream(&engine, 8);
-    let io = IoConfig::with_disks(5).cache(20_000);
-    let plain = engine.execute_stream(&queries, &SchedulerConfig::new(4, 4).with_io(io));
+    let plain = run(&engine, &queries, 4, 4, false);
     assert!(plain.trace.is_none(), "tracing is off by default");
-    let traced = engine.execute_stream(&queries, &traced_config(4, 4));
+    let traced = run(&engine, &queries, 4, 4, true);
     for (a, b) in plain.queries.iter().zip(&traced.queries) {
         assert_eq!(a.hits, b.hits);
         let a_bits: Vec<u64> = a.measure_sums.iter().map(|s| s.to_bits()).collect();
@@ -171,11 +190,11 @@ fn single_query_engine_trace_reconciles() {
     let schema = engine.store().schema().clone();
     let query = QueryType::OneGroup.to_star_query(&schema);
     let bound = BoundQuery::new(&schema, query, vec![1]);
-    let config = ExecConfig {
+    let config = RunConfig {
         workers: 3,
         io: Some(IoConfig::with_disks(4).cache(10_000)),
         obs: ObsConfig::enabled(),
-        ..ExecConfig::default()
+        ..RunConfig::default()
     };
     let result = engine.execute(&bound, &config);
     let trace = result.trace.as_ref().expect("tracing enabled");
@@ -196,16 +215,12 @@ fn single_query_engine_trace_reconciles() {
     );
     // `execute` is a stream of one at MPL 1: its deterministic section is
     // exactly that stream's, whatever the worker count.
-    let stream = engine.execute_stream(
-        std::slice::from_ref(&bound),
-        &SchedulerConfig {
-            exec: ExecConfig {
-                workers: 1,
-                ..config
-            },
-            max_in_flight: 1,
-        },
-    );
+    let one = RunConfig {
+        workers: 1,
+        mpl: 1,
+        ..config
+    };
+    let stream = engine.run(&[engine.plan(&bound)], &one, None);
     let stream_trace = stream.trace.as_ref().expect("tracing enabled");
     assert_eq!(
         trace.deterministic_events(),

@@ -71,10 +71,9 @@ pub mod prelude {
         RoaringBitmap, WahBitmap,
     };
     pub use exec::{
-        DiskIoStats, ExecConfig, ExecMetrics, FileIoMetrics, FileStore, FileStoreOptions,
-        FragmentStore, IoConfig, IoMetrics, NodeIoStats, ObsConfig, QueryPlan, QueryResult,
-        QueryScheduler, ScanSource, ScheduledQuery, SchedulerConfig, SimulatedIo, StarJoinEngine,
-        StreamOutcome, ThroughputMetrics,
+        DiskIoStats, ExecMetrics, FileIoMetrics, FileStore, FileStoreOptions, FragmentStore,
+        IoConfig, IoMetrics, NodeIoStats, ObsConfig, QueryPlan, QueryResult, RunConfig, ScanSource,
+        ScheduledQuery, SimulatedIo, StarJoinEngine, StreamOutcome, ThroughputMetrics,
     };
     pub use mdhf::{
         classify, Advisor, AdvisorConfig, CostModel, Fragmentation, IoClass, QueryClass, StarQuery,
@@ -85,6 +84,12 @@ pub mod prelude {
         BoundQuery, InterleavedStream, QueryGenerator, QueryStream, QueryType, ZipfSampler,
     };
 }
+
+/// Compiles and runs the Rust snippets of the repository's README as
+/// doctests, so the front-page examples cannot drift from the API.
+#[cfg(doctest)]
+#[doc = include_str!("../../../README.md")]
+struct ReadmeDoctests;
 
 #[cfg(test)]
 mod tests {

@@ -33,8 +33,8 @@ use std::path::{Path, PathBuf};
 use allocation::{NodePlacement, PhysicalAllocation};
 use bitmap::ReprDecodeError;
 use exec::{
-    write_store, ExecConfig, FileStore, FileStoreOptions, FragmentStore, IoConfig, QueryPlan,
-    QueryResult, ScanSource, SchedulerConfig, StarJoinEngine, StorageError, StreamOutcome,
+    write_store, FileStore, FileStoreOptions, FragmentStore, IoConfig, QueryPlan, QueryResult,
+    RunConfig, ScanSource, StarJoinEngine, StorageError, StreamOutcome,
 };
 use obs::ObsConfig;
 use workload::BoundQuery;
@@ -225,12 +225,6 @@ impl Warehouse {
         self.source().as_file().map(|f| f.path().to_path_buf())
     }
 
-    /// The underlying engine, for call sites predating the session API.
-    #[must_use]
-    pub fn engine(&self) -> &StarJoinEngine {
-        &self.engine
-    }
-
     /// Plans `bound` against the warehouse's schema and fragmentation.
     #[must_use]
     pub fn plan(&self, bound: &BoundQuery) -> QueryPlan {
@@ -243,24 +237,20 @@ impl Warehouse {
     pub fn session(&self) -> SessionBuilder<'_> {
         SessionBuilder {
             warehouse: self,
-            workers: 1,
-            placement: None,
-            io: None,
-            obs: ObsConfig::default(),
-            policy: AdmissionPolicy::Exclusive,
+            config: RunConfig {
+                mpl: AdmissionPolicy::Exclusive.mpl(),
+                ..RunConfig::serial()
+            },
         }
     }
 }
 
-/// Collects a [`Session`]'s execution knobs; made by [`Warehouse::session`].
+/// Collects a [`Session`]'s execution knobs into its [`RunConfig`]; made
+/// by [`Warehouse::session`].
 #[derive(Debug)]
 pub struct SessionBuilder<'a> {
     warehouse: &'a Warehouse,
-    workers: usize,
-    placement: Option<PhysicalAllocation>,
-    io: Option<IoConfig>,
-    obs: ObsConfig,
-    policy: AdmissionPolicy,
+    config: RunConfig,
 }
 
 impl<'a> SessionBuilder<'a> {
@@ -268,21 +258,21 @@ impl<'a> SessionBuilder<'a> {
     /// parallelism.
     #[must_use]
     pub fn workers(mut self, workers: usize) -> Self {
-        self.workers = workers;
+        self.config.workers = workers;
         self
     }
 
     /// Seeds worker queues in `placement`'s disk-affinity order.
     #[must_use]
     pub fn placement(mut self, placement: PhysicalAllocation) -> Self {
-        self.placement = Some(placement);
+        self.config.placement = Some(placement);
         self
     }
 
     /// Charges fragment scans against a simulated disk subsystem.
     #[must_use]
     pub fn io(mut self, io: IoConfig) -> Self {
-        self.io = Some(io);
+        self.config.io = Some(io);
         self
     }
 
@@ -298,8 +288,8 @@ impl<'a> SessionBuilder<'a> {
     /// [`SessionBuilder::io`] configuration, keeping its other knobs.
     #[must_use]
     pub fn nodes(mut self, placement: NodePlacement) -> Self {
-        self.placement = Some(*placement.allocation());
-        self.io = Some(match self.io {
+        self.config.placement = Some(*placement.allocation());
+        self.config.io = Some(match self.config.io {
             Some(io) => IoConfig {
                 allocation: *placement.allocation(),
                 nodes: placement.nodes(),
@@ -314,14 +304,14 @@ impl<'a> SessionBuilder<'a> {
     /// Records a deterministic trace of every run.
     #[must_use]
     pub fn obs(mut self, obs: ObsConfig) -> Self {
-        self.obs = obs;
+        self.config.obs = obs;
         self
     }
 
     /// Sets the multi-query admission policy used by [`Session::stream`].
     #[must_use]
     pub fn policy(mut self, policy: AdmissionPolicy) -> Self {
-        self.policy = policy;
+        self.config.mpl = policy.mpl();
         self
     }
 
@@ -330,13 +320,7 @@ impl<'a> SessionBuilder<'a> {
     pub fn build(self) -> Session<'a> {
         Session {
             warehouse: self.warehouse,
-            config: ExecConfig {
-                workers: self.workers,
-                placement: self.placement,
-                io: self.io,
-                obs: self.obs,
-            },
-            policy: self.policy,
+            config: self.config,
         }
     }
 }
@@ -345,25 +329,20 @@ impl<'a> SessionBuilder<'a> {
 #[derive(Debug)]
 pub struct Session<'a> {
     warehouse: &'a Warehouse,
-    config: ExecConfig,
-    policy: AdmissionPolicy,
+    config: RunConfig,
 }
 
 impl Session<'_> {
-    /// The session's frozen engine configuration.
+    /// The session's frozen run configuration; its MPL is the admission
+    /// policy's.
     #[must_use]
-    pub fn config(&self) -> &ExecConfig {
+    pub fn config(&self) -> &RunConfig {
         &self.config
     }
 
-    /// The session's admission policy.
-    #[must_use]
-    pub fn policy(&self) -> AdmissionPolicy {
-        self.policy
-    }
-
-    /// Plans and executes one query.  Results are bit-identical for every
-    /// worker count, placement, I/O configuration and storage backing.
+    /// Plans and executes one query: a stream of one.  Results are
+    /// bit-identical for every worker count, placement, I/O configuration,
+    /// admission policy and storage backing.
     #[must_use]
     pub fn execute(&self, bound: &BoundQuery) -> QueryResult {
         self.warehouse.engine.execute(bound, &self.config)
@@ -373,18 +352,17 @@ impl Session<'_> {
     /// repeated-query experiments).
     #[must_use]
     pub fn execute_plan(&self, plan: &QueryPlan) -> QueryResult {
-        self.warehouse.engine.execute_plan(plan, &self.config)
+        (self.warehouse.engine)
+            .run(std::slice::from_ref(plan), &self.config, None)
+            .into()
     }
 
     /// Plans, admits and executes a stream of queries concurrently on one
     /// shared worker pool under the session's [`AdmissionPolicy`].
     #[must_use]
     pub fn stream(&self, queries: &[BoundQuery]) -> StreamOutcome {
-        let scheduler = SchedulerConfig {
-            exec: self.config,
-            max_in_flight: self.policy.mpl(),
-        };
-        self.warehouse.engine.execute_stream(queries, &scheduler)
+        let plans: Vec<QueryPlan> = queries.iter().map(|q| self.warehouse.plan(q)).collect();
+        self.warehouse.engine.run(&plans, &self.config, None)
     }
 }
 
@@ -470,7 +448,7 @@ mod tests {
             .workers(2)
             .policy(AdmissionPolicy::Concurrent { max_in_flight: 2 })
             .build();
-        assert_eq!(session.policy().mpl(), 2);
+        assert_eq!(session.config().mpl, 2);
         let outcome = session.stream(&queries);
         assert_eq!(outcome.queries.len(), queries.len());
         assert_eq!(outcome.metrics.mpl, 2);
@@ -479,6 +457,38 @@ mod tests {
             assert_eq!(scheduled.hits, serial.hits);
             assert_eq!(scheduled.measure_sums, serial.measure_sums);
         }
+    }
+
+    #[test]
+    fn single_user_policies_give_one_run() {
+        assert_eq!(RunConfig::default().resolved_mpl(), 1);
+        let (schema, store) = store();
+        let warehouse = Warehouse::in_memory(store);
+        let reference = reference(&warehouse, &schema);
+        let queries: Vec<BoundQuery> = reference.iter().map(|(b, _, _)| b.clone()).collect();
+        let mut digests = Vec::new();
+        for policy in [
+            AdmissionPolicy::Exclusive,
+            AdmissionPolicy::Concurrent { max_in_flight: 0 },
+            AdmissionPolicy::Concurrent { max_in_flight: 1 },
+        ] {
+            let session = warehouse
+                .session()
+                .workers(2)
+                .obs(ObsConfig::enabled())
+                .policy(policy)
+                .build();
+            assert_eq!(session.config().resolved_mpl(), 1, "{policy:?}");
+            let outcome = session.stream(&queries);
+            assert_eq!(outcome.metrics.mpl, 1);
+            for (scheduled, (_, hits, bits)) in outcome.queries.iter().zip(&reference) {
+                assert_eq!(scheduled.hits, *hits);
+                let got: Vec<u64> = scheduled.measure_sums.iter().map(|s| s.to_bits()).collect();
+                assert_eq!(&got, bits, "{policy:?}: {}", scheduled.query_name);
+            }
+            digests.push(outcome.trace.map(|trace| trace.digest()));
+        }
+        assert!(digests.windows(2).all(|w| w[0] == w[1]), "{digests:?}");
     }
 
     #[test]

@@ -152,14 +152,6 @@ impl QueryStream {
             QueryStream::MultiUser { streams } => (*streams).max(1),
         }
     }
-
-    /// The admission-control limit (MPL) this stream implies for a
-    /// concurrent scheduler: a closed workload of `n` users keeps at most
-    /// `n` queries in flight.
-    #[must_use]
-    pub fn max_in_flight(&self) -> usize {
-        self.concurrency()
-    }
 }
 
 /// A deterministic multi-user query stream mixing several query types.
@@ -278,8 +270,6 @@ mod tests {
         assert_eq!(QueryStream::SingleUser.concurrency(), 1);
         assert_eq!(QueryStream::MultiUser { streams: 8 }.concurrency(), 8);
         assert_eq!(QueryStream::MultiUser { streams: 0 }.concurrency(), 1);
-        assert_eq!(QueryStream::SingleUser.max_in_flight(), 1);
-        assert_eq!(QueryStream::MultiUser { streams: 6 }.max_in_flight(), 6);
     }
 
     #[test]

@@ -1,0 +1,113 @@
+//! The one-execution-path contract: a single query's `Session::execute`
+//! and `Session::execute_plan` are the session's stream of one under
+//! exclusive admission, and all are `StarJoinEngine::run` on that one plan
+//! at MPL 1.
+
+#![forbid(unsafe_code)]
+
+use std::slice;
+
+use proptest::prelude::*;
+use warehouse::prelude::*;
+use warehouse::schema::apb1::Apb1Config;
+
+/// A deliberately tiny schema so each case (two store builds + four
+/// executions) stays fast in debug builds.
+fn tiny_schema() -> StarSchema {
+    Apb1Config {
+        channels: 3,
+        months: 6,
+        stores: 16,
+        product_codes: 24,
+        density: 0.2,
+        fact_tuple_bytes: 20,
+    }
+    .build()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// `Session::execute(q)`, `Session::execute_plan`, `Session::stream(&[q])`
+    /// under `AdmissionPolicy::Exclusive` and `engine.run` at MPL 1 agree for
+    /// every worker count, with and without placement, with the I/O layer
+    /// off, flat or on a 2-node shared-nothing subsystem, traced or not:
+    /// the same hits, sum bits, simulated I/O metrics and deterministic
+    /// trace section.
+    #[test]
+    fn prop_execute_is_a_stream_of_one(
+        type_idx in 0usize..5,
+        raw_values in proptest::collection::vec(0u64..100_000, 2),
+        seed in 1u64..1_000,
+        workers in 1usize..5,
+        placed in proptest::bool::ANY,
+        io_mode in 0usize..3,
+        traced in proptest::bool::ANY,
+    ) {
+        let schema = tiny_schema();
+        let fragmentation =
+            Fragmentation::parse(&schema, &["time::month", "product::group"]).unwrap();
+        let store = FragmentStore::build(&schema, &fragmentation, seed);
+        let engine = StarJoinEngine::new(store.clone());
+        let warehouse = Warehouse::in_memory(store);
+
+        let shape = QueryType::standard_mix()[type_idx].to_star_query(&schema);
+        let values: Vec<u64> = shape
+            .predicates()
+            .iter()
+            .zip(raw_values.iter().chain(std::iter::repeat(&0)))
+            .map(|(p, &raw)| raw % p.attr.cardinality(&schema))
+            .collect();
+        let bound = BoundQuery::new(&schema, shape, values);
+
+        let flat = IoConfig::with_disks(4).cache(256);
+        let config = RunConfig {
+            workers,
+            mpl: 1,
+            placement: placed.then(|| PhysicalAllocation::round_robin(4)),
+            io: [
+                None,
+                Some(flat),
+                Some(IoConfig {
+                    nodes: 2,
+                    node_strategy: NodeStrategy::SharedNothing,
+                    ..flat
+                }),
+            ][io_mode],
+            obs: if traced { ObsConfig::enabled() } else { ObsConfig::default() },
+        };
+        let mut builder = warehouse
+            .session()
+            .workers(workers)
+            .obs(config.obs)
+            .policy(AdmissionPolicy::Exclusive);
+        if let Some(placement) = config.placement {
+            builder = builder.placement(placement);
+        }
+        if let Some(io) = config.io {
+            builder = builder.io(io);
+        }
+        let session = builder.build();
+        prop_assert_eq!(session.config(), &config);
+
+        let plan = engine.plan(&bound);
+        let stream = session.stream(slice::from_ref(&bound));
+        let run = engine.run(slice::from_ref(&plan), &config, None);
+        prop_assert_eq!((stream.queries.len(), run.queries.len()), (1, 1));
+        let single = session.execute(&bound);
+        prop_assert_eq!(single.trace.is_some(), traced);
+        let single_bits: Vec<u64> = single.measure_sums.iter().map(|s| s.to_bits()).collect();
+        for other in [session.execute_plan(&plan), stream.into(), run.into()] {
+            prop_assert_eq!(single.hits, other.hits);
+            let other_bits: Vec<u64> = other.measure_sums.iter().map(|s| s.to_bits()).collect();
+            prop_assert_eq!(&single_bits, &other_bits);
+            prop_assert_eq!(single.metrics.io.as_ref(), other.metrics.io.as_ref());
+            prop_assert_eq!(other.trace.is_some(), traced);
+            if let (Some(a), Some(b)) = (&single.trace, &other.trace) {
+                prop_assert_eq!(a.dropped, 0);
+                prop_assert_eq!(a.deterministic_events(), b.deterministic_events());
+                prop_assert_eq!(a.digest(), b.digest());
+            }
+        }
+    }
+}

@@ -47,15 +47,15 @@ fn every_policy_returns_bit_identical_results() {
     assert_eq!(engines[0].0, RepresentationPolicy::Plain);
     for (query_type, values) in cases {
         let bound = BoundQuery::new(&schema, query_type.to_star_query(&schema), values.clone());
-        let reference = plain_engine.execute_serial(&bound);
+        let reference = plain_engine.execute(&bound, &RunConfig::serial());
         let reference_bits: Vec<u64> = reference.measure_sums.iter().map(|s| s.to_bits()).collect();
         for (policy, engine) in &engines {
             for workers in [1usize, 2, 8] {
                 let result = engine.execute(
                     &bound,
-                    &ExecConfig {
+                    &RunConfig {
                         workers,
-                        ..ExecConfig::default()
+                        ..RunConfig::default()
                     },
                 );
                 assert_eq!(
@@ -145,13 +145,13 @@ fn placement_seeded_execution_is_bit_identical_to_unseeded() {
         Fragmentation::parse(&schema, &["time::month", "product::group"]).expect("valid attrs");
     let engine = StarJoinEngine::new(FragmentStore::build(&schema, &fragmentation, 2024));
     let bound = BoundQuery::new(&schema, QueryType::OneStore.to_star_query(&schema), vec![7]);
-    let baseline = engine.execute_serial(&bound);
+    let baseline = engine.execute(&bound, &RunConfig::serial());
     for disks in [4u64, 10, 100] {
         for workers in [2usize, 4] {
-            let config = ExecConfig {
+            let config = RunConfig {
                 workers,
                 placement: Some(PhysicalAllocation::round_robin(disks)),
-                ..ExecConfig::default()
+                ..RunConfig::default()
             };
             let placed = engine.execute(&bound, &config);
             assert_eq!(placed.hits, baseline.hits);

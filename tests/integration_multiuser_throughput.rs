@@ -1,4 +1,4 @@
-//! Integration tests of the `exec::scheduler` multi-user execution layer:
+//! Integration tests of multi-user execution on the engine's one run path:
 //! every scheduled query must be **bit-identical** to its isolated serial
 //! run for every MPL, the shared pool must never over-subscribe and must
 //! account for exactly the sum of the per-query plans, and — on machines
@@ -36,12 +36,27 @@ fn mixed_setup() -> (StarJoinEngine, Vec<BoundQuery>) {
     (engine, queries)
 }
 
+/// Plans the stream and runs it on a 4-worker pool admitting `mpl`
+/// queries at a time.
+fn run(engine: &StarJoinEngine, queries: &[BoundQuery], mpl: usize) -> StreamOutcome {
+    let plans: Vec<QueryPlan> = queries.iter().map(|q| engine.plan(q)).collect();
+    let config = RunConfig {
+        workers: 4,
+        mpl,
+        ..RunConfig::default()
+    };
+    engine.run(&plans, &config, None)
+}
+
 #[test]
 fn scheduler_is_bit_identical_to_isolated_serial_runs() {
     let (engine, queries) = mixed_setup();
-    let serial: Vec<QueryResult> = queries.iter().map(|q| engine.execute_serial(q)).collect();
+    let serial: Vec<QueryResult> = queries
+        .iter()
+        .map(|q| engine.execute(q, &RunConfig::serial()))
+        .collect();
     for mpl in [1usize, 2, 4, 8] {
-        let outcome = engine.execute_stream(&queries, &SchedulerConfig::new(4, mpl));
+        let outcome = run(&engine, &queries, mpl);
         assert_eq!(outcome.queries.len(), queries.len());
         assert_eq!(outcome.metrics.queries_completed, queries.len());
         for (scheduled, baseline) in outcome.queries.iter().zip(&serial) {
@@ -72,7 +87,7 @@ fn shared_pool_accounts_for_the_sum_of_per_query_plans() {
         .map(|q| engine.store().planned_rows(&engine.plan(q)))
         .sum();
     for mpl in [1usize, 4] {
-        let outcome = engine.execute_stream(&queries, &SchedulerConfig::new(4, mpl));
+        let outcome = run(&engine, &queries, mpl);
         // One shared pool of exactly 4 workers, regardless of the MPL — the
         // scheduler interleaves tasks instead of spawning pools per query.
         assert_eq!(outcome.metrics.pool.worker_count(), 4);
@@ -114,7 +129,7 @@ fn scheduler_agrees_with_the_engine_under_every_representation_policy() {
     ] {
         let store = FragmentStore::build_with_policy(&schema, &fragmentation, 2024, policy);
         let engine = StarJoinEngine::new(store);
-        let outcome = engine.execute_stream(&queries, &SchedulerConfig::new(4, 4));
+        let outcome = run(&engine, &queries, 4);
         let bits: Vec<Vec<u64>> = outcome
             .queries
             .iter()
@@ -160,14 +175,8 @@ fn multi_user_admission_raises_throughput_of_single_fragment_streams() {
     // re-measurement before declaring the throughput claim violated.
     let mut last = (0.0f64, 0.0f64);
     let ok = (0..2).any(|attempt| {
-        let single = engine
-            .execute_stream(&queries, &SchedulerConfig::new(4, 1))
-            .metrics
-            .queries_per_sec();
-        let multi = engine
-            .execute_stream(&queries, &SchedulerConfig::new(4, 4))
-            .metrics
-            .queries_per_sec();
+        let single = run(&engine, &queries, 1).metrics.queries_per_sec();
+        let multi = run(&engine, &queries, 4).metrics.queries_per_sec();
         last = (single, multi);
         if multi <= single && attempt == 0 {
             eprintln!("first measurement was {multi:.0} vs {single:.0} qps; re-measuring once");

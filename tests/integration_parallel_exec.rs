@@ -72,13 +72,13 @@ fn parallel_execution_is_exact_and_speeds_up() {
             "{}: plan disagrees with analytic classification",
             plan.query_name()
         );
-        let serial = engine.execute_serial(&bound);
+        let serial = engine.execute(&bound, &RunConfig::serial());
         for workers in [2usize, 4, 8] {
             let parallel = engine.execute(
                 &bound,
-                &ExecConfig {
+                &RunConfig {
                     workers,
-                    ..ExecConfig::default()
+                    ..RunConfig::default()
                 },
             );
             assert_bit_identical(&serial, &parallel, workers);
@@ -124,9 +124,9 @@ fn parallel_execution_is_exact_and_speeds_up() {
                 engine
                     .execute(
                         &one_store,
-                        &ExecConfig {
+                        &RunConfig {
                             workers,
-                            ..ExecConfig::default()
+                            ..RunConfig::default()
                         },
                     )
                     .metrics
@@ -167,13 +167,13 @@ fn work_stealing_balances_a_skewed_store() {
     let engine = StarJoinEngine::new(FragmentStore::build(&schema, &fragmentation, 42));
     let bound = BoundQuery::new(&schema, QueryType::OneStore.to_star_query(&schema), vec![9]);
 
-    let serial = engine.execute_serial(&bound);
+    let serial = engine.execute(&bound, &RunConfig::serial());
     for workers in [4usize, 8, 16] {
         let parallel = engine.execute(
             &bound,
-            &ExecConfig {
+            &RunConfig {
                 workers,
-                ..ExecConfig::default()
+                ..RunConfig::default()
             },
         );
         assert_bit_identical(&serial, &parallel, workers);
@@ -254,7 +254,7 @@ fn engine_agrees_with_the_reference_bitmap_evaluation() {
             .collect();
         let (reference_hits, reference_sum) =
             evaluate_star_query(&table, &indices, &reference_predicates, 0);
-        let result = engine.execute_serial(&bound);
+        let result = engine.execute(&bound, &RunConfig::serial());
         assert_eq!(result.hits, reference_hits as u64, "{}", result.query_name);
         // Summation order differs (global row order vs. per-fragment), so
         // compare with a float tolerance rather than bit equality.

@@ -80,7 +80,7 @@ fn assert_roundtrip(store: FragmentStore, seed: u64, tag: &str) {
     let serial_session = disk.session().build();
     let parallel_session = disk.session().workers(3).build();
     for (i, query) in workload(&schema, seed).iter().enumerate() {
-        let expected = memory.execute_serial(query);
+        let expected = memory.execute(query, &RunConfig::serial());
         let serial = serial_session.execute(query);
         let parallel = parallel_session.execute(query);
         for (label, result) in [("serial", &serial), ("parallel", &parallel)] {
@@ -253,23 +253,22 @@ fn warm_file_cache_matches_or_beats_the_simulated_cache() {
         IoConfig::with_disks(4).cache(FileStoreOptions::default().cache_pages),
         &schema,
     );
-    let config = ExecConfig::serial();
-    for _pass in 0..2 {
-        for query in &queries {
-            let plan = engine.plan(query);
-            let _ = engine.execute_plan_with_io(&plan, &config, &io);
+    let config = RunConfig::serial();
+    let plans: Vec<QueryPlan> = queries.iter().map(|q| engine.plan(q)).collect();
+    let pass = |io: &SimulatedIo| {
+        for plan in &plans {
+            let _ = engine.run(std::slice::from_ref(plan), &config, Some(io));
         }
-    }
+    };
+    pass(&io);
+    pass(&io);
     let cold = {
         // Re-run the cold pass on a fresh subsystem to isolate its counters.
         let fresh = SimulatedIo::new(
             IoConfig::with_disks(4).cache(FileStoreOptions::default().cache_pages),
             &schema,
         );
-        for query in &queries {
-            let plan = engine.plan(query);
-            let _ = engine.execute_plan_with_io(&plan, &config, &fresh);
-        }
+        pass(&fresh);
         fresh.metrics()
     };
     let total = io.metrics();

@@ -28,16 +28,29 @@ fn skewed_setup(theta: f64) -> (StarJoinEngine, Vec<BoundQuery>) {
     (engine, queries)
 }
 
+/// Plans the stream and runs it on the shared pool under `config`.
+fn run(engine: &StarJoinEngine, queries: &[BoundQuery], config: RunConfig) -> StreamOutcome {
+    let plans: Vec<QueryPlan> = queries.iter().map(|q| engine.plan(q)).collect();
+    engine.run(&plans, &config, None)
+}
+
+/// Four workers at MPL 4 over seven disks with a cache of `cache_pages`.
+fn cached(cache_pages: usize) -> RunConfig {
+    RunConfig {
+        workers: 4,
+        mpl: 4,
+        io: Some(IoConfig::with_disks(7).cache(cache_pages)),
+        ..RunConfig::default()
+    }
+}
+
 /// Runs the stream on the shared pool with a cache of `cache_pages`.
 fn run_with_cache(
     engine: &StarJoinEngine,
     queries: &[BoundQuery],
     cache_pages: usize,
 ) -> ThroughputMetrics {
-    let io = IoConfig::with_disks(7).cache(cache_pages);
-    engine
-        .execute_stream(queries, &SchedulerConfig::new(4, 4).with_io(io))
-        .metrics
+    run(engine, queries, cached(cache_pages)).metrics
 }
 
 #[test]
@@ -75,10 +88,16 @@ fn simulated_io_replay_is_deterministic_across_runs_and_pools() {
 
     // Worker count and MPL change wall-clock scheduling but never the
     // simulated subsystem: plans are charged in query-id order.
-    let io = IoConfig::with_disks(7).cache(256);
-    let other = engine
-        .execute_stream(&queries, &SchedulerConfig::new(2, 8).with_io(io))
-        .metrics;
+    let other = run(
+        &engine,
+        &queries,
+        RunConfig {
+            workers: 2,
+            mpl: 8,
+            ..cached(256)
+        },
+    )
+    .metrics;
     assert_eq!(a.pool.io, other.pool.io);
 }
 
@@ -111,14 +130,13 @@ fn per_disk_accounting_is_conserved() {
 #[test]
 fn skewed_streams_stay_bit_identical_to_serial_with_io_enabled() {
     let (engine, queries) = skewed_setup(1.0);
-    let outcome = engine.execute_stream(
-        &queries,
-        &SchedulerConfig::new(4, 4)
-            .with_placement(PhysicalAllocation::round_robin(7))
-            .with_io(IoConfig::with_disks(7).cache(256)),
-    );
+    let placed = RunConfig {
+        placement: Some(PhysicalAllocation::round_robin(7)),
+        ..cached(256)
+    };
+    let outcome = run(&engine, &queries, placed);
     for (bound, scheduled) in queries.iter().zip(&outcome.queries) {
-        let serial = engine.execute_serial(bound);
+        let serial = engine.execute(bound, &RunConfig::serial());
         assert_eq!(scheduled.hits, serial.hits, "{}", scheduled.query_name);
         let serial_bits: Vec<u64> = serial.measure_sums.iter().map(|s| s.to_bits()).collect();
         let scheduled_bits: Vec<u64> = scheduled.measure_sums.iter().map(|s| s.to_bits()).collect();
@@ -147,10 +165,7 @@ fn skew_aware_cache_keeps_disks_balanced_under_zipf() {
 
     // Without the cache, hot fragments are re-read on every scan and the
     // skewed imbalance exceeds the cached one.
-    let io = IoConfig::with_disks(7).cache(0);
-    let uncached = skewed_engine
-        .execute_stream(&skewed_queries, &SchedulerConfig::new(4, 4).with_io(io))
-        .metrics
+    let uncached = run_with_cache(&skewed_engine, &skewed_queries, 0)
         .pool
         .disk_imbalance();
     assert!(
