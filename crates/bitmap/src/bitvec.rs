@@ -75,6 +75,44 @@ pub(crate) fn and2_new(a: &[u64], b: &[u64]) -> Vec<u64> {
     a.iter().zip(b).map(|(x, y)| x & y).collect()
 }
 
+/// In-place AND of raw words or of their complement: `dst[i] &= src[i]`,
+/// or `dst[i] &= !src[i]` with `negate`.  The zip stops at the shorter
+/// slice, so a bitset container may feed a final chunk shorter than itself.
+/// The bitmap kinds' `and_into` kernels share it.
+pub(crate) fn and_into_words(dst: &mut [u64], src: &[u64], negate: bool) {
+    if negate {
+        for (d, s) in dst.iter_mut().zip(src) {
+            *d &= !s;
+        }
+    } else {
+        for (d, s) in dst.iter_mut().zip(src) {
+            *d &= s;
+        }
+    }
+}
+
+/// Clears bits `start..end` of a raw word slice (an empty range clears
+/// nothing; bits past the slice are ignored): whole words are zeroed, the
+/// partial first and last words masked.
+pub(crate) fn clear_bit_range(words: &mut [u64], start: usize, end: usize) {
+    let end = end.min(words.len() * 64);
+    if start >= end {
+        return;
+    }
+    let (first, last) = (start / 64, (end - 1) / 64);
+    let head = !0u64 << (start % 64);
+    let tail = !0u64 >> (63 - (end - 1) % 64);
+    match words.get_mut(first..=last) {
+        Some([only]) => *only &= !(head & tail),
+        Some([first, middle @ .., last]) => {
+            *first &= !head;
+            middle.fill(0);
+            *last &= !tail;
+        }
+        _ => {}
+    }
+}
+
 /// In-place bitwise OR over raw word slices: `dst[i] |= src[i]`.
 pub(crate) fn or_words(dst: &mut [u64], src: &[u64]) {
     debug_assert_eq!(dst.len(), src.len(), "kernel word-count mismatch");
@@ -136,12 +174,32 @@ impl Bitmap {
     /// Creates an all-one bitmap covering `len` rows.
     #[must_use]
     pub fn ones(len: usize) -> Self {
-        let mut b = Bitmap {
-            len,
-            words: vec![!0u64; len.div_ceil(64)],
-        };
-        b.clear_tail();
+        let mut b = Bitmap::new(0);
+        b.reset_ones(len);
         b
+    }
+
+    /// Makes this an all-one bitmap covering `len` rows, reusing the word
+    /// buffer: no allocation once the buffer has held `len` rows.  The
+    /// engine's per-worker selection scratch is reset this way per task.
+    pub fn reset_ones(&mut self, len: usize) {
+        self.len = len;
+        self.words.clear();
+        self.words.resize(len.div_ceil(64), !0u64);
+        self.clear_tail();
+    }
+
+    /// ANDs this bitmap — or, with `negate`, its complement — into `out`
+    /// in place.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the lengths differ.
+    pub(crate) fn and_into(&self, out: &mut Bitmap, negate: bool) {
+        assert_eq!(self.len, out.len, "bitmap length mismatch");
+        // `out`'s tail bits are clear, so the complement's set tail bits
+        // cannot leak past `len`.
+        and_into_words(&mut out.words, &self.words, negate);
     }
 
     /// Builds a bitmap from an iterator of set-bit positions.
@@ -305,9 +363,8 @@ impl Bitmap {
     /// In-place multi-way AND: folds all `others` into `self` with the
     /// unrolled kernels, two operands per pass plus one single-operand pass
     /// for an odd trailing operand.  Unlike
-    /// [`Bitmap::and_many`] this allocates nothing — the engine's
-    /// per-fragment selection uses it to fold every predicate bitmap into
-    /// the first one.
+    /// [`Bitmap::and_many`] this allocates nothing; it builds
+    /// [`Bitmap::and_many`]'s result past the first two operands.
     ///
     /// # Panics
     ///
@@ -468,6 +525,16 @@ mod tests {
         let z = b.not();
         assert!(z.is_all_zero());
         assert_eq!(z.not().count_ones(), 70);
+    }
+
+    #[test]
+    fn reset_ones_reuses_the_buffer_at_any_length() {
+        let mut b = Bitmap::from_positions(200, [3, 150]);
+        for len in [70usize, 0, 1, 64, 200, 65] {
+            b.reset_ones(len);
+            assert_eq!(b, Bitmap::new(len).not(), "len={len}");
+            assert_eq!(b.count_ones(), len);
+        }
     }
 
     #[test]

@@ -310,38 +310,63 @@ impl MaterialisedIndex {
         }
     }
 
-    /// Returns the bitmap of fact rows matching `value` at hierarchy `level`
-    /// (0 = coarsest) in its stored representation.
+    /// The stored bitmap of `value` at hierarchy `level` (0 = coarsest) when
+    /// this is a simple index, borrowed in its stored (possibly compressed)
+    /// representation; `None` for an encoded index, whose selections are
+    /// computed ([`MaterialisedIndex::and_selection_into`]), or for a key
+    /// outside the index.
+    #[must_use]
+    pub fn simple_bitmap(&self, level: usize, value: u64) -> Option<&BitmapRepr> {
+        self.simple_bitmaps.get(&(level, value))
+    }
+
+    /// ANDs the selection of `value` at hierarchy `level` into `out` in
+    /// place, allocating nothing: a simple index ANDs its stored bitmap,
+    /// an encoded index folds the prefix bit slices of the value's pattern
+    /// one by one — each slice where the pattern bit is 1, its complement
+    /// where it is 0 — through [`BitmapRepr::and_into`].
     ///
-    /// For simple indices this is a clone of the stored (possibly
-    /// compressed) per-value bitmap, so a query whose predicates all hit
-    /// simple indices can intersect entirely in the compressed domain.  For
-    /// encoded indices the selection is *computed* from the prefix bit
-    /// slices and returned plain — re-compressing a query-time temporary
-    /// would cost more than it saves.
+    /// # Panics
+    ///
+    /// Panics if `out`'s length differs from the index's row count or the
+    /// index holds no bitmap for `(level, value)`.
+    pub fn and_selection_into(&self, level: usize, value: u64, out: &mut Bitmap) {
+        match &self.encoding {
+            Some(encoding) => {
+                for (bit, must_be_one) in encoding.match_pattern(level, value) {
+                    self.encoded_bitmaps[bit as usize].and_into(out, !must_be_one);
+                }
+            }
+            None => match self.simple_bitmap(level, value) {
+                Some(stored) => stored.and_into(out, false),
+                None => panic!("no bitmap for level {level} value {value}"),
+            },
+        }
+    }
+
+    /// Returns the bitmap of fact rows matching `value` at hierarchy `level`
+    /// (0 = coarsest) as an owned [`BitmapRepr`].
+    ///
+    /// For simple indices this is a copy of [`MaterialisedIndex::simple_bitmap`]
+    /// in its stored (possibly compressed) representation.  For encoded
+    /// indices it is [`MaterialisedIndex::and_selection_into`] over an
+    /// all-one bitmap, returned plain — re-compressing a query-time
+    /// temporary would cost more than it saves.  The engine reads the
+    /// borrow or folds into a reused scratch bitmap instead; this owned
+    /// form serves callers that keep the selection.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the index holds no bitmap for `(level, value)`.
     #[must_use]
     pub fn select_repr(&self, level: usize, value: u64) -> BitmapRepr {
-        match self.spec.kind() {
-            BitmapIndexKind::Simple => self
-                .simple_bitmaps
-                .get(&(level, value))
-                .cloned()
-                .unwrap_or_else(|| panic!("no bitmap for level {level} value {value}")),
-            BitmapIndexKind::Encoded(_) => {
-                let enc = self.encoding.as_ref().expect("encoded index has encoding");
-                let n = self.encoded_bitmaps.first().map_or(0, BitmapRepr::len);
-                let mut result = Bitmap::ones(n);
-                for (bit, must_be_one) in enc.match_pattern(level, value) {
-                    let bm = self.encoded_bitmaps[bit as usize].borrow_plain();
-                    if must_be_one {
-                        result.and_assign(&bm);
-                    } else {
-                        result.and_assign(&bm.not());
-                    }
-                }
-                BitmapRepr::Plain(result)
-            }
+        if let Some(stored) = self.simple_bitmap(level, value) {
+            return stored.clone();
         }
+        let rows = self.encoded_bitmaps.first().map_or(0, BitmapRepr::len);
+        let mut selection = Bitmap::ones(rows);
+        self.and_selection_into(level, value, &mut selection);
+        BitmapRepr::Plain(selection)
     }
 
     /// Returns the selection of [`MaterialisedIndex::select_repr`] as a

@@ -87,19 +87,32 @@ impl HierarchicalEncoding {
     /// most significant bits, matching the `dddllfffggcoooo` layout.
     #[must_use]
     pub fn encode_leaf(&self, leaf: u64) -> u64 {
-        let mut remaining = leaf;
-        // Ordinals within parent, finest level first.
-        let mut ordinals = vec![0u64; self.levels()];
-        for (i, &fanout) in self.fanouts.iter().enumerate().rev() {
-            ordinals[i] = remaining % fanout;
-            remaining /= fanout;
-        }
-        assert_eq!(remaining, 0, "leaf id out of range for this hierarchy");
-        let mut pattern = 0u64;
-        for (i, &ord) in ordinals.iter().enumerate() {
-            pattern = (pattern << self.bits_per_level[i]) | ord;
-        }
+        let Some(pattern) = self.pack(self.levels(), leaf) else {
+            panic!("leaf id out of range for this hierarchy")
+        };
         pattern
+    }
+
+    /// The pattern of an element of level `levels - 1`: its ordinal within
+    /// its parent in the least significant bits, then its ancestors'
+    /// ordinals, coarsest in the most significant bits.  `None` when
+    /// `value` is out of range for that level.  Allocation-free.
+    fn pack(&self, levels: usize, value: u64) -> Option<u64> {
+        let mut remaining = value;
+        let mut pattern = 0u64;
+        let mut shift = 0u32;
+        for (&fanout, &bits) in self
+            .fanouts
+            .iter()
+            .zip(&self.bits_per_level)
+            .take(levels)
+            .rev()
+        {
+            pattern |= (remaining % fanout) << shift;
+            remaining /= fanout;
+            shift += bits;
+        }
+        (remaining == 0).then_some(pattern)
     }
 
     /// Decodes a bit pattern produced by [`Self::encode_leaf`] back into the
@@ -135,32 +148,18 @@ impl HierarchicalEncoding {
     #[must_use]
     pub fn encode_prefix(&self, level: usize, value: u64) -> (u64, u32) {
         assert!(level < self.levels(), "level out of range");
-        let mut remaining = value;
-        let mut ordinals = vec![0u64; level + 1];
-        for i in (0..=level).rev() {
-            ordinals[i] = remaining % self.fanouts[i];
-            remaining /= self.fanouts[i];
-        }
-        assert_eq!(remaining, 0, "value out of range for level {level}");
-        let mut pattern = 0u64;
-        for (i, &ord) in ordinals.iter().enumerate() {
-            pattern = (pattern << self.bits_per_level[i]) | ord;
-        }
+        let Some(pattern) = self.pack(level + 1, value) else {
+            panic!("value out of range for level {level}")
+        };
         (pattern, self.prefix_bits(level))
     }
 
-    /// Returns, for a selection of `value` at `level`, which bitmaps (by bit
+    /// For a selection of `value` at `level`, yields which bitmaps (by bit
     /// index, 0 = most significant / coarsest) must be read and whether each
-    /// must be 1 (`true`) or 0 (`false`).
-    #[must_use]
-    pub fn match_pattern(&self, level: usize, value: u64) -> Vec<(u32, bool)> {
+    /// must be 1 (`true`) or 0 (`false`), coarsest first.  Allocation-free.
+    pub fn match_pattern(&self, level: usize, value: u64) -> impl Iterator<Item = (u32, bool)> {
         let (pattern, bits) = self.encode_prefix(level, value);
-        (0..bits)
-            .map(|i| {
-                let shift = bits - 1 - i;
-                (i, (pattern >> shift) & 1 == 1)
-            })
-            .collect()
+        (0..bits).map(move |i| (i, (pattern >> (bits - 1 - i)) & 1 == 1))
     }
 }
 
@@ -444,7 +443,7 @@ mod tests {
     #[test]
     fn match_pattern_structure() {
         let e = product_encoding();
-        let m = e.match_pattern(3, 1); // group 1
+        let m: Vec<(u32, bool)> = e.match_pattern(3, 1).collect(); // group 1
         assert_eq!(m.len(), 10);
         // Group 1 is (division 0, line 0, family 0, group 1):
         // pattern 000 00 000 01 → only the last prefix bit is 1.

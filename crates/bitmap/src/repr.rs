@@ -277,21 +277,20 @@ impl BitmapRepr {
         if let Some(roars) = Self::all_roaring(reprs.iter().copied()) {
             return Some(BitmapRepr::Roaring(RoaringBitmap::and_many(&roars)));
         }
-        // Mixed operands: borrow plain ones, decompress only compressed ones.
-        let plain: Vec<std::borrow::Cow<'_, Bitmap>> =
-            reprs.iter().map(|r| r.borrow_plain()).collect();
-        let refs: Vec<&Bitmap> = plain.iter().map(std::convert::AsRef::as_ref).collect();
-        Some(BitmapRepr::Plain(Bitmap::and_many(&refs)))
+        // Mixed operands: every one ANDs into one plain bitmap in place.
+        let mut acc = Bitmap::ones(reprs.first()?.len());
+        for repr in reprs {
+            repr.and_into(&mut acc, false);
+        }
+        Some(BitmapRepr::Plain(acc))
     }
 
-    /// Consuming multi-way intersection — the hot-path variant used by the
-    /// execution engine's per-fragment selection: stays entirely in the
-    /// compressed domain when every operand shares a compressed
-    /// representation (all WAH or all roaring), otherwise folds every
-    /// further operand into the first operand's plain form **in place**
-    /// ([`Bitmap::and_assign_many`]), with no per-operand result
-    /// allocation.  The result is compressed exactly when the whole
-    /// intersection ran in the compressed domain.
+    /// Consuming multi-way intersection: stays entirely in the compressed
+    /// domain when every operand shares a compressed representation (all
+    /// WAH or all roaring), otherwise folds every further operand into the
+    /// first operand's plain form **in place** ([`BitmapRepr::and_into`]),
+    /// with no per-operand result allocation.  The result is compressed
+    /// exactly when the whole intersection ran in the compressed domain.
     ///
     /// # Panics
     ///
@@ -328,12 +327,29 @@ impl BitmapRepr {
             }
         }
         let mut reprs = reprs.into_iter();
-        let first = reprs.next()?;
-        let mut acc = first.into_plain();
-        let rest: Vec<Bitmap> = reprs.map(BitmapRepr::into_plain).collect();
-        let rest_refs: Vec<&Bitmap> = rest.iter().collect();
-        acc.and_assign_many(&rest_refs);
+        let mut acc = reprs.next()?.into_plain();
+        for repr in reprs {
+            repr.and_into(&mut acc, false);
+        }
         Some(BitmapRepr::Plain(acc))
+    }
+
+    /// ANDs this bitmap — or, with `negate`, its complement — into `out`
+    /// in place, whatever its representation: plain words AND word by
+    /// word, WAH runs clear or keep whole ranges, roaring containers AND
+    /// into their 64 Ki-bit chunk.  Nothing is decompressed and nothing is
+    /// allocated, so folding several selections into one reused scratch
+    /// bitmap costs no heap traffic.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the lengths differ.
+    pub fn and_into(&self, out: &mut Bitmap, negate: bool) {
+        match self {
+            BitmapRepr::Plain(b) => b.and_into(out, negate),
+            BitmapRepr::Wah(w) => w.and_into(out, negate),
+            BitmapRepr::Roaring(r) => r.and_into(out, negate),
+        }
     }
 
     /// Union of two representations, compressed-domain when both operands
@@ -612,6 +628,42 @@ mod tests {
     }
 
     #[test]
+    fn and_into_covers_every_roaring_container() {
+        // Chunk 0 scattered (bitset), chunk 1 sparse (array), chunk 2 one
+        // clustered run (runs), chunk 3 partial and empty.
+        let n = 3 * 65_536 + 1_000;
+        let b = Bitmap::from_positions(
+            n,
+            (0..65_536)
+                .filter(|i| i % 7 == 0)
+                .chain((65_536..131_072).step_by(1_001))
+                .chain(140_000..150_001),
+        );
+        let roaring = RoaringBitmap::compress(&b);
+        assert_eq!(roaring.container_kinds(), vec!['b', 'a', 'r', 'a']);
+        let base = Bitmap::from_positions(n, (0..n).filter(|i| i % 3 != 0));
+        for negate in [false, true] {
+            let operand = if negate { b.not() } else { b.clone() };
+            for repr in [
+                BitmapRepr::Plain(b.clone()),
+                BitmapRepr::Wah(WahBitmap::compress(&b)),
+                BitmapRepr::Roaring(roaring.clone()),
+            ] {
+                let mut out = base.clone();
+                repr.and_into(&mut out, negate);
+                assert_eq!(out, base.and(&operand), "negate={negate} {repr:?}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "length mismatch")]
+    fn and_into_rejects_length_mismatch() {
+        let repr = BitmapRepr::Plain(Bitmap::new(10));
+        repr.and_into(&mut Bitmap::ones(11), false);
+    }
+
+    #[test]
     #[should_panic(expected = "at least one bitmap")]
     fn and_many_rejects_empty_input() {
         let _ = BitmapRepr::and_many(&[]);
@@ -634,6 +686,13 @@ mod prop_tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// Lengths around every boundary an in-place AND kernel can get wrong:
+    /// empty, one bit, a WAH group (63) and a word (64) either side, two
+    /// groups, a fragment-sized 1 800, one roaring chunk and several.
+    const AND_INTO_LENS: [usize; 12] = [
+        0, 1, 63, 64, 65, 126, 127, 1_800, 65_536, 65_537, 70_001, 140_000,
+    ];
+
     proptest! {
         /// The chooser never loses information and the adaptive form is
         /// never larger than the plain one.
@@ -654,6 +713,39 @@ mod prop_tests {
             prop_assert_eq!(forced.to_plain(), bitmap.clone());
             let forced = BitmapRepr::from_bitmap(bitmap.clone(), RepresentationPolicy::Roaring);
             prop_assert_eq!(forced.to_plain(), bitmap);
+        }
+
+        /// `and_into`, with and without `negate`, equals the plain `and`
+        /// of the operand or of its complement for all three forms: at
+        /// word (64) and WAH group (63) boundaries, on a page-sized bitmap
+        /// and across several roaring chunks (array, bitset and run
+        /// containers), into every shape of accumulator.
+        #[test]
+        fn prop_and_into_matches_plain_and(
+            len_idx in 0usize..AND_INTO_LENS.len(),
+            shape_out in 0u8..4,
+            shape in 0u8..4,
+            run_start in 0usize..140_000,
+            run_len in 0usize..140_000,
+            seed in 0u64..1_000,
+        ) {
+            let len = AND_INTO_LENS[len_idx];
+            let (start, run) = (run_start % (len + 1), run_len % (len + 1));
+            let out = crate::test_shapes::shaped_bitmap(len, shape_out, run, start, seed ^ 0x33);
+            let b = crate::test_shapes::shaped_bitmap(len, shape, start, run, seed);
+            let reprs = [
+                BitmapRepr::Plain(b.clone()),
+                BitmapRepr::Wah(WahBitmap::compress(&b)),
+                BitmapRepr::Roaring(RoaringBitmap::compress(&b)),
+            ];
+            for negate in [false, true] {
+                let expected = out.and(&if negate { b.not() } else { b.clone() });
+                for repr in &reprs {
+                    let mut got = out.clone();
+                    repr.and_into(&mut got, negate);
+                    prop_assert_eq!(&got, &expected, "negate={} {:?}", negate, repr);
+                }
+            }
         }
 
         /// `and_many` / `or` agree bit-for-bit across all three forced

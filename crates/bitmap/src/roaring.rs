@@ -286,6 +286,53 @@ impl Container {
             }
         }
     }
+
+    /// ANDs this container — or, with `negate`, its complement — into the
+    /// words of its chunk.  The chunk may be shorter than [`CHUNK_WORDS`]
+    /// (the final one); a canonical container sets no bit past it.
+    fn and_into(&self, words: &mut [u64], negate: bool) {
+        match self {
+            Container::Bitset(w) => bitvec::and_into_words(words, w.as_slice(), negate),
+            Container::Array(values) if negate => {
+                for &p in values {
+                    if let Some(word) = words.get_mut(usize::from(p / 64)) {
+                        *word &= !(1u64 << (p % 64));
+                    }
+                }
+            }
+            Container::Array(values) => {
+                // Keep only the listed bits: every word between two
+                // populated words is zeroed, each populated word masked.
+                let mut next = 0usize;
+                for same_word in values.chunk_by(|a, b| a / 64 == b / 64) {
+                    let Some(&first) = same_word.first() else {
+                        continue;
+                    };
+                    let wi = usize::from(first / 64);
+                    let keep = same_word.iter().fold(0u64, |m, &p| m | 1u64 << (p % 64));
+                    bitvec::clear_bit_range(words, next * 64, wi * 64);
+                    if let Some(word) = words.get_mut(wi) {
+                        *word &= keep;
+                    }
+                    next = wi + 1;
+                }
+                bitvec::clear_bit_range(words, next * 64, CHUNK_BITS);
+            }
+            Container::Runs(runs) if negate => {
+                for &(s, e) in runs {
+                    bitvec::clear_bit_range(words, usize::from(s), usize::from(e) + 1);
+                }
+            }
+            Container::Runs(runs) => {
+                let mut next = 0usize;
+                for &(s, e) in runs {
+                    bitvec::clear_bit_range(words, next, usize::from(s));
+                    next = usize::from(e) + 1;
+                }
+                bitvec::clear_bit_range(words, next, CHUNK_BITS);
+            }
+        }
+    }
 }
 
 /// Sorted-array two-pointer intersection.
@@ -472,30 +519,27 @@ impl RoaringBitmap {
     /// Decompresses back into an uncompressed bitmap.
     #[must_use]
     pub fn decompress(&self) -> Bitmap {
-        let mut out = Bitmap::new(self.len);
-        let total_words = out.words().len();
-        let words = out.words_mut();
-        for (ci, container) in self.containers.iter().enumerate() {
-            let start = ci * CHUNK_WORDS;
-            let end = (start + CHUNK_WORDS).min(total_words);
-            let chunk_words = &mut words[start..end];
-            match container {
-                // A canonical container never carries bits beyond `len`, so
-                // copying only the chunk's in-range words loses nothing.
-                Container::Bitset(w) => chunk_words.copy_from_slice(&w[..chunk_words.len()]),
-                Container::Array(v) => {
-                    for &p in v {
-                        chunk_words[p as usize / 64] |= 1u64 << (p % 64);
-                    }
-                }
-                Container::Runs(r) => {
-                    for &(s, e) in r {
-                        for_run_words(s, e, |wi, mask| chunk_words[wi] |= mask);
-                    }
-                }
-            }
-        }
+        let mut out = Bitmap::ones(self.len);
+        self.and_into(&mut out, false);
         out
+    }
+
+    /// ANDs this bitmap — or, with `negate`, its complement — into `out`
+    /// in place, container by container over `out`'s 1 024-word chunks;
+    /// nothing is decompressed or allocated.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the lengths differ.
+    pub(crate) fn and_into(&self, out: &mut Bitmap, negate: bool) {
+        assert_eq!(self.len, out.len(), "bitmap length mismatch");
+        for (chunk, container) in out
+            .words_mut()
+            .chunks_mut(CHUNK_WORDS)
+            .zip(&self.containers)
+        {
+            container.and_into(chunk, negate);
+        }
     }
 
     /// Number of rows covered.

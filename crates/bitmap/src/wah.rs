@@ -15,7 +15,7 @@
 //! tail group always stored as a literal), so structural equality coincides
 //! with logical equality.
 
-use crate::bitvec::Bitmap;
+use crate::bitvec::{self, Bitmap};
 
 const GROUP_BITS: usize = 63;
 const LITERAL_FLAG: u64 = 1 << 63;
@@ -95,31 +95,59 @@ impl WahBitmap {
     /// Decompresses back into an uncompressed bitmap.
     #[must_use]
     pub fn decompress(&self) -> Bitmap {
-        let mut out = Bitmap::new(self.len);
+        let mut out = Bitmap::ones(self.len);
+        self.and_into(&mut out, false);
+        out
+    }
+
+    /// ANDs this bitmap — or, with `negate`, its complement — into `out`
+    /// in place, run by run: a zero fill clears its bit range, a one fill
+    /// leaves `out` as it is, and a 63-bit literal masks the one or two
+    /// words it straddles.  Nothing is decompressed or allocated.  Like
+    /// every operation here it tolerates non-canonical (deserialized)
+    /// streams: tail-literal bits past `len` and fills overrunning it are
+    /// ignored, and bits past a truncated stream's last run read as zeros.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the lengths differ.
+    pub(crate) fn and_into(&self, out: &mut Bitmap, negate: bool) {
+        assert_eq!(self.len, out.len(), "bitmap length mismatch");
+        let words = out.words_mut();
         let mut bit_pos = 0usize;
         for &w in &self.words {
+            if bit_pos >= self.len {
+                break;
+            }
             if w & LITERAL_FLAG != 0 {
-                let payload = w & !LITERAL_FLAG;
-                let group_len = (self.len - bit_pos).min(GROUP_BITS);
-                for i in 0..group_len {
-                    if (payload >> i) & 1 == 1 {
-                        out.set(bit_pos + i, true);
+                let valid = (self.len - bit_pos).min(GROUP_BITS);
+                let ones = if negate { !w } else { w };
+                let clear = !ones & (FULL_GROUP >> (GROUP_BITS - valid));
+                let (wi, offset) = (bit_pos / 64, bit_pos % 64);
+                if let Some(word) = words.get_mut(wi) {
+                    *word &= !(clear << offset);
+                }
+                // A group starting past bit 1 of a word spills into the next.
+                if offset > 1 {
+                    if let Some(word) = words.get_mut(wi + 1) {
+                        *word &= !(clear >> (64 - offset));
                     }
                 }
-                bit_pos += group_len;
+                bit_pos += GROUP_BITS;
             } else {
-                let value = w & FILL_VALUE_FLAG != 0;
                 let groups = (w & MAX_FILL_LEN) as usize;
-                let bits = groups * GROUP_BITS;
-                if value {
-                    for i in 0..bits.min(self.len - bit_pos) {
-                        out.set(bit_pos + i, true);
-                    }
+                let end = bit_pos
+                    .saturating_add(groups.saturating_mul(GROUP_BITS))
+                    .min(self.len);
+                if (w & FILL_VALUE_FLAG != 0) == negate {
+                    bitvec::clear_bit_range(words, bit_pos, end);
                 }
-                bit_pos += bits;
+                bit_pos = end;
             }
         }
-        out
+        if !negate {
+            bitvec::clear_bit_range(words, bit_pos, self.len);
+        }
     }
 
     /// Number of rows covered.
@@ -744,6 +772,22 @@ mod tests {
         );
         let zeros = WahBitmap::compress(&Bitmap::new(70));
         assert_eq!(w.or(&zeros), WahBitmap::compress(&b));
+        let mut complement = Bitmap::ones(70);
+        w.and_into(&mut complement, true);
+        assert!(complement.is_all_zero());
+    }
+
+    #[test]
+    fn overlong_fills_stop_at_len() {
+        // A deserialized fill may claim more groups than `len` holds; the
+        // in-place AND must stop at `len` instead of running off the end.
+        let w = WahBitmap::from_raw_words(100, vec![5, LITERAL_FLAG | 1]);
+        assert_eq!(w.decompress(), Bitmap::new(100));
+        let mut out = Bitmap::ones(100);
+        w.and_into(&mut out, true);
+        assert_eq!(out, Bitmap::ones(100));
+        let one_fill = WahBitmap::from_raw_words(100, vec![FILL_VALUE_FLAG | 5]);
+        assert_eq!(one_fill.decompress(), Bitmap::ones(100));
     }
 
     #[test]
@@ -756,6 +800,9 @@ mod tests {
         w.words.truncate(1); // drop the trailing zero fill
         let expected = WahBitmap::compress(&b);
         assert_eq!(w.decompress(), b);
+        let mut complement = Bitmap::ones(126);
+        w.and_into(&mut complement, true);
+        assert_eq!(complement, b.not());
         assert_eq!(w.and(&WahBitmap::compress(&Bitmap::ones(126))), expected);
         assert_eq!(w.or(&WahBitmap::compress(&Bitmap::new(126))), expected);
     }

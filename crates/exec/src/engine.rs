@@ -8,13 +8,18 @@
 //! [`RunConfig::mpl`] limit, the physical counterpart of the paper's
 //! dynamic assignment of fragment subqueries to processing elements; a
 //! single query is a stream of one ([`StarJoinEngine::execute`]).  Each
-//! worker evaluates its fragments' bitmap predicates — staying in the
-//! *compressed domain* when every selection bitmap is WAH- or
-//! Roaring-compressed, falling back to an allocation-free plain
-//! intersection otherwise ([`bitmap::BitmapRepr::and_many_owned`]) —
-//! aggregates partial sums, and the per-fragment partials are merged *in
-//! plan order*, so the floating-point result is **bit-identical for every
-//! worker count, MPL and representation policy**.
+//! worker evaluates its fragments' bitmap predicates in place, with no
+//! heap allocation per fragment: a lone simple-index predicate iterates
+//! its stored bitmap by borrow
+//! ([`bitmap::MaterialisedIndex::simple_bitmap`]) — in its *compressed
+//! domain* when that bitmap is stored WAH or roaring — and anything else
+//! (several predicates, or an encoded-index selection) is ANDed into the
+//! worker's reused scratch bitmap
+//! ([`bitmap::MaterialisedIndex::and_selection_into`]).
+//! The worker aggregates partial sums in ascending row order into its
+//! query's per-task slot, and the partials are merged *in plan order*, so
+//! the floating-point result is **bit-identical for every worker count,
+//! MPL and representation policy**.
 //!
 //! When a [`RunConfig::placement`] is set, each worker's initial deque
 //! chunk follows the physical allocation's disk-affinity order
@@ -33,7 +38,7 @@ use std::sync::Arc;
 use std::thread;
 
 use allocation::PhysicalAllocation;
-use bitmap::BitmapRepr;
+use bitmap::{Bitmap, BitmapRepr};
 use obs::{ObsConfig, Trace};
 use workload::BoundQuery;
 
@@ -150,36 +155,34 @@ impl From<StreamOutcome> for QueryResult {
     }
 }
 
-/// Partial aggregate of one fragment, tagged with its plan position so the
-/// merge can fold in deterministic order.
+/// What one fragment task produced besides its measure sums, which it
+/// writes into a caller-owned slice.
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct FragmentPartial {
-    pub(crate) task: usize,
     pub(crate) rows: u64,
     pub(crate) hits: u64,
-    pub(crate) sums: Vec<f64>,
+    /// Whether the selection ran fully in the compressed domain.
+    pub(crate) compressed: bool,
 }
 
-/// Folds per-fragment partials into `(hits, measure_sums)` in ascending
-/// plan-position order.
+/// Folds per-task measure sums — `measure_count` values per task, laid out
+/// by plan position — into the query's measure sums, in ascending plan
+/// order.
 ///
 /// This is **the** deterministic merge: every completed query's partials
 /// are folded through it, so float addition order — and therefore the
 /// result bits — depends only on the plan, never on worker count, MPL or
 /// scheduling interleave.
-pub(crate) fn merge_partials(
-    partials: &mut [FragmentPartial],
-    measure_count: usize,
-) -> (u64, Vec<f64>) {
-    partials.sort_unstable_by_key(|p| p.task);
+pub(crate) fn merge_partials(task_sums: &[f64], measure_count: usize) -> Vec<f64> {
     let mut measure_sums = vec![0.0f64; measure_count];
-    let mut hits = 0u64;
-    for partial in partials.iter() {
-        hits += partial.hits;
-        for (acc, value) in measure_sums.iter_mut().zip(&partial.sums) {
-            *acc += value;
+    if measure_count > 0 {
+        for partial in task_sums.chunks_exact(measure_count) {
+            for (acc, value) in measure_sums.iter_mut().zip(partial) {
+                *acc += value;
+            }
         }
     }
-    (hits, measure_sums)
+    measure_sums
 }
 
 /// A parallel star-join execution engine over a [`ScanSource`] — an
@@ -257,77 +260,89 @@ pub(crate) fn placement_seed_order(
 }
 
 /// Evaluates one fragment: bitmap-AND selection (or the IOC1 whole-fragment
-/// fast path) followed by partial aggregation of every measure.  Returns
-/// the partial plus whether the selection ran fully in the compressed
-/// domain.
+/// fast path) followed by partial aggregation of every measure into
+/// `sums`, one value per measure.  `scratch` is the calling worker's
+/// selection buffer, reused across its tasks: once it has grown to the
+/// largest fragment, a task allocates nothing.  The partial's
+/// `compressed` flag is set exactly when a lone simple-index predicate
+/// iterated a compressed stored bitmap.
 pub(crate) fn process_fragment(
     fragment: &ColumnarFragment,
     bitmap_predicates: &[PredicateBinding],
-    measure_count: usize,
-    task: usize,
-) -> (FragmentPartial, bool) {
+    scratch: &mut Bitmap,
+    sums: &mut [f64],
+) -> FragmentPartial {
+    sums.fill(0.0);
     let rows = fragment.len() as u64;
-    let mut sums = vec![0.0f64; measure_count];
-    let mut hits = 0u64;
-    let mut compressed_domain = false;
-    if fragment.is_empty() {
-        return (
-            FragmentPartial {
-                task,
-                rows,
-                hits,
-                sums,
-            },
-            compressed_domain,
-        );
-    }
-    // One aggregation loop for both selection branches, so the
-    // bit-identical-across-representations invariant cannot diverge.
-    let mut aggregate = |matching: &mut dyn Iterator<Item = usize>| {
-        for row in matching {
-            hits += 1;
-            for (measure, sum) in sums.iter_mut().enumerate() {
-                *sum += fragment.measure_column(measure)[row];
-            }
-        }
+    let partial = |hits, compressed| FragmentPartial {
+        rows,
+        hits,
+        compressed,
     };
+    if fragment.is_empty() {
+        return partial(0, false);
+    }
     if bitmap_predicates.is_empty() {
         // IOC1 fast path (§4.5): fragment pruning already guarantees every
         // row of this fragment matches — aggregate whole measure columns
         // without touching an index.
-        hits = rows;
         for (measure, sum) in sums.iter_mut().enumerate() {
             *sum = fragment.measure_column(measure).iter().sum();
         }
-    } else {
-        let selections: Vec<BitmapRepr> = bitmap_predicates
-            .iter()
-            .map(|p| {
-                fragment
-                    .bitmap_index(p.dimension)
-                    .select_repr(p.level, p.value)
-            })
-            .collect();
-        // Homogeneous compressed selections (all-WAH or all-Roaring)
-        // intersect and iterate entirely in their compressed domain;
-        // otherwise the operands fold into the first selection's plain form
-        // in place — both inside `BitmapRepr::and_many_owned`.  The result
-        // is compressed exactly when the compressed domain was used, so the
-        // metric reads it off the result rather than the operands (mixed
-        // WAH x Roaring operands are all compressed yet fold via plain).
-        let selection = BitmapRepr::and_many_owned(selections);
-        compressed_domain = selection.is_compressed();
-        aggregate(&mut selection.iter_ones());
+        return partial(rows, false);
     }
-    (
-        FragmentPartial {
-            task,
-            rows,
-            hits,
-            sums,
-        },
-        compressed_domain,
-    )
+    if let [only] = bitmap_predicates {
+        if let Some(selection) = fragment
+            .bitmap_index(only.dimension)
+            .simple_bitmap(only.level, only.value)
+        {
+            // The stored bitmap is the selection: iterate it in place.
+            return partial(
+                aggregate_selection(fragment, selection, sums),
+                selection.is_compressed(),
+            );
+        }
+    }
+    scratch.reset_ones(fragment.len());
+    for p in bitmap_predicates {
+        fragment
+            .bitmap_index(p.dimension)
+            .and_selection_into(p.level, p.value, scratch);
+    }
+    partial(aggregate(fragment, scratch.iter_ones(), sums), false)
+}
+
+/// [`aggregate`] over a selection in any representation, monomorphised per
+/// representation rather than through a boxed iterator.
+fn aggregate_selection(
+    fragment: &ColumnarFragment,
+    selection: &BitmapRepr,
+    sums: &mut [f64],
+) -> u64 {
+    match selection {
+        BitmapRepr::Plain(b) => aggregate(fragment, b.iter_ones(), sums),
+        BitmapRepr::Wah(w) => aggregate(fragment, w.iter_ones(), sums),
+        BitmapRepr::Roaring(r) => aggregate(fragment, r.iter_ones(), sums),
+    }
+}
+
+/// Adds every matching row's measures into `sums` and returns the hit
+/// count.  Every selection path ends here, and each measure's additions
+/// run in ascending row order, so the sums are bit-identical whichever
+/// path and representation selected the rows.
+fn aggregate(
+    fragment: &ColumnarFragment,
+    matching: impl Iterator<Item = usize>,
+    sums: &mut [f64],
+) -> u64 {
+    let mut hits = 0u64;
+    for row in matching {
+        hits += 1;
+        for (measure, sum) in sums.iter_mut().enumerate() {
+            *sum += fragment.measure_column(measure)[row];
+        }
+    }
+    hits
 }
 
 #[cfg(test)]
@@ -610,8 +625,8 @@ mod tests {
             bitmap::RepresentationPolicy::Roaring,
         );
         let engine = StarJoinEngine::new(store);
-        // 1STORE hits the simple customer index: all selections compressed,
-        // and the homogeneous roaring operands stay in the roaring domain.
+        // 1STORE hits the simple customer index: every selection iterates
+        // its stored roaring bitmap in the compressed domain.
         let bound = BoundQuery::new(&schema, QueryType::OneStore.to_star_query(&schema), vec![7]);
         let result = engine.execute(&bound, &RunConfig::serial());
         assert_eq!(
@@ -719,6 +734,123 @@ mod tests {
         // pages read did not grow and the hit rate jumped.
         assert_eq!(warm_io.total_pages_read(), cold_io.total_pages_read());
         assert!(warm_io.cache_hit_rate() > cold_io.cache_hit_rate());
+    }
+
+    /// The rows of `fragment` whose key on `dimension` rolls up to `value`
+    /// at `level`, read off the key column — independent of every index.
+    fn rows_matching(
+        schema: &StarSchema,
+        fragment: &ColumnarFragment,
+        dimension: usize,
+        level: usize,
+        value: u64,
+    ) -> bitmap::Bitmap {
+        let leaves = schema.dimensions()[dimension]
+            .hierarchy()
+            .leaf_range_of(level, value);
+        let keys = fragment.key_column(dimension);
+        bitmap::Bitmap::from_positions(
+            keys.len(),
+            (0..keys.len()).filter(|&row| leaves.contains(&keys[row])),
+        )
+    }
+
+    /// Sums `rows`' measures in ascending row order — the reference the
+    /// engine's in-place selection paths must reproduce bit for bit.
+    fn reference_sums(fragment: &ColumnarFragment, rows: &bitmap::Bitmap) -> (u64, Vec<u64>) {
+        let mut sums = [0.0f64; 3];
+        for row in rows.iter_ones() {
+            for (measure, sum) in sums.iter_mut().enumerate() {
+                *sum += fragment.measure_column(measure)[row];
+            }
+        }
+        (
+            rows.count_ones() as u64,
+            sums.iter().map(|s| s.to_bits()).collect(),
+        )
+    }
+
+    #[test]
+    fn in_place_selection_equals_key_scan_for_every_index_value() {
+        let schema = apb1_scaled_down();
+        let mut scratch = Bitmap::new(0);
+        // The APB-1 fact table's three measures.
+        let mut sums = vec![0.0f64; 3];
+        assert_eq!(schema.fact().measures().len(), sums.len());
+        let mut empty_fragments = 0;
+        // Month x code x channel leaves ~2 rows a fragment, many of them
+        // empty; channel alone leaves a few big fragments.  Every
+        // representation policy puts the stored bitmaps in another form.
+        for (attrs, policy) in [
+            (
+                &["time::month", "product::code", "channel::channel"][..],
+                bitmap::RepresentationPolicy::default(),
+            ),
+            (
+                &["channel::channel"],
+                bitmap::RepresentationPolicy::default(),
+            ),
+            (&["channel::channel"], bitmap::RepresentationPolicy::Plain),
+            (&["channel::channel"], bitmap::RepresentationPolicy::Wah),
+            (&["channel::channel"], bitmap::RepresentationPolicy::Roaring),
+        ] {
+            let fragmentation = Fragmentation::parse(&schema, attrs).unwrap();
+            let store = FragmentStore::build_with_policy(&schema, &fragmentation, 2024, policy);
+            for fragment in store.fragments() {
+                empty_fragments += usize::from(fragment.is_empty());
+                let mut bindings = Vec::new();
+                for dimension in 0..schema.dimension_count() {
+                    let index = fragment.bitmap_index(dimension);
+                    let hierarchy = schema.dimensions()[dimension].hierarchy();
+                    for level in 0..hierarchy.depth() {
+                        for value in 0..hierarchy.cardinality(level) {
+                            let expected =
+                                rows_matching(&schema, fragment, dimension, level, value);
+                            assert_eq!(index.select(level, value), expected);
+                            scratch.reset_ones(fragment.len());
+                            index.and_selection_into(level, value, &mut scratch);
+                            assert_eq!(scratch, expected, "{attrs:?} d{dimension} {level}={value}");
+                            let binding = PredicateBinding {
+                                dimension,
+                                level,
+                                value,
+                                needs_bitmap: true,
+                            };
+                            let partial =
+                                process_fragment(fragment, &[binding], &mut scratch, &mut sums);
+                            let got = sums.iter().map(|s| s.to_bits()).collect();
+                            assert_eq!(
+                                (partial.hits, got),
+                                reference_sums(fragment, &expected),
+                                "{attrs:?} {policy:?} d{dimension} {level}={value}"
+                            );
+                            if value == 1 {
+                                bindings.push(binding);
+                            }
+                        }
+                    }
+                }
+                // Every pair of these predicates, simple and encoded alike,
+                // goes through the scratch fold.
+                let key_scan = |p: &PredicateBinding| {
+                    rows_matching(&schema, fragment, p.dimension, p.level, p.value)
+                };
+                for (i, a) in bindings.iter().enumerate() {
+                    for b in &bindings[i + 1..] {
+                        let expected = key_scan(a).and(&key_scan(b));
+                        let partial =
+                            process_fragment(fragment, &[*a, *b], &mut scratch, &mut sums);
+                        let got = sums.iter().map(|s| s.to_bits()).collect();
+                        assert_eq!(
+                            (partial.hits, got),
+                            reference_sums(fragment, &expected),
+                            "{attrs:?} {policy:?} {a:?} x {b:?}"
+                        );
+                    }
+                }
+            }
+        }
+        assert!(empty_fragments > 0, "no empty fragment was exercised");
     }
 
     #[test]

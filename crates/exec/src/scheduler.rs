@@ -60,6 +60,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use allocation::{NodePlacement, NodeStrategy};
+use bitmap::Bitmap;
 use obs::{us_from_ms, EventKind, FieldKey, Trace, TraceRecorder, Track};
 
 use crate::engine::{
@@ -167,7 +168,12 @@ struct Prepared {
 /// Mutable bookkeeping of one admitted query.
 struct InFlight {
     query_id: usize,
-    partials: Vec<FragmentPartial>,
+    /// Rows scanned and hits over the deposited tasks.
+    rows: u64,
+    hits: u64,
+    /// Per-task measure sums, `measure_count` per task by plan position:
+    /// allocated once at admission, filled by the deposits.
+    task_sums: Vec<f64>,
     remaining: usize,
     admitted_at: Instant,
     admission_wait: Duration,
@@ -308,15 +314,22 @@ impl Shared {
                 let complete_us = prepared.complete_us;
                 rec.record(track, EventKind::QueryComplete, complete_us, 0, vec![]);
             }
+            let in_flight = InFlight {
+                query_id,
+                rows: 0,
+                hits: 0,
+                task_sums: vec![0.0; prepared.fragments.len() * self.measure_count],
+                remaining: prepared.fragments.len(),
+                admitted_at,
+                admission_wait,
+            };
             if prepared.fragments.is_empty() {
                 // Defensive: plans currently always hold ≥1 fragment, but an
                 // empty one must complete rather than hang the stream.
                 control.results[query_id] = Some(finalize(
-                    query_id,
                     prepared,
-                    &mut [],
+                    &in_flight,
                     self.measure_count,
-                    admission_wait,
                     Duration::ZERO,
                 ));
                 continue;
@@ -325,13 +338,7 @@ impl Shared {
                 control.slots.push(None);
                 control.slots.len() - 1
             });
-            control.slots[slot] = Some(InFlight {
-                query_id,
-                partials: Vec::with_capacity(prepared.fragments.len()),
-                remaining: prepared.fragments.len(),
-                admitted_at,
-                admission_wait,
-            });
+            control.slots[slot] = Some(in_flight);
             control.active += 1;
             // Deal the tasks in balanced contiguous chunks of the seed
             // order, rotated by the cursor (`StealDeques::chunk_owner`):
@@ -378,21 +385,39 @@ impl Shared {
         admitted
     }
 
-    /// Deposits one finished task's partial; on a query's last task, frees
+    /// Deposits one finished task's partial and its measure sums into the
+    /// query's slot for plan position `task`; on a query's last task, frees
     /// the slot, admits the next pending queries, and merges the result.
     /// Returns the merged query's id when this deposit completed one.
     ///
-    /// The deterministic merge (sort + float fold over all of the query's
-    /// partials) runs *outside* the control lock so a fat query's
-    /// finalisation never stalls the other workers' deposits or the
-    /// admission path; only the result store re-takes the lock.
-    fn deposit(&self, task_slot: usize, partial: FragmentPartial) -> Option<usize> {
-        let mut done = {
+    /// The deterministic merge (a float fold over all of the query's
+    /// per-task sums in plan order) runs *outside* the control lock so a
+    /// fat query's finalisation never stalls the other workers' deposits
+    /// or the admission path; only the result store re-takes the lock.
+    fn deposit(
+        &self,
+        task_slot: usize,
+        task: usize,
+        partial: FragmentPartial,
+        sums: &[f64],
+    ) -> Option<usize> {
+        let done = {
             let mut control = self.lock_control();
             let in_flight = control.slots[task_slot]
                 .as_mut()
                 .expect("deposit into an empty slot");
-            in_flight.partials.push(partial);
+            in_flight.rows += partial.rows;
+            in_flight.hits += partial.hits;
+            // The buffer was sized tasks × measures at admission; a task or
+            // measure count out of step with it must not drop sums silently.
+            assert!(
+                (task + 1) * sums.len() <= in_flight.task_sums.len(),
+                "task {task}'s sums overrun the query's per-task buffer"
+            );
+            let task_sums = in_flight.task_sums.iter_mut().skip(task * sums.len());
+            for (dst, &src) in task_sums.zip(sums) {
+                *dst = src;
+            }
             in_flight.remaining -= 1;
             if in_flight.remaining > 0 {
                 return None;
@@ -410,11 +435,9 @@ impl Shared {
         };
         let latency = done.admitted_at.elapsed();
         let result = finalize(
-            done.query_id,
             &self.prepared[done.query_id],
-            &mut done.partials,
+            &done,
             self.measure_count,
-            done.admission_wait,
             latency,
         );
         self.lock_control().results[done.query_id] = Some(result);
@@ -428,23 +451,19 @@ impl Shared {
 
 /// Merges a completed query's partials into its deterministic result.
 fn finalize(
-    query_id: usize,
     prepared: &Prepared,
-    partials: &mut [FragmentPartial],
+    done: &InFlight,
     measure_count: usize,
-    admission_wait: Duration,
     latency: Duration,
 ) -> ScheduledQuery {
-    let rows_scanned = partials.iter().map(|p| p.rows).sum();
-    let (hits, measure_sums) = merge_partials(partials, measure_count);
     ScheduledQuery {
-        query_id,
+        query_id: done.query_id,
         query_name: prepared.query_name.clone(),
-        hits,
-        measure_sums,
+        hits: done.hits,
+        measure_sums: merge_partials(&done.task_sums, measure_count),
         planned_fragments: prepared.fragments.len(),
-        rows_scanned,
-        admission_wait,
+        rows_scanned: done.rows,
+        admission_wait: done.admission_wait,
         latency,
     }
 }
@@ -475,6 +494,10 @@ fn worker_loop(shared: &Shared, worker: usize) {
         worker,
         ..WorkerMetrics::default()
     };
+    // This worker's selection scratch and measure sums, reused by every
+    // task it runs: a task allocates nothing on the heap.
+    let mut selection = Bitmap::new(0);
+    let mut sums = vec![0.0f64; shared.measure_count];
     // This worker's position on its own simulated timeline (the simulated
     // I/O it has executed): thread-attributed trace events are stamped
     // from it.
@@ -548,12 +571,11 @@ fn worker_loop(shared: &Shared, worker: usize) {
         }
         let fragment = source.fetch(task.fragment);
         let bindings = &shared.prepared[task.query].bindings;
-        let (partial, compressed) =
-            process_fragment(&fragment, bindings, source.measure_count(), task.task);
+        let partial = process_fragment(&fragment, bindings, &mut selection, &mut sums);
         metrics.busy += task_started.elapsed();
         metrics.fragments_processed += 1;
         metrics.fragments_stolen += usize::from(stolen);
-        metrics.fragments_compressed += usize::from(compressed);
+        metrics.fragments_compressed += usize::from(partial.compressed);
         metrics.rows_scanned += partial.rows;
         metrics.rows_matched += partial.hits;
         if let Some(rec) = &shared.obs {
@@ -587,7 +609,7 @@ fn worker_loop(shared: &Shared, worker: usize) {
             );
         }
         sim_cursor_ms += task.sim_ms;
-        let completed = shared.deposit(task.slot, partial);
+        let completed = shared.deposit(task.slot, task.task, partial, &sums);
         if let (Some(rec), Some(query)) = (&shared.obs, completed) {
             rec.record(
                 Track::Worker(worker as u32),
