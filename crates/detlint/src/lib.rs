@@ -50,7 +50,6 @@ pub const CRATES: &[(&str, &str)] = &[
     ("exec", "crates/exec/src"),
     ("obs", "crates/obs/src"),
     ("schema", "crates/schema/src"),
-    ("simkit", "crates/simkit/src"),
     ("simpad", "crates/simpad/src"),
     ("storage", "crates/storage/src"),
     ("warehouse", "crates/warehouse/src"),

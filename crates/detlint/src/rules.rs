@@ -58,9 +58,9 @@ pub fn wall_clock(file: &SourceFile) -> Vec<Diagnostic> {
     out
 }
 
-/// `ambient-rng`: only explicitly seeded generators (the in-tree
-/// xoshiro256++ `RngStream`) are allowed; entropy-seeded or hash-ambient
-/// randomness breaks bit-identical replay.
+/// `ambient-rng`: only explicitly seeded generators (such as SIMPAD's
+/// in-tree xoshiro256++ `RngStream`) are allowed; entropy-seeded or
+/// hash-ambient randomness breaks bit-identical replay.
 pub fn ambient_rng(file: &SourceFile) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     for token in [
@@ -77,8 +77,8 @@ pub fn ambient_rng(file: &SourceFile) -> Vec<Diagnostic> {
                 file: file.rel_path.clone(),
                 line,
                 message: format!(
-                    "`{token}` draws ambient randomness; use a seeded simkit::RngStream \
-                     (xoshiro256++) so every run replays bit-identically"
+                    "`{token}` draws ambient randomness; use an explicitly seeded generator \
+                     (SIMPAD's xoshiro256++ RngStream) so every run replays bit-identically"
                 ),
             });
         }

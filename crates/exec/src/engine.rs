@@ -60,8 +60,8 @@ pub struct RunConfig {
     /// persistent pool; `0` resolves to the machine's available parallelism.
     pub workers: usize,
     /// Admission-control limit: the maximum number of queries decomposed
-    /// into tasks at any time (the multi-programming level).  `0` is
-    /// clamped to 1, the single-user regime.
+    /// into tasks at any time (the multi-programming level).  `0` runs
+    /// as 1, the single-user regime ([`RunConfig::resolved_mpl`]).
     pub mpl: usize,
     /// Optional physical allocation: when set, each admitted query's tasks
     /// are seeded in disk-affinity order rather than naive fragment order.
@@ -116,7 +116,8 @@ impl RunConfig {
         self.resolved_workers().min(tasks).max(1)
     }
 
-    /// The effective multi-programming level: `mpl`, at least 1.
+    /// The effective multi-programming level: `mpl`, at least 1.  This is
+    /// the one place `0` becomes 1; callers pass `mpl` through unclamped.
     #[must_use]
     pub fn resolved_mpl(&self) -> usize {
         self.mpl.max(1)

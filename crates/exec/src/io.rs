@@ -27,14 +27,16 @@
 //!   another node's disk additionally ships its pages over the executing
 //!   node's FIFO interconnect lane ([`IoConfig::network_ms_per_page`]),
 //!   traced as `NetTransfer` spans on the node track.
-//! * **A [`DiskClock`].**  All simulated time lives on a deterministic
-//!   clock: scans are charged in *plan order*, one query's plan after the
-//!   other in query-id order — in the scheduler's planning pass, before
-//!   any worker starts (query-id order is its FIFO admission order; a
-//!   single `execute` is a stream of one) — never in
-//!   thread-arrival order.  So every per-disk busy time, queue wait, cache
-//!   hit count and the simulated makespan are bit-identical across runs,
-//!   worker counts and MPLs, and no charge runs under a scheduler lock.
+//! * **A deterministic clock.**  Every disk and interconnect lane is a
+//!   [`storage::FcfsQueue`] whose requests all arrive at t = 0: the run is
+//!   one batch, and the latest lane's drain time is its makespan.  Scans
+//!   are charged in *plan order*, one query's plan after the other in
+//!   query-id order — in the scheduler's planning pass, before any worker
+//!   starts (query-id order is its FIFO admission order; a single
+//!   `execute` is a stream of one) — never in thread-arrival order.  So
+//!   every per-disk busy time, queue wait, cache hit count and the
+//!   simulated makespan are bit-identical across runs, worker counts and
+//!   MPLs, and no charge runs under a scheduler lock.
 //!
 //! Each charged scan returns a [`TaskIo`] whose simulated service time
 //! becomes the task's *weight* in the work-stealing pool (steal victims are
@@ -53,7 +55,7 @@ use std::time::{Duration, Instant};
 use allocation::{NodePlacement, NodeStrategy, PhysicalAllocation};
 use obs::{us_from_ms, EventKind, FieldKey, TraceRecorder, Track};
 use schema::{PageSizing, StarSchema};
-use storage::{BufferPoolStats, DiskModel, DiskParameters, PagePool};
+use storage::{BufferPoolStats, DiskModel, DiskParameters, FcfsQueue, PagePool};
 
 use crate::plan::QueryPlan;
 use crate::source::ScanSource;
@@ -211,10 +213,10 @@ pub struct TaskIo {
     /// Simulated interconnect time within `sim_ms`, in ms.
     pub net_ms: f64,
     /// Simulated time at which the scan's earliest disk request started, in
-    /// ms on the [`DiskClock`] (0 for fully cached or empty scans).
+    /// ms on the simulated clock (0 for fully cached or empty scans).
     pub sim_start_ms: f64,
     /// Simulated time at which the scan's last disk request completed, in
-    /// ms on the [`DiskClock`] (0 for fully cached or empty scans).
+    /// ms on the simulated clock (0 for fully cached or empty scans).
     pub sim_end_ms: f64,
 }
 
@@ -240,72 +242,6 @@ pub struct ScanCtx {
     pub query: u32,
     /// Task index within the query's plan.
     pub task: u32,
-}
-
-/// The deterministic clock of the simulated disks.
-///
-/// Every disk serves its requests FIFO; charges arrive in a deterministic
-/// order (plan order, query after query in query-id order),
-/// and the clock models the run as one batch: a request on disk `d` starts
-/// when the disk finishes everything charged to it before.  Elapsed
-/// simulated time is therefore the *makespan* of the parallel disks — and
-/// reproducible bit for bit across runs, worker counts and MPLs.
-#[derive(Debug, Clone)]
-pub struct DiskClock {
-    busy_ms: Vec<f64>,
-    /// Per-disk sum of request start times — the total simulated queue wait
-    /// under batch arrival, from which time-averaged queue depth derives.
-    wait_ms: Vec<f64>,
-}
-
-impl DiskClock {
-    /// A clock over `disks` idle disks.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `disks` is zero.
-    #[must_use]
-    pub fn new(disks: u64) -> Self {
-        assert!(disks > 0, "a disk clock needs at least one disk");
-        let disks = usize::try_from(disks).expect("disk count fits usize");
-        DiskClock {
-            busy_ms: vec![0.0; disks],
-            wait_ms: vec![0.0; disks],
-        }
-    }
-
-    /// Appends a request of `service_ms` to `disk`'s FIFO queue and returns
-    /// the simulated time at which it starts.
-    pub fn advance(&mut self, disk: u64, service_ms: f64) -> f64 {
-        let d = disk as usize;
-        let start = self.busy_ms[d];
-        self.wait_ms[d] += start;
-        self.busy_ms[d] += service_ms;
-        start
-    }
-
-    /// Simulated busy time of one disk, in ms.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `disk` is out of range.
-    #[must_use]
-    pub fn busy_ms(&self, disk: u64) -> f64 {
-        self.busy_ms[disk as usize]
-    }
-
-    /// Elapsed simulated time: the busiest disk's completion time (the
-    /// makespan of the parallel disks).
-    #[must_use]
-    pub fn elapsed_ms(&self) -> f64 {
-        self.busy_ms.iter().copied().fold(0.0, f64::max)
-    }
-
-    /// Total simulated busy time summed over all disks.
-    #[must_use]
-    pub fn total_busy_ms(&self) -> f64 {
-        self.busy_ms.iter().sum()
-    }
 }
 
 /// Per-disk accounting of one simulated subsystem.
@@ -486,10 +422,12 @@ impl IoMetrics {
     }
 }
 
-/// One simulated disk: the service-time model plus its counters.
+/// One simulated disk: the service-time model, its FIFO queue under batch
+/// arrival, and its counters.
 #[derive(Debug)]
 struct DiskSim {
     model: DiskModel,
+    queue: FcfsQueue,
     scans: u64,
     io_ops: u64,
     pages_read: u64,
@@ -501,15 +439,27 @@ struct DiskSim {
 #[derive(Debug)]
 struct IoState {
     disks: Vec<DiskSim>,
-    clock: DiskClock,
     /// One private LRU page pool per node (empty when the cache is
     /// disabled); a single-node subsystem has exactly the old shared pool.
     caches: Vec<PagePool>,
-    /// One interconnect FIFO lane per node, on the same clock model as the
+    /// One interconnect FIFO lane per node, under batch arrival like the
     /// disks.
-    net: DiskClock,
+    net: Vec<FcfsQueue>,
     /// Pages shipped to each node over the interconnect.
     net_pages: Vec<u64>,
+}
+
+impl IoState {
+    /// Elapsed simulated time: the makespan of the parallel disks and
+    /// interconnect lanes, in ms.
+    fn elapsed_ms(&self) -> f64 {
+        self.disks
+            .iter()
+            .map(|d| &d.queue)
+            .chain(&self.net)
+            .map(FcfsQueue::free_at)
+            .fold(0.0, f64::max)
+    }
 }
 
 /// The simulated multi-disk subsystem the engine charges fragment scans
@@ -543,6 +493,7 @@ impl SimulatedIo {
         let disks = (0..config.disks())
             .map(|_| DiskSim {
                 model: DiskModel::new(config.disk),
+                queue: FcfsQueue::default(),
                 scans: 0,
                 io_ops: 0,
                 pages_read: 0,
@@ -556,7 +507,6 @@ impl SimulatedIo {
             page_bytes: sizing.page_size_bytes(),
             state: Mutex::new(IoState {
                 disks,
-                clock: DiskClock::new(config.disks()),
                 caches: if config.cache_pages > 0 {
                     (0..nodes)
                         .map(|_| PagePool::new(config.cache_pages))
@@ -564,7 +514,7 @@ impl SimulatedIo {
                 } else {
                     Vec::new()
                 },
-                net: DiskClock::new(config.nodes),
+                net: vec![FcfsQueue::default(); nodes],
                 net_pages: vec![0; nodes],
             }),
             config,
@@ -672,10 +622,9 @@ impl SimulatedIo {
         // over the executing node's interconnect lane, FIFO like a disk.
         if out.remote_pages > 0 {
             let service = out.remote_pages as f64 * self.config.network_ms_per_page;
-            let net_start = state.net.advance(out.node, service);
-            let net_end = net_start + service;
-            state.net_pages[usize::try_from(out.node).expect("node fits usize")] +=
-                out.remote_pages;
+            let node = usize::try_from(out.node).expect("node fits usize");
+            let (net_start, net_end) = state.net[node].submit(0.0, service);
+            state.net_pages[node] += out.remote_pages;
             out.net_ms = service;
             out.sim_ms += service;
             start_ms = start_ms.min(net_start);
@@ -743,8 +692,9 @@ impl SimulatedIo {
         let exec_node = usize::try_from(out.node).expect("node fits usize");
         let remote = matches!(self.config.node_strategy, NodeStrategy::SharedNothing)
             && self.node_of_disk(disk) != out.node;
-        state.disks[disk as usize].scans += 1;
-        let start_ms = state.clock.busy_ms(disk);
+        let d = &mut state.disks[disk as usize];
+        d.scans += 1;
+        let start_ms = d.queue.free_at();
         let mut object_hits = 0u64;
         let mut object_misses = 0u64;
         let mut page = 0;
@@ -755,7 +705,6 @@ impl SimulatedIo {
                 None => granule,
             };
             let hits = granule - misses;
-            let d = &mut state.disks[disk as usize];
             d.cache_hits += hits;
             out.cache_hits += hits;
             object_hits += hits;
@@ -763,7 +712,7 @@ impl SimulatedIo {
                 // The first granule of an object pays the seek to its
                 // track; later granules are sequential on the same track.
                 let service = d.model.service(track, misses);
-                state.clock.advance(disk, service);
+                d.queue.submit(0.0, service);
                 d.io_ops += 1;
                 d.pages_read += misses;
                 d.cache_misses += misses;
@@ -777,7 +726,7 @@ impl SimulatedIo {
             }
             page += granule;
         }
-        let end_ms = state.clock.busy_ms(disk);
+        let end_ms = d.queue.free_at();
         if let Some(rec) = recorder {
             rec.record(
                 Track::Disk(disk as u32),
@@ -841,8 +790,7 @@ impl SimulatedIo {
     /// Panics if the state lock is poisoned.
     #[must_use]
     pub fn sim_elapsed_ms(&self) -> f64 {
-        let state = self.state.plock("simulated I/O state");
-        state.clock.elapsed_ms().max(state.net.elapsed_ms())
+        self.state.plock("simulated I/O state").elapsed_ms()
     }
 
     /// A snapshot of the subsystem's accounting.
@@ -853,7 +801,7 @@ impl SimulatedIo {
     #[must_use]
     pub fn metrics(&self) -> IoMetrics {
         let state = self.state.plock("simulated I/O state");
-        let elapsed_ms = state.clock.elapsed_ms().max(state.net.elapsed_ms());
+        let elapsed_ms = state.elapsed_ms();
         let per_disk: Vec<DiskIoStats> = state
             .disks
             .iter()
@@ -863,12 +811,12 @@ impl SimulatedIo {
                 scans: d.scans,
                 io_ops: d.io_ops,
                 pages_read: d.pages_read,
-                busy_ms: state.clock.busy_ms(i as u64),
+                busy_ms: d.queue.busy_ms(),
                 seek_ms: d.model.total_seek_ms(),
                 mean_queue_depth: if elapsed_ms <= f64::EPSILON {
                     0.0
                 } else {
-                    state.clock.wait_ms[i] / elapsed_ms
+                    d.queue.wait_ms() / elapsed_ms
                 },
                 cache_hits: d.cache_hits,
                 cache_misses: d.cache_misses,
@@ -876,9 +824,10 @@ impl SimulatedIo {
             .collect();
         let per_node = (0..self.config.nodes)
             .map(|n| {
+                let i = usize::try_from(n).expect("node fits usize");
                 let (pool_hits, pool_misses) = state
                     .caches
-                    .get(usize::try_from(n).expect("node fits usize"))
+                    .get(i)
                     .map(PagePool::stats)
                     .map_or((0, 0), |s| (s.hits, s.misses));
                 NodeIoStats {
@@ -888,8 +837,8 @@ impl SimulatedIo {
                         .filter(|d| self.node_of_disk(d.disk) == n)
                         .map(|d| d.busy_ms)
                         .sum(),
-                    net_ms: state.net.busy_ms(n),
-                    net_pages: state.net_pages[usize::try_from(n).expect("node fits usize")],
+                    net_ms: state.net[i].busy_ms(),
+                    net_pages: state.net_pages[i],
                     cache_hits: pool_hits,
                     cache_misses: pool_misses,
                 }
@@ -1041,13 +990,21 @@ mod tests {
 
     #[test]
     fn clock_models_fifo_queues() {
-        let mut clock = DiskClock::new(2);
-        assert_eq!(clock.advance(0, 10.0), 0.0);
-        assert_eq!(clock.advance(0, 5.0), 10.0);
-        assert_eq!(clock.advance(1, 4.0), 0.0);
-        assert_eq!(clock.busy_ms(0), 15.0);
-        assert_eq!(clock.elapsed_ms(), 15.0);
-        assert_eq!(clock.total_busy_ms(), 19.0);
+        // Fragments 0 and 2 land on disk 0, fragment 1 on disk 1.
+        let io = subsystem(2, 0);
+        let first = io.charge_scan(0, 2_000, 0);
+        let second = io.charge_scan(2, 2_000, 0);
+        let other = io.charge_scan(1, 2_000, 0);
+        assert_eq!((first.sim_start_ms, first.sim_end_ms), (0.0, first.sim_ms));
+        // The second request on disk 0 queues behind the first.
+        assert_eq!(second.sim_start_ms, first.sim_end_ms);
+        assert!((second.sim_end_ms - (first.sim_ms + second.sim_ms)).abs() < 1e-9);
+        assert_eq!((other.sim_start_ms, other.sim_end_ms), (0.0, other.sim_ms));
+        let m = io.metrics();
+        assert_eq!(m.per_disk[0].busy_ms, second.sim_end_ms);
+        assert_eq!(m.per_disk[1].busy_ms, other.sim_ms);
+        assert_eq!(m.elapsed_ms, second.sim_end_ms);
+        assert_eq!(io.sim_elapsed_ms(), m.elapsed_ms);
     }
 
     #[test]
@@ -1218,6 +1175,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one disk")]
     fn zero_disk_clock_rejected() {
-        let _ = DiskClock::new(0);
+        let _ = subsystem(0, 0);
     }
 }

@@ -37,11 +37,11 @@
 //!   utilisation, steals and the disk-affinity hit rate,
 //! * [`SimulatedIo`] (optional, [`RunConfig::io`]) charges every
 //!   fragment scan against per-disk FIFO service queues (track-based seek +
-//!   transfer costs) behind a shared LRU page cache, on a deterministic
-//!   [`DiskClock`] — fragments finally *cost* something to read, steal
-//!   victims are weighted by remaining simulated I/O (the skew-resilience
-//!   path), and [`IoMetrics`] reports per-disk utilisation, queue depth and
-//!   cache hit rates.
+//!   transfer costs, each a [`storage::FcfsQueue`] under batch arrival)
+//!   behind a shared LRU page cache — fragments finally *cost* something
+//!   to read, steal victims are weighted by remaining simulated I/O (the
+//!   skew-resilience path), and [`IoMetrics`] reports per-disk
+//!   utilisation, queue depth and cache hit rates.
 //!
 //! # Quick start
 //!
@@ -94,9 +94,7 @@ pub use file::{
     write_store, FileIoMetrics, FileStore, FileStoreOptions, StorageError, FORMAT_VERSION,
     PAGE_SIZE,
 };
-pub use io::{
-    DiskClock, DiskIoStats, IoConfig, IoMetrics, NodeIoStats, ScanCtx, SimulatedIo, TaskIo,
-};
+pub use io::{DiskIoStats, IoConfig, IoMetrics, NodeIoStats, ScanCtx, SimulatedIo, TaskIo};
 pub use metrics::{ExecMetrics, ThroughputMetrics, WorkerMetrics};
 pub use obs::ObsConfig;
 pub use plan::{PredicateBinding, QueryPlan};

@@ -3,8 +3,9 @@
 //!
 //! Traces never read wall clocks (the detlint `wall-clock` rule bans them
 //! for a reason: wall time is nondeterministic).  Deterministic events are
-//! stamped from the simulated disk-clock time (`exec::DiskClock`) of the
-//! charge that produced them, converted to integer microseconds here; when
+//! stamped from the simulated time of the charge that produced them (the
+//! `exec::io` disk and interconnect queues, which all start at t = 0),
+//! converted to integer microseconds here; when
 //! the I/O layer is off there is no simulated clock, and deterministic
 //! call sites fall back to a logical count — the scheduler stamps a
 //! query's admission with its query id, its FIFO admission index — or a

@@ -18,12 +18,14 @@
 //! 4. partial aggregates travel back to the coordinator, which terminates the
 //!    query once every subquery has reported.
 
-use simkit::{EventQueue, FcfsServer, RngStream, SimTime};
-use storage::{BufferManager, DiskModel};
+use storage::{BufferManager, DiskModel, FcfsQueue};
 
 use crate::config::SimConfig;
+use crate::events::EventQueue;
 use crate::metrics::QueryMetrics;
 use crate::plan::QueryPlan;
+use crate::rng::RngStream;
+use crate::time::SimTime;
 
 /// Physical layout information needed to map fragments and bitmap fragments
 /// onto disk tracks.
@@ -84,15 +86,13 @@ enum Event {
 
 #[derive(Debug)]
 struct DiskState {
-    server: FcfsServer,
+    queue: FcfsQueue,
     model: DiskModel,
-    io_ops: u64,
-    pages: u64,
 }
 
 #[derive(Debug)]
 struct NodeState {
-    cpu: FcfsServer,
+    cpu: FcfsQueue,
     running: usize,
 }
 
@@ -117,6 +117,15 @@ struct SubqueryState {
     bitmap_outstanding: usize,
     serial_bitmap_next: usize,
     fact_granules_done: u64,
+}
+
+/// Submits a request of `service_ms` arriving at `at` to `queue` and returns
+/// its completion time.  Both crossings into `SimTime` keep its NaN and
+/// negative-time checks.
+fn serve(queue: &mut FcfsQueue, at: SimTime, service_ms: f64) -> SimTime {
+    let service = SimTime::from_millis(service_ms);
+    let (_, done) = queue.submit(at.as_millis(), service.as_millis());
+    SimTime::from_millis(done)
 }
 
 /// The simulation engine for one experiment run.
@@ -157,16 +166,14 @@ impl Engine {
         assert!(config.nodes > 0, "need at least one processing node");
         assert!(config.disks > 0, "need at least one disk");
         let disks = (0..config.disks)
-            .map(|i| DiskState {
-                server: FcfsServer::new(format!("disk{i}")),
+            .map(|_| DiskState {
+                queue: FcfsQueue::default(),
                 model: DiskModel::new(config.disk),
-                io_ops: 0,
-                pages: 0,
             })
             .collect();
         let nodes = (0..config.nodes)
-            .map(|i| NodeState {
-                cpu: FcfsServer::new(format!("node{i}")),
+            .map(|_| NodeState {
+                cpu: FcfsQueue::default(),
                 running: 0,
             })
             .collect();
@@ -205,11 +212,11 @@ impl Engine {
         while let Some((time, event)) = self.events.pop() {
             self.handle(time, event);
         }
-        let horizon = self.events.now();
+        let horizon = self.events.now().as_millis();
         let disk_utils: Vec<f64> = self
             .disks
             .iter()
-            .map(|d| d.server.utilisation(horizon))
+            .map(|d| d.queue.utilisation(horizon))
             .collect();
         let cpu_util = if self.nodes.is_empty() {
             0.0
@@ -220,7 +227,7 @@ impl Engine {
                 .sum::<f64>()
                 / self.nodes.len() as f64
         };
-        (self.metrics, disk_utils, cpu_util, horizon.as_millis())
+        (self.metrics, disk_utils, cpu_util, horizon)
     }
 
     fn new_query_state(&mut self) -> QueryState {
@@ -238,9 +245,11 @@ impl Engine {
     }
 
     fn cpu_burst(&mut self, node: usize, at: SimTime, instructions: u64) -> SimTime {
-        let service = SimTime::from_millis(self.config.cpu_ms(instructions));
-        let (_, done) = self.nodes[node].cpu.submit(at, service);
-        done
+        serve(
+            &mut self.nodes[node].cpu,
+            at,
+            self.config.cpu_ms(instructions),
+        )
     }
 
     /// Issues a disk request of `pages` pages at page offset `offset` on
@@ -249,11 +258,7 @@ impl Engine {
         let d = &mut self.disks[disk as usize];
         let total = self.layout.total_pages_per_disk(self.config.disks).max(1);
         let track = d.model.track_of_page(offset, total);
-        let service = SimTime::from_millis(d.model.service(track, pages.max(1)));
-        let (_, done) = d.server.submit(at, service);
-        d.io_ops += 1;
-        d.pages += pages;
-        done
+        serve(&mut d.queue, at, d.model.service(track, pages.max(1)))
     }
 
     /// Assigns pending subqueries of every active query as long as node
@@ -558,8 +563,11 @@ impl Engine {
                 let instr = self
                     .config
                     .receive_instructions(self.config.small_message_bytes);
-                let service = SimTime::from_millis(self.config.cpu_ms(instr));
-                let (_, done) = self.nodes[coordinator].cpu.submit(arrive, service);
+                let done = serve(
+                    &mut self.nodes[coordinator].cpu,
+                    arrive,
+                    self.config.cpu_ms(instr),
+                );
                 self.events.schedule(done, Event::ResultReceived { sq });
             }
             Event::ResultReceived { sq } => {

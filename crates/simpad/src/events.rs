@@ -45,61 +45,27 @@ impl<E> Ord for Entry<E> {
 /// The queue tracks the current simulation clock: [`EventQueue::pop`] advances
 /// the clock to the timestamp of the delivered event.  Scheduling an event in
 /// the past is a model bug and panics.
-pub struct EventQueue<E> {
+pub(crate) struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
     now: SimTime,
     next_seq: u64,
-    scheduled: u64,
-    delivered: u64,
-}
-
-impl<E> Default for EventQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl<E> EventQueue<E> {
     /// Creates an empty calendar with the clock at time zero.
     #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
             now: SimTime::ZERO,
             next_seq: 0,
-            scheduled: 0,
-            delivered: 0,
         }
     }
 
     /// The current simulation time (timestamp of the last delivered event).
     #[must_use]
-    pub fn now(&self) -> SimTime {
+    pub(crate) fn now(&self) -> SimTime {
         self.now
-    }
-
-    /// Number of events currently pending.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True if no events are pending.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Total number of events ever scheduled.
-    #[must_use]
-    pub fn scheduled_count(&self) -> u64 {
-        self.scheduled
-    }
-
-    /// Total number of events delivered via [`EventQueue::pop`].
-    #[must_use]
-    pub fn delivered_count(&self) -> u64 {
-        self.delivered
     }
 
     /// Schedules `event` to fire at absolute time `at`.
@@ -107,7 +73,7 @@ impl<E> EventQueue<E> {
     /// # Panics
     ///
     /// Panics if `at` lies before the current simulation time.
-    pub fn schedule(&mut self, at: SimTime, event: E) {
+    pub(crate) fn schedule(&mut self, at: SimTime, event: E) {
         assert!(
             at >= self.now,
             "cannot schedule an event in the past: now={}, at={}",
@@ -116,7 +82,6 @@ impl<E> EventQueue<E> {
         );
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.scheduled += 1;
         self.heap.push(Entry {
             time: at,
             seq,
@@ -124,26 +89,13 @@ impl<E> EventQueue<E> {
         });
     }
 
-    /// Schedules `event` to fire `delay` after the current simulation time.
-    pub fn schedule_after(&mut self, delay: SimTime, event: E) {
-        let at = self.now + delay;
-        self.schedule(at, event);
-    }
-
     /// Removes and returns the earliest event, advancing the clock to its
     /// timestamp.  Returns `None` when the calendar is empty.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
+    pub(crate) fn pop(&mut self) -> Option<(SimTime, E)> {
         let entry = self.heap.pop()?;
         debug_assert!(entry.time >= self.now);
         self.now = entry.time;
-        self.delivered += 1;
         Some((entry.time, entry.event))
-    }
-
-    /// Timestamp of the next pending event without removing it.
-    #[must_use]
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.time)
     }
 }
 
@@ -177,23 +129,11 @@ mod tests {
         let mut q = EventQueue::new();
         q.schedule(SimTime::from_millis(4.0), ());
         assert_eq!(q.now(), SimTime::ZERO);
-        assert_eq!(q.peek_time(), Some(SimTime::from_millis(4.0)));
         q.pop().unwrap();
         assert_eq!(q.now(), SimTime::from_millis(4.0));
         assert!(q.pop().is_none());
         // Clock stays put when the queue drains.
         assert_eq!(q.now(), SimTime::from_millis(4.0));
-    }
-
-    #[test]
-    fn schedule_after_is_relative_to_now() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_millis(10.0), 1u32);
-        q.pop().unwrap();
-        q.schedule_after(SimTime::from_millis(5.0), 2u32);
-        let (t, e) = q.pop().unwrap();
-        assert_eq!(t, SimTime::from_millis(15.0));
-        assert_eq!(e, 2);
     }
 
     #[test]
@@ -203,21 +143,6 @@ mod tests {
         q.schedule(SimTime::from_millis(10.0), ());
         q.pop().unwrap();
         q.schedule(SimTime::from_millis(1.0), ());
-    }
-
-    #[test]
-    fn counters_track_activity() {
-        let mut q = EventQueue::new();
-        for i in 0..5u32 {
-            q.schedule(SimTime::from_millis(f64::from(i)), i);
-        }
-        assert_eq!(q.scheduled_count(), 5);
-        assert_eq!(q.len(), 5);
-        assert!(!q.is_empty());
-        q.pop();
-        q.pop();
-        assert_eq!(q.delivered_count(), 2);
-        assert_eq!(q.len(), 3);
     }
 }
 

@@ -3,7 +3,9 @@
 //! SIMPAD ("Simulation of Parallel Databases") is the C++/CSIM simulation
 //! system the paper uses to evaluate MDHF data allocations on a Shared Disk
 //! parallel database system (§5).  This crate re-implements the described
-//! model on top of the [`simkit`] discrete-event engine:
+//! model as an event-driven simulation: a deterministic event calendar,
+//! seeded random streams, and disks and CPUs modelled as
+//! [`storage::FcfsQueue`] servers:
 //!
 //! * **Hardware** — `d` disks with a track-based seek model and `p`
 //!   processing nodes with 50-MIPS CPUs, an idealised contention-free network
@@ -47,9 +49,13 @@
 
 pub mod config;
 pub mod engine;
+mod events;
 pub mod metrics;
 pub mod plan;
+mod rng;
 pub mod runner;
+mod stats;
+mod time;
 
 pub use config::{InstructionCosts, SimConfig};
 pub use engine::Engine;

@@ -1,6 +1,6 @@
 //! Simulation metrics: per-query response times and resource utilisation.
 
-use simkit::Tally;
+use crate::stats::Tally;
 
 /// Metrics of one executed query instance.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -60,7 +60,7 @@ impl RunSummary {
         cpu_utilisation: f64,
         simulated_ms: f64,
     ) -> Self {
-        let mut tally = Tally::new();
+        let mut tally = Tally::default();
         for q in &queries {
             tally.record(q.response_ms);
         }

@@ -11,10 +11,8 @@
 /// SplitMix64) so the simulator has no external RNG dependency and sequences
 /// are stable across toolchain upgrades.
 #[derive(Debug, Clone)]
-pub struct RngStream {
+pub(crate) struct RngStream {
     state: [u64; 4],
-    seed: u64,
-    stream: u64,
 }
 
 impl RngStream {
@@ -23,7 +21,7 @@ impl RngStream {
     /// Different `(seed, stream)` pairs produce statistically independent
     /// sequences; the same pair always produces the same sequence.
     #[must_use]
-    pub fn new(seed: u64, stream: u64) -> Self {
+    pub(crate) fn new(seed: u64, stream: u64) -> Self {
         // SplitMix64-style mixing so that consecutive stream ids do not yield
         // correlated generator states.
         let mut z =
@@ -37,8 +35,6 @@ impl RngStream {
         };
         RngStream {
             state: [next_word(), next_word(), next_word(), next_word()],
-            seed,
-            stream,
         }
     }
 
@@ -57,29 +53,12 @@ impl RngStream {
         result
     }
 
-    /// Uniform float in `[0, 1)`.
-    fn unit(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-
-    /// The master seed this stream was derived from.
-    #[must_use]
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// The stream identifier.
-    #[must_use]
-    pub fn stream_id(&self) -> u64 {
-        self.stream
-    }
-
     /// Uniform integer in `[0, bound)`.
     ///
     /// # Panics
     ///
     /// Panics if `bound` is zero.
-    pub fn uniform_index(&mut self, bound: u64) -> u64 {
+    pub(crate) fn uniform_index(&mut self, bound: u64) -> u64 {
         assert!(bound > 0, "uniform_index bound must be positive");
         // Rejection sampling to avoid modulo bias.
         let zone = u64::MAX - u64::MAX % bound;
@@ -89,40 +68,6 @@ impl RngStream {
                 return x % bound;
             }
         }
-    }
-
-    /// Uniform float in `[lo, hi)`.
-    pub fn uniform(&mut self, lo: f64, hi: f64) -> f64 {
-        assert!(hi > lo, "uniform range must be non-empty");
-        let v = lo + (hi - lo) * self.unit();
-        if v >= hi {
-            lo
-        } else {
-            v
-        }
-    }
-
-    /// Exponentially distributed value with the given mean.
-    pub fn exponential(&mut self, mean: f64) -> f64 {
-        assert!(mean > 0.0, "exponential mean must be positive");
-        let u = self.unit().max(f64::EPSILON);
-        -mean * u.ln()
-    }
-
-    /// Bernoulli trial with probability `p`.
-    pub fn bernoulli(&mut self, p: f64) -> bool {
-        assert!((0.0..=1.0).contains(&p), "probability must be in [0,1]");
-        self.unit() < p
-    }
-
-    /// Random permutation of `0..n` (Fisher–Yates).
-    pub fn permutation(&mut self, n: usize) -> Vec<usize> {
-        let mut out: Vec<usize> = (0..n).collect();
-        for i in (1..n).rev() {
-            let j = usize::try_from(self.uniform_index(i as u64 + 1)).expect("index fits usize");
-            out.swap(i, j);
-        }
-        out
     }
 }
 
@@ -137,8 +82,6 @@ mod tests {
         let xs: Vec<u64> = (0..100).map(|_| a.uniform_index(1000)).collect();
         let ys: Vec<u64> = (0..100).map(|_| b.uniform_index(1000)).collect();
         assert_eq!(xs, ys);
-        assert_eq!(a.seed(), 42);
-        assert_eq!(a.stream_id(), 7);
     }
 
     #[test]
@@ -156,39 +99,6 @@ mod tests {
         for _ in 0..1_000 {
             assert!(r.uniform_index(17) < 17);
         }
-    }
-
-    #[test]
-    fn uniform_respects_range() {
-        let mut r = RngStream::new(1, 2);
-        for _ in 0..1_000 {
-            let v = r.uniform(3.0, 5.0);
-            assert!((3.0..5.0).contains(&v));
-        }
-    }
-
-    #[test]
-    fn exponential_mean_is_roughly_right() {
-        let mut r = RngStream::new(7, 3);
-        let n = 20_000;
-        let mean: f64 = (0..n).map(|_| r.exponential(10.0)).sum::<f64>() / f64::from(n);
-        assert!((mean - 10.0).abs() < 0.5, "sample mean {mean}");
-    }
-
-    #[test]
-    fn permutation_is_a_permutation() {
-        let mut r = RngStream::new(3, 4);
-        let p = r.permutation(100);
-        let mut sorted = p.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn bernoulli_extremes() {
-        let mut r = RngStream::new(5, 5);
-        assert!(!(0..100).any(|_| r.bernoulli(0.0)));
-        assert!((0..100).all(|_| r.bernoulli(1.0)));
     }
 
     #[test]

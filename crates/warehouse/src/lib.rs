@@ -17,8 +17,7 @@
 //!   materialised MDHF fragments (measured wall-clock speedup),
 //! * [`obs`] — deterministic tracing and metrics exposition over the
 //!   engine's simulated clock (Chrome `trace_event` + Prometheus text),
-//! * [`simpad`] — the Shared Disk discrete-event simulator,
-//! * [`simkit`] — the underlying simulation engine.
+//! * [`simpad`] — the Shared Disk discrete-event simulator.
 //!
 //! # Quick start
 //!
@@ -51,7 +50,6 @@ pub use exec;
 pub use mdhf;
 pub use obs;
 pub use schema;
-pub use simkit;
 pub use simpad;
 pub use storage;
 pub use workload;

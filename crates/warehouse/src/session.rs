@@ -116,18 +116,22 @@ pub enum AdmissionPolicy {
     /// Up to `max_in_flight` queries decomposed into tasks concurrently —
     /// the paper's multi-user MPL knob.
     Concurrent {
-        /// The multi-programming level; `0` is clamped to 1.
+        /// The multi-programming level; a run treats `0` as 1
+        /// ([`RunConfig::resolved_mpl`]).
         max_in_flight: usize,
     },
 }
 
 impl AdmissionPolicy {
-    /// The effective multi-programming level (at least 1).
+    /// The multi-programming level this policy asks for: 1 under
+    /// [`AdmissionPolicy::Exclusive`], `max_in_flight` as given otherwise.
+    /// It is not clamped here; [`RunConfig::resolved_mpl`] is the one clamp
+    /// and runs `0` at 1.
     #[must_use]
     pub fn mpl(&self) -> usize {
         match self {
             AdmissionPolicy::Exclusive => 1,
-            AdmissionPolicy::Concurrent { max_in_flight } => (*max_in_flight).max(1),
+            AdmissionPolicy::Concurrent { max_in_flight } => *max_in_flight,
         }
     }
 }

@@ -8,6 +8,7 @@
 use std::slice;
 
 use proptest::prelude::*;
+use warehouse::bitmap::{FactRow, MaterialisedFactTable};
 use warehouse::prelude::*;
 use warehouse::schema::apb1::Apb1Config;
 
@@ -23,6 +24,95 @@ fn tiny_schema() -> StarSchema {
         fact_tuple_bytes: 20,
     }
     .build()
+}
+
+/// A store over `schema` whose measures are non-dyadic fractions
+/// (`k / 7`).  The generated stores hold whole numbers, whose `f64` sums
+/// are exact in any order; these sums round, so a merge that added
+/// partials in a different order would change their bits.
+fn fractional_store(
+    schema: &StarSchema,
+    fragmentation: &Fragmentation,
+    seed: u64,
+) -> FragmentStore {
+    let generated = MaterialisedFactTable::generate(schema, seed);
+    let rows = generated
+        .rows()
+        .iter()
+        .enumerate()
+        .map(|(k, row)| FactRow {
+            keys: row.keys.clone(),
+            measures: (0..row.measures.len())
+                .map(|m| ((k * 5 + m * 3) % 997 + 1) as f64 / 7.0)
+                .collect(),
+        })
+        .collect();
+    let table =
+        MaterialisedFactTable::from_rows(rows, generated.dimension_cardinalities().to_vec());
+    FragmentStore::from_table(schema, fragmentation, &table)
+}
+
+/// Every query of the standard mix over the fractional store gives the
+/// same hits and sum bits for every worker count, placement, I/O mode
+/// (off, flat, 2-node shared nothing) and MPL as the serial run.
+#[test]
+fn fractional_sums_agree_across_configurations() {
+    let schema = tiny_schema();
+    let fragmentation = Fragmentation::parse(&schema, &["time::month", "product::group"]).unwrap();
+    for seed in [3, 11] {
+        let engine = StarJoinEngine::new(fractional_store(&schema, &fragmentation, seed));
+        let plans: Vec<QueryPlan> = QueryType::standard_mix()
+            .into_iter()
+            .enumerate()
+            .map(|(i, ty)| {
+                engine.plan(&QueryGenerator::new(&schema, ty, seed + i as u64).next_instance())
+            })
+            .collect();
+        let bits = |outcome: &StreamOutcome| -> Vec<(u64, Vec<u64>)> {
+            outcome
+                .queries
+                .iter()
+                .map(|q| (q.hits, q.measure_sums.iter().map(|s| s.to_bits()).collect()))
+                .collect()
+        };
+        let serial = engine.run(&plans, &RunConfig::serial(), None);
+        // The sums really are inexact: some are not whole numbers.
+        assert!(serial
+            .queries
+            .iter()
+            .flat_map(|q| &q.measure_sums)
+            .any(|s| s.fract() != 0.0));
+        let reference = bits(&serial);
+        let flat = IoConfig::with_disks(4).cache(256);
+        for workers in 1..=4 {
+            for placed in [false, true] {
+                for io in [
+                    None,
+                    Some(flat),
+                    Some(IoConfig {
+                        nodes: 2,
+                        node_strategy: NodeStrategy::SharedNothing,
+                        ..flat
+                    }),
+                ] {
+                    for mpl in [1, 3] {
+                        let config = RunConfig {
+                            workers,
+                            mpl,
+                            placement: placed.then(|| PhysicalAllocation::round_robin(4)),
+                            io,
+                            obs: ObsConfig::default(),
+                        };
+                        assert_eq!(
+                            bits(&engine.run(&plans, &config, None)),
+                            reference,
+                            "seed {seed}, {config:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
 }
 
 proptest! {

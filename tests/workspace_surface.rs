@@ -11,8 +11,7 @@ use std::process::Command;
 
 use warehouse::bitmap::{MaterialisedFactTable, WahBitmap};
 use warehouse::prelude::*;
-use warehouse::simkit::{EventQueue, RngStream, SimTime, Tally};
-use warehouse::storage::{BufferManager, DiskModel, DiskParameters};
+use warehouse::storage::{BufferManager, DiskModel, DiskParameters, FcfsQueue};
 use warehouse::{allocation, bitmap, mdhf, schema, simpad};
 
 #[test]
@@ -63,9 +62,12 @@ fn every_layer_is_reachable_through_the_facade() {
     let usage = allocation::CapacityReport::compute(&full, &fragmentation, &alloc, 12);
     assert_eq!(usage.per_disk().len(), 100);
 
-    // storage — disk service-time model and buffer manager.
+    // storage — disk service-time model, FIFO server and buffer manager.
     let mut disk = DiskModel::new(DiskParameters::default());
-    assert!(disk.service(100, 8) > 0.0);
+    let service = disk.service(100, 8);
+    assert!(service > 0.0);
+    let mut queue = FcfsQueue::default();
+    assert_eq!(queue.submit(0.0, service), (0.0, service));
     let mut buffers = BufferManager::new(16, 16);
     let _ = &mut buffers;
 
@@ -73,18 +75,6 @@ fn every_layer_is_reachable_through_the_facade() {
     let mut generator = QueryGenerator::new(&full, QueryType::OneMonthOneGroup, 42);
     let bound: BoundQuery = generator.next_instance();
     assert!(!bound.relevant_fragments(&full, &fragmentation).is_empty());
-
-    // simkit — event queue, statistics, reproducible RNG streams.
-    let mut queue: EventQueue<u32> = EventQueue::new();
-    queue.schedule(SimTime::from_millis(1.0), 7);
-    assert_eq!(queue.pop(), Some((SimTime::from_millis(1.0), 7)));
-    let mut tally = Tally::new();
-    tally.record(2.0);
-    assert_eq!(tally.mean(), 2.0);
-    assert_eq!(
-        RngStream::new(1, 2).uniform_index(10),
-        RngStream::new(1, 2).uniform_index(10)
-    );
 
     // simpad — planning and a minimal end-to-end simulation run.
     let config = SimConfig {
