@@ -15,6 +15,7 @@
 //! | `lock-discipline` | cycles in the may-hold-while-acquiring lock graph |
 //! | `panic-budget` | `unwrap`/`expect`/indexing beyond the checked-in per-crate budget |
 //! | `unsafe-safety` | `unsafe` without a `// SAFETY:` comment |
+//! | `measure-sum` | `.sum()`/`.fold(` over a `measure_column(` outside the engine's lane kernel |
 //!
 //! Any site can be justified in place:
 //!
@@ -136,6 +137,7 @@ pub fn check_workspace(root: &Path, budget_path: &Path) -> io::Result<Report> {
         diags.extend(rules::ambient_rng(file));
         diags.extend(rules::unsafe_safety(file));
         diags.extend(rules::lock_unwrap(file, file.krate == "exec"));
+        diags.extend(rules::measure_sum(file));
         let (violations, allowed) = apply_allowlist(file, diags);
         report.violations.extend(violations);
         report.allowed.extend(allowed);

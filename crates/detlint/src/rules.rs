@@ -86,6 +86,35 @@ pub fn ambient_rng(file: &SourceFile) -> Vec<Diagnostic> {
     out
 }
 
+/// `measure-sum`: a whole measure column is summed in one place, the
+/// engine's fixed-order lane kernel (`exec::engine::sum_column`).  An
+/// iterator `.sum()` or `.fold(` on a line that reads `measure_column(`
+/// is a second summation order, whose bits differ from the kernel's on
+/// fractional data.  Binary targets (`src/bin/`) are not library code.
+pub fn measure_sum(file: &SourceFile) -> Vec<Diagnostic> {
+    if file.rel_path.contains("/bin/") {
+        return Vec::new();
+    }
+    let mut out = Vec::new();
+    for line in token_lines(file, "measure_column(") {
+        let code = &file.code[line - 1];
+        if [".sum()", ".sum::<", ".fold("]
+            .iter()
+            .any(|call| code.contains(call))
+        {
+            out.push(Diagnostic {
+                rule: "measure-sum",
+                file: file.rel_path.clone(),
+                line,
+                message: "a measure column summed outside the engine's lane kernel; call \
+                          `sum_column` so every whole-column sum has one order"
+                    .to_string(),
+            });
+        }
+    }
+    out
+}
+
 /// `unsafe-safety`: every `unsafe` occurrence must carry a `// SAFETY:`
 /// comment on the same line or within the three lines above it.
 pub fn unsafe_safety(file: &SourceFile) -> Vec<Diagnostic> {

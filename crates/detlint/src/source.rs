@@ -28,6 +28,7 @@ pub const RULES: &[&str] = &[
     "lock-discipline",
     "panic-budget",
     "unsafe-safety",
+    "measure-sum",
 ];
 
 /// One parsed `// detlint: allow(rule, reason = "...")` directive.

@@ -76,6 +76,36 @@ fn justified_scratch_hasher_is_allowlisted() {
 }
 
 #[test]
+fn ad_hoc_measure_column_sums_are_flagged() {
+    let f = fixture("measure_sum_positive.rs");
+    let (violations, allowed) = apply_allowlist(&f, rules::measure_sum(&f));
+    // `.sum()`, `.sum::<f64>()` and `.fold(`, one line each.
+    assert_eq!(
+        violations.iter().map(|d| d.line).collect::<Vec<_>>(),
+        [4, 5, 6],
+        "{violations:?}"
+    );
+    assert!(allowed.is_empty());
+    assert!(violations.iter().all(|d| d.rule == "measure-sum"));
+}
+
+#[test]
+fn kernel_calls_selected_rows_and_test_code_pass_the_measure_sum_rule() {
+    let f = fixture("measure_sum_negative.rs");
+    assert!(rules::measure_sum(&f).is_empty());
+}
+
+#[test]
+fn binary_targets_are_exempt_from_the_measure_sum_rule() {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("fixtures")
+        .join("measure_sum_positive.rs");
+    let text = std::fs::read_to_string(path).expect("fixture readable");
+    let f = SourceFile::from_text(&text, "crates/bench/src/bin/totals.rs", "bench");
+    assert!(rules::measure_sum(&f).is_empty());
+}
+
+#[test]
 fn lock_order_inversion_is_a_cycle() {
     let f = fixture("lock_cycle.rs");
     let analysis = locks::analyze(&[&f], false);

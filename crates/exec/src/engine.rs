@@ -16,10 +16,12 @@
 //! (several predicates, or an encoded-index selection) is ANDed into the
 //! worker's reused scratch bitmap
 //! ([`bitmap::MaterialisedIndex::and_selection_into`]).
-//! The worker aggregates partial sums in ascending row order into its
-//! query's per-task slot, and the partials are merged *in plan order*, so
-//! the floating-point result is **bit-identical for every worker count,
-//! MPL and representation policy**.
+//! The worker aggregates partial sums into its query's per-task slot —
+//! selected rows in ascending row order, the IOC1 path's whole columns
+//! in one fixed eight-lane order (`sum_column`) — and the partials are
+//! merged *in plan order*, so the floating-point result is
+//! **bit-identical for every worker count, MPL and representation
+//! policy**.
 //!
 //! When a [`RunConfig::placement`] is set, each worker's initial deque
 //! chunk follows the physical allocation's disk-affinity order
@@ -288,7 +290,7 @@ pub(crate) fn process_fragment(
         // row of this fragment matches — aggregate whole measure columns
         // without touching an index.
         for (measure, sum) in sums.iter_mut().enumerate() {
-            *sum = fragment.measure_column(measure).iter().sum();
+            *sum = sum_column(fragment.measure_column(measure));
         }
         return partial(rows, false);
     }
@@ -327,10 +329,34 @@ fn aggregate_selection(
     }
 }
 
+/// Sums a whole column in the engine's one order for that job: eight
+/// striped lanes (lane `i` adds elements `8k + i` over `chunks_exact(8)`),
+/// the fixed fold `((l0 + l4) + (l2 + l6)) + ((l1 + l5) + (l3 + l7))`, then
+/// the tail added in order.  The order depends on the column's length
+/// alone, so a fragment's sum has the same bits on every worker, MPL,
+/// backing and representation.  The lanes are independent chains, so
+/// they run side by side where one accumulator waits on every add, and
+/// each value passes through at most `n / 8 + 10` roundings instead of
+/// `n`, which shrinks the error bound by the same factor.
+pub(crate) fn sum_column(column: &[f64]) -> f64 {
+    let chunks = column.chunks_exact(8);
+    let tail = chunks.remainder();
+    let mut lanes = [0.0f64; 8];
+    for chunk in chunks {
+        for (lane, &x) in lanes.iter_mut().zip(chunk) {
+            *lane += x;
+        }
+    }
+    let [l0, l1, l2, l3, l4, l5, l6, l7] = lanes;
+    let folded = ((l0 + l4) + (l2 + l6)) + ((l1 + l5) + (l3 + l7));
+    tail.iter().fold(folded, |sum, &x| sum + x)
+}
+
 /// Adds every matching row's measures into `sums` and returns the hit
-/// count.  Every selection path ends here, and each measure's additions
-/// run in ascending row order, so the sums are bit-identical whichever
-/// path and representation selected the rows.
+/// count.  Every selected-row path ends here (the IOC1 path sums whole
+/// columns with [`sum_column`] instead), and each measure's additions run
+/// in ascending row order, so the sums are bit-identical whichever path
+/// and representation selected the rows.
 fn aggregate(
     fragment: &ColumnarFragment,
     matching: impl Iterator<Item = usize>,
@@ -398,13 +424,106 @@ mod tests {
             let result = engine.execute(&bound, &RunConfig::serial());
             let (expected_hits, expected_sums) = brute_force(&schema, &bound);
             assert_eq!(result.hits, expected_hits, "{}", result.query_name);
+            // The generated measures are whole numbers, whose sums are
+            // exact in any order: the bits must agree.
             for (got, want) in result.measure_sums.iter().zip(&expected_sums) {
-                assert!(
-                    (got - want).abs() < 1e-6,
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
                     "{}: measure sum {got} != {want}",
                     result.query_name
                 );
             }
+        }
+    }
+
+    /// [`sum_column`]'s order written out index by index: element `i` of
+    /// the first `8 * (n / 8)` goes to lane `i % 8`, then the fold, then
+    /// the tail.
+    fn lane_order_reference(column: &[f64]) -> f64 {
+        let body = column.len() - column.len() % 8;
+        let mut lanes = [0.0f64; 8];
+        for (i, &x) in column[..body].iter().enumerate() {
+            lanes[i % 8] += x;
+        }
+        let mut sum = ((lanes[0] + lanes[4]) + (lanes[2] + lanes[6]))
+            + ((lanes[1] + lanes[5]) + (lanes[3] + lanes[7]));
+        for &x in &column[body..] {
+            sum += x;
+        }
+        sum
+    }
+
+    /// Neumaier-compensated sum: a reference far more accurate than any
+    /// plain summation order.
+    fn compensated_sum(column: &[f64]) -> f64 {
+        let (mut sum, mut compensation) = (0.0f64, 0.0f64);
+        for &x in column {
+            let t = sum + x;
+            compensation += if sum.abs() >= x.abs() {
+                (sum - t) + x
+            } else {
+                (x - t) + sum
+            };
+            sum = t;
+        }
+        sum + compensation
+    }
+
+    #[test]
+    fn sum_column_follows_the_documented_lane_order() {
+        let lengths =
+            (0usize..=17).chain((1..=5).flat_map(|k| (0..8).map(move |r| 8 * 97 * k + r)));
+        let mut order_sensitive = 0;
+        for n in lengths {
+            // Mixed signs and magnitudes of non-dyadic fractions, so that
+            // another order would round differently.
+            let column: Vec<f64> = (0..n)
+                .map(|i| ((i * 37 % 101) as f64 - 50.0) / 7.0 * 10f64.powi((i % 5) as i32 - 2))
+                .collect();
+            let sum = sum_column(&column);
+            assert_eq!(
+                sum.to_bits(),
+                lane_order_reference(&column).to_bits(),
+                "length {n}"
+            );
+            let serial: f64 = column.iter().fold(0.0, |acc, &x| acc + x);
+            order_sensitive += usize::from(serial.to_bits() != sum.to_bits());
+        }
+        assert!(order_sensitive > 0, "the data cannot tell the orders apart");
+    }
+
+    #[test]
+    fn sum_column_is_exact_on_whole_numbers() {
+        // The generated stores' measures: whole numbers in 1..=1000.
+        for n in [0usize, 1, 7, 8, 9, 1_000, 54_321] {
+            let column: Vec<f64> = (0..n).map(|i| (i * 7_919 % 1_000 + 1) as f64).collect();
+            let exact: u64 = (0..n).map(|i| (i * 7_919 % 1_000 + 1) as u64).sum();
+            assert_eq!(
+                sum_column(&column).to_bits(),
+                (exact as f64).to_bits(),
+                "length {n}"
+            );
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// On fractional columns the kernel repeats its bits, matches the
+        /// written-out order, and stays within `n·ε·Σ|x|` of a compensated
+        /// reference.
+        #[test]
+        fn prop_sum_column_is_deterministic_and_within_the_error_bound(
+            column in proptest::collection::vec(-1_000.0f64..1_000.0, 0..10_000),
+        ) {
+            let sum = sum_column(&column);
+            proptest::prop_assert_eq!(sum.to_bits(), sum_column(&column).to_bits());
+            proptest::prop_assert_eq!(sum.to_bits(), lane_order_reference(&column).to_bits());
+            let magnitude: f64 = column.iter().map(|x| x.abs()).sum();
+            let bound = column.len() as f64 * f64::EPSILON * magnitude;
+            let error = (sum - compensated_sum(&column)).abs();
+            proptest::prop_assert!(error <= bound, "error {} above bound {}", error, bound);
         }
     }
 

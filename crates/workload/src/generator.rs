@@ -2,16 +2,17 @@
 
 use mdhf::StarQuery;
 use schema::StarSchema;
-use simkit_free_rng::SplitMix;
+use splitmix::SplitMix;
 
 use crate::bound::BoundQuery;
 use crate::queries::QueryType;
 use crate::skew::ZipfSampler;
 
-/// A tiny splitmix64 generator so the workload crate does not need a direct
-/// dependency on the simulation engine's RNG wrapper.  Deterministic for a
+/// A tiny splitmix64 generator for query-parameter selection, so the
+/// workload crate depends on no other crate for randomness (SIMPAD's
+/// xoshiro256++ streams are private to `simpad`).  Deterministic for a
 /// given seed, which is all query-parameter selection needs.
-mod simkit_free_rng {
+mod splitmix {
     /// Splitmix64 state.
     #[derive(Debug, Clone)]
     pub struct SplitMix(pub u64);

@@ -1,16 +1,20 @@
 //! The one-execution-path contract: a single query's `Session::execute`
 //! and `Session::execute_plan` are the session's stream of one under
 //! exclusive admission, and all are `StarJoinEngine::run` on that one plan
-//! at MPL 1.
+//! at MPL 1.  On a store whose sums round, results keep their bits across
+//! every configuration and both backings, and stay within a relative
+//! 1e-12 of a compensated brute-force scan.
 
 #![forbid(unsafe_code)]
 
+use std::path::PathBuf;
 use std::slice;
 
 use proptest::prelude::*;
 use warehouse::bitmap::{FactRow, MaterialisedFactTable};
+use warehouse::exec::{write_store, FileStore};
 use warehouse::prelude::*;
-use warehouse::schema::apb1::Apb1Config;
+use warehouse::schema::apb1::{apb1_scaled_down, Apb1Config};
 
 /// A deliberately tiny schema so each case (two store builds + four
 /// executions) stays fast in debug builds.
@@ -26,15 +30,12 @@ fn tiny_schema() -> StarSchema {
     .build()
 }
 
-/// A store over `schema` whose measures are non-dyadic fractions
-/// (`k / 7`).  The generated stores hold whole numbers, whose `f64` sums
-/// are exact in any order; these sums round, so a merge that added
-/// partials in a different order would change their bits.
-fn fractional_store(
-    schema: &StarSchema,
-    fragmentation: &Fragmentation,
-    seed: u64,
-) -> FragmentStore {
+/// The generated fact table over `schema` with its measures replaced by
+/// non-dyadic fractions (`k / 7`).  The generated stores hold whole
+/// numbers, whose `f64` sums are exact in any order; these sums round, so
+/// a merge that added partials in a different order would change their
+/// bits.
+fn fractional_table(schema: &StarSchema, seed: u64) -> MaterialisedFactTable {
     let generated = MaterialisedFactTable::generate(schema, seed);
     let rows = generated
         .rows()
@@ -47,20 +48,109 @@ fn fractional_store(
                 .collect(),
         })
         .collect();
-    let table =
-        MaterialisedFactTable::from_rows(rows, generated.dimension_cardinalities().to_vec());
-    FragmentStore::from_table(schema, fragmentation, &table)
+    MaterialisedFactTable::from_rows(rows, generated.dimension_cardinalities().to_vec())
+}
+
+/// A uniquely named file in the system temp directory, removed on drop.
+struct TempFile(PathBuf);
+
+impl TempFile {
+    fn new(tag: &str) -> Self {
+        TempFile(std::env::temp_dir().join(format!(
+            "fgmt_stream_of_one_{}_{tag}.fgmt",
+            std::process::id()
+        )))
+    }
+}
+
+impl Drop for TempFile {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.0);
+    }
+}
+
+/// Neumaier-compensated sum: accurate to about one rounding of the result,
+/// whatever the number of terms.
+fn compensated_sum(values: impl IntoIterator<Item = f64>) -> f64 {
+    let (mut sum, mut compensation) = (0.0f64, 0.0f64);
+    for x in values {
+        let t = sum + x;
+        compensation += if sum.abs() >= x.abs() {
+            (sum - t) + x
+        } else {
+            (x - t) + sum
+        };
+        sum = t;
+    }
+    sum + compensation
+}
+
+/// Every query type over the fractional store agrees with a compensated
+/// brute-force scan of the same table: the same hits, and sums within a
+/// relative 1e-12 (the engine's sums round; the reference barely does).
+#[test]
+fn fractional_results_match_compensated_brute_force_for_all_query_types() {
+    let schema = apb1_scaled_down();
+    let fragmentation = Fragmentation::parse(&schema, &["time::month", "product::group"]).unwrap();
+    let table = fractional_table(&schema, 2024);
+    let engine = StarJoinEngine::new(FragmentStore::from_table(&schema, &fragmentation, &table));
+    let mut inexact = 0;
+    for (query_type, values) in [
+        (QueryType::OneStore, vec![7]),
+        (QueryType::OneMonth, vec![5]),
+        (QueryType::OneCode, vec![65]),
+        (QueryType::OneMonthOneGroup, vec![3, 1]),
+        (QueryType::OneCodeOneQuarter, vec![100, 2]),
+        (QueryType::OneGroup, vec![9]),
+        (QueryType::OneQuarter, vec![1]),
+        (QueryType::OneGroupOneStore, vec![4, 11]),
+    ] {
+        let bound = BoundQuery::new(&schema, query_type.to_star_query(&schema), values);
+        let result = engine.execute(&bound, &RunConfig::serial());
+
+        let mut predicates: Vec<Option<std::ops::Range<u64>>> =
+            vec![None; schema.dimension_count()];
+        for (pred, &value) in bound.query().predicates().iter().zip(bound.values()) {
+            let hierarchy = schema.dimensions()[pred.attr.dimension].hierarchy();
+            predicates[pred.attr.dimension] = Some(hierarchy.leaf_range_of(pred.attr.level, value));
+        }
+        let matching = table.scan(&predicates);
+        assert_eq!(result.hits, matching.len() as u64, "{}", result.query_name);
+        assert!(result.hits > 0, "{} selects nothing", result.query_name);
+        for (measure, &got) in result.measure_sums.iter().enumerate() {
+            let want = compensated_sum(
+                matching
+                    .iter()
+                    .map(|&row| table.rows()[row].measures[measure]),
+            );
+            inexact += usize::from(got.fract() != 0.0);
+            assert!(
+                (got - want).abs() <= 1e-12 * want.abs(),
+                "{}: measure {measure} sum {got} != {want}",
+                result.query_name
+            );
+        }
+    }
+    assert!(inexact > 0, "no sum rounded");
 }
 
 /// Every query of the standard mix over the fractional store gives the
 /// same hits and sum bits for every worker count, placement, I/O mode
-/// (off, flat, 2-node shared nothing) and MPL as the serial run.
+/// (off, flat, 2-node shared nothing) and MPL as the serial run, on the
+/// in-memory store and on its `FGMT` file alike.
 #[test]
 fn fractional_sums_agree_across_configurations() {
     let schema = tiny_schema();
     let fragmentation = Fragmentation::parse(&schema, &["time::month", "product::group"]).unwrap();
     for seed in [3, 11] {
-        let engine = StarJoinEngine::new(fractional_store(&schema, &fragmentation, seed));
+        let store =
+            FragmentStore::from_table(&schema, &fragmentation, &fractional_table(&schema, seed));
+        let file = TempFile::new(&format!("fractional_{seed}"));
+        write_store(&store, &file.0).expect("serialise the fragment store");
+        let engine = StarJoinEngine::new(store);
+        let file_engine = StarJoinEngine::from_source(
+            FileStore::open(&file.0).expect("reopen the fragment file"),
+        );
         let plans: Vec<QueryPlan> = QueryType::standard_mix()
             .into_iter()
             .enumerate()
@@ -103,11 +193,13 @@ fn fractional_sums_agree_across_configurations() {
                             io,
                             obs: ObsConfig::default(),
                         };
-                        assert_eq!(
-                            bits(&engine.run(&plans, &config, None)),
-                            reference,
-                            "seed {seed}, {config:?}"
-                        );
+                        for (backing, engine) in [("memory", &engine), ("file", &file_engine)] {
+                            assert_eq!(
+                                bits(&engine.run(&plans, &config, None)),
+                                reference,
+                                "seed {seed}, {backing}, {config:?}"
+                            );
+                        }
                     }
                 }
             }
