@@ -36,11 +36,8 @@ pub struct MaterialisedFactTable {
 impl MaterialisedFactTable {
     /// Generates a fact table for `schema` deterministically from `seed`.
     ///
-    /// Every possible combination of dimension leaf values is included with
-    /// probability equal to the schema's density factor, using a splitmix-
-    /// style hash of the combination index and the seed, so the same seed
-    /// always produces the same table.  Measure values are derived from the
-    /// same hash.
+    /// Collects the rows [`MaterialisedFactTable::generate_each`] streams,
+    /// in the same order.
     ///
     /// # Panics
     ///
@@ -48,45 +45,68 @@ impl MaterialisedFactTable {
     /// combinations — this generator is for scaled-down schemas only.
     #[must_use]
     pub fn generate(schema: &StarSchema, seed: u64) -> Self {
+        let mut rows = Vec::new();
+        Self::generate_each(schema, seed, |keys, measures| {
+            rows.push(FactRow {
+                keys: keys.to_vec(),
+                measures: measures.to_vec(),
+            });
+        });
+        MaterialisedFactTable {
+            rows,
+            dimension_cardinalities: leaf_cardinalities(schema),
+        }
+    }
+
+    /// Streams the rows of [`MaterialisedFactTable::generate`] to `row` as
+    /// `(leaf keys, measures)` without materialising them: one key buffer
+    /// and one measure buffer are reused for every row.
+    ///
+    /// Every possible combination of dimension leaf values is visited in
+    /// mixed-radix order (last dimension varying fastest) and kept with
+    /// probability equal to the schema's density factor, using a splitmix-
+    /// style hash of the combination index and the seed, so the same seed
+    /// always produces the same rows.  Measure values are derived from the
+    /// same hash.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the schema's dimension cross product exceeds 50 million
+    /// combinations — this generator is for scaled-down schemas only.
+    pub fn generate_each(schema: &StarSchema, seed: u64, mut row: impl FnMut(&[u64], &[f64])) {
         let combos = schema.max_fact_combinations();
         assert!(
             combos <= 50_000_000,
             "refusing to materialise {combos} combinations; use a scaled-down schema"
         );
-        let cards: Vec<u64> = schema
-            .dimensions()
-            .iter()
-            .map(schema::Dimension::cardinality)
-            .collect();
+        let cards = leaf_cardinalities(schema);
         let density = schema.fact().density();
-        let measures = schema.fact().measures().len().max(1);
-        let mut rows = Vec::new();
+        let mut keys = vec![0u64; cards.len()];
+        let mut measures = vec![0.0f64; schema.fact().measures().len().max(1)];
         for combo in 0..combos {
             let h = mix(seed, combo);
             // Map the hash to [0, 1) and keep the combination with
             // probability `density`.
             let u = (h >> 11) as f64 / (1u64 << 53) as f64;
             if u < density {
-                let keys = unrank(combo, &cards);
-                let measure_values = (0..measures)
-                    .map(|m| f64::from((mix(h, m as u64) % 1_000) as u32) + 1.0)
-                    .collect();
-                rows.push(FactRow {
-                    keys,
-                    measures: measure_values,
-                });
+                for (m, value) in measures.iter_mut().enumerate() {
+                    *value = f64::from((mix(h, m as u64) % 1_000) as u32) + 1.0;
+                }
+                row(&keys, &measures);
             }
-        }
-        MaterialisedFactTable {
-            rows,
-            dimension_cardinalities: cards,
+            // Advance `keys` to combination `combo + 1`.
+            for (key, &card) in keys.iter_mut().zip(&cards).rev() {
+                *key += 1;
+                if *key < card {
+                    break;
+                }
+                *key = 0;
+            }
         }
     }
 
-    /// Builds a table directly from rows — used to assemble per-fragment
-    /// sub-tables when a generated table is partitioned under an MDHF
-    /// fragmentation, so that real bitmap indices can be built fragment by
-    /// fragment.
+    /// Builds a table directly from rows, e.g. a reference table a test
+    /// writes out row by row.
     ///
     /// # Panics
     ///
@@ -166,15 +186,13 @@ fn mix(seed: u64, value: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Converts a combination index into per-dimension leaf keys
-/// (mixed-radix decomposition, last dimension varying fastest).
-fn unrank(mut combo: u64, cards: &[u64]) -> Vec<u64> {
-    let mut keys = vec![0u64; cards.len()];
-    for (i, &c) in cards.iter().enumerate().rev() {
-        keys[i] = combo % c;
-        combo /= c;
-    }
-    keys
+/// Leaf cardinality per dimension, in schema order.
+fn leaf_cardinalities(schema: &StarSchema) -> Vec<u64> {
+    schema
+        .dimensions()
+        .iter()
+        .map(schema::Dimension::cardinality)
+        .collect()
 }
 
 /// A materialised bitmap join index for one dimension of a
@@ -194,7 +212,6 @@ pub struct MaterialisedIndex {
     encoded_bitmaps: Vec<BitmapRepr>,
     simple_bitmaps: BTreeMap<(usize, u64), BitmapRepr>,
     encoding: Option<HierarchicalEncoding>,
-    schema: StarSchema,
 }
 
 impl MaterialisedIndex {
@@ -217,7 +234,9 @@ impl MaterialisedIndex {
         )
     }
 
-    /// Builds the index with an explicit per-bitmap representation policy.
+    /// Builds the index with an explicit per-bitmap representation policy,
+    /// over `table`'s leaf keys of `dimension`
+    /// ([`MaterialisedIndex::build_from_column`]).
     #[must_use]
     pub fn build_with_policy(
         schema: &StarSchema,
@@ -226,9 +245,24 @@ impl MaterialisedIndex {
         dimension: usize,
         policy: RepresentationPolicy,
     ) -> Self {
+        let keys: Vec<u64> = table.rows().iter().map(|row| row.keys[dimension]).collect();
+        Self::build_from_column(schema, catalog, &keys, dimension, policy)
+    }
+
+    /// Builds the index of `dimension` over a column of leaf keys — bit `i`
+    /// of every bitmap describes `keys[i]` — with an explicit per-bitmap
+    /// representation policy and the index kind given by `catalog`.
+    #[must_use]
+    pub fn build_from_column(
+        schema: &StarSchema,
+        catalog: &IndexCatalog,
+        keys: &[u64],
+        dimension: usize,
+        policy: RepresentationPolicy,
+    ) -> Self {
         let spec = catalog.spec(dimension).clone();
-        let n = table.len();
-        let hierarchy = schema.dimensions()[dimension].hierarchy().clone();
+        let n = keys.len();
+        let hierarchy = schema.dimensions()[dimension].hierarchy();
 
         let mut encoded_bitmaps = Vec::new();
         let mut simple_bitmaps: BTreeMap<(usize, u64), BitmapRepr> = BTreeMap::new();
@@ -238,8 +272,8 @@ impl MaterialisedIndex {
             BitmapIndexKind::Encoded(enc) => {
                 let total = enc.total_bits() as usize;
                 let mut plain = vec![Bitmap::new(n); total];
-                for (row_idx, row) in table.rows().iter().enumerate() {
-                    let pattern = enc.encode_leaf(row.keys[dimension]);
+                for (row_idx, &leaf) in keys.iter().enumerate() {
+                    let pattern = enc.encode_leaf(leaf);
                     for (bit, bitmap) in plain.iter_mut().enumerate() {
                         let shift = total - 1 - bit;
                         if (pattern >> shift) & 1 == 1 {
@@ -260,8 +294,7 @@ impl MaterialisedIndex {
                         plain.insert((level, value), Bitmap::new(n));
                     }
                 }
-                for (row_idx, row) in table.rows().iter().enumerate() {
-                    let leaf = row.keys[dimension];
+                for (row_idx, &leaf) in keys.iter().enumerate() {
                     for level in 0..hierarchy.depth() {
                         let value = hierarchy.ancestor_of_leaf(leaf, level);
                         plain
@@ -284,7 +317,6 @@ impl MaterialisedIndex {
             encoded_bitmaps,
             simple_bitmaps,
             encoding,
-            schema: schema.clone(),
         }
     }
 
@@ -410,12 +442,6 @@ impl MaterialisedIndex {
         self.repr_stats().size_bytes
     }
 
-    /// The schema the index was built against.
-    #[must_use]
-    pub fn schema(&self) -> &StarSchema {
-        &self.schema
-    }
-
     /// Borrowed view of the physical bitmaps backing this index, in the
     /// shape matching its [`BitmapIndexKind`].  This is the serialisation
     /// surface: a storage engine writes exactly these bitmaps (e.g. through
@@ -436,9 +462,10 @@ impl MaterialisedIndex {
     ///
     /// # Errors
     ///
-    /// Returns a description of the mismatch when `catalog` does not declare
-    /// an encoded index for `dimension`, the slice count differs from the
-    /// encoding's total bits, or the slices disagree on row count.
+    /// Returns a description of the mismatch when `dimension` is outside
+    /// `schema`, `catalog` does not declare an encoded index for it, the
+    /// slice count differs from the encoding's total bits, or the slices
+    /// disagree on row count.
     pub fn from_stored_encoded(
         schema: &StarSchema,
         catalog: &IndexCatalog,
@@ -446,6 +473,7 @@ impl MaterialisedIndex {
         policy: RepresentationPolicy,
         bitmaps: Vec<BitmapRepr>,
     ) -> Result<Self, String> {
+        check_dimension(schema, dimension)?;
         let spec = catalog.spec(dimension).clone();
         let BitmapIndexKind::Encoded(enc) = spec.kind() else {
             return Err(format!(
@@ -473,7 +501,6 @@ impl MaterialisedIndex {
             encoded_bitmaps: bitmaps,
             simple_bitmaps: BTreeMap::new(),
             encoding: Some(enc),
-            schema: schema.clone(),
         })
     }
 
@@ -483,10 +510,10 @@ impl MaterialisedIndex {
     ///
     /// # Errors
     ///
-    /// Returns a description of the mismatch when `catalog` does not declare
-    /// a simple index for `dimension`, the bitmap count differs from the
-    /// spec, a key is outside the dimension hierarchy, or the bitmaps
-    /// disagree on row count.
+    /// Returns a description of the mismatch when `dimension` is outside
+    /// `schema`, `catalog` does not declare a simple index for it, the
+    /// bitmap count differs from the spec, a key is outside the dimension
+    /// hierarchy, or the bitmaps disagree on row count.
     pub fn from_stored_simple(
         schema: &StarSchema,
         catalog: &IndexCatalog,
@@ -494,6 +521,7 @@ impl MaterialisedIndex {
         policy: RepresentationPolicy,
         bitmaps: BTreeMap<(usize, u64), BitmapRepr>,
     ) -> Result<Self, String> {
+        check_dimension(schema, dimension)?;
         let spec = catalog.spec(dimension).clone();
         if !matches!(spec.kind(), BitmapIndexKind::Simple) {
             return Err(format!(
@@ -528,8 +556,19 @@ impl MaterialisedIndex {
             encoded_bitmaps: Vec::new(),
             simple_bitmaps: bitmaps,
             encoding: None,
-            schema: schema.clone(),
         })
+    }
+}
+
+/// Rejects a stored index whose dimension the schema does not have.
+fn check_dimension(schema: &StarSchema, dimension: usize) -> Result<(), String> {
+    if dimension < schema.dimension_count() {
+        Ok(())
+    } else {
+        Err(format!(
+            "dimension {dimension} outside the schema's {} dimensions",
+            schema.dimension_count()
+        ))
     }
 }
 
@@ -872,13 +911,77 @@ mod tests {
             vec![BitmapRepr::Plain(Bitmap::new(4))],
         )
         .is_err());
+        // A dimension the schema does not have is an error, not a panic.
+        let outside = schema.dimension_count();
+        assert!(MaterialisedIndex::from_stored_simple(
+            &schema,
+            &catalog,
+            outside,
+            policy,
+            BTreeMap::new(),
+        )
+        .is_err());
+        assert!(MaterialisedIndex::from_stored_encoded(
+            &schema,
+            &catalog,
+            outside,
+            policy,
+            Vec::new(),
+        )
+        .is_err());
     }
 
     #[test]
-    fn unrank_is_mixed_radix() {
-        assert_eq!(unrank(0, &[3, 4, 5]), vec![0, 0, 0]);
-        assert_eq!(unrank(59, &[3, 4, 5]), vec![2, 3, 4]);
-        assert_eq!(unrank(5, &[3, 4, 5]), vec![0, 1, 0]);
+    fn generate_each_visits_combinations_in_mixed_radix_order() {
+        // Density 1 keeps every combination, so the k-th streamed row is
+        // combination k: its keys read as a mixed-radix number, last
+        // dimension varying fastest.
+        let schema = schema::apb1::Apb1Config {
+            channels: 2,
+            months: 3,
+            stores: 10,
+            product_codes: 120,
+            density: 1.0,
+            fact_tuple_bytes: 20,
+        }
+        .build();
+        let cards = leaf_cardinalities(&schema);
+        let mut combo = 0u64;
+        MaterialisedFactTable::generate_each(&schema, 5, |keys, measures| {
+            let rank = keys.iter().zip(&cards).fold(0, |n, (&k, &c)| n * c + k);
+            assert_eq!(rank, combo);
+            assert_eq!(measures.len(), 3);
+            combo += 1;
+        });
+        assert_eq!(combo, schema.max_fact_combinations());
+        assert_eq!(
+            MaterialisedFactTable::generate(&schema, 5).len() as u64,
+            combo
+        );
+    }
+
+    #[test]
+    fn build_from_column_equals_build_with_policy() {
+        let (schema, table, catalog, _) = setup();
+        for policy in [
+            RepresentationPolicy::Plain,
+            RepresentationPolicy::Wah,
+            RepresentationPolicy::Roaring,
+            RepresentationPolicy::default(),
+        ] {
+            for dimension in 0..schema.dimension_count() {
+                let keys: Vec<u64> = table.rows().iter().map(|r| r.keys[dimension]).collect();
+                assert_eq!(
+                    MaterialisedIndex::build_from_column(
+                        &schema, &catalog, &keys, dimension, policy
+                    ),
+                    MaterialisedIndex::build_with_policy(
+                        &schema, &catalog, &table, dimension, policy
+                    ),
+                    "dimension {dimension}, {policy:?}"
+                );
+            }
+        }
     }
 
     #[test]

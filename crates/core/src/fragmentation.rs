@@ -185,16 +185,17 @@ impl Fragmentation {
             schema.dimension_count(),
             "one leaf key per dimension required"
         );
-        let coords = FragmentCoordinates(
-            self.attrs
-                .iter()
-                .map(|a| {
-                    let hierarchy = schema.dimensions()[a.dimension].hierarchy();
-                    hierarchy.ancestor_of_leaf(leaf_keys[a.dimension], a.level)
-                })
-                .collect(),
-        );
-        self.fragment_number(&coords)
+        // `fragment_number` of the ancestor coordinates, folded without
+        // materialising them.
+        self.attrs
+            .iter()
+            .zip(&self.cardinalities)
+            .fold(0, |number, (a, &card)| {
+                let hierarchy = schema.dimensions()[a.dimension].hierarchy();
+                let value = hierarchy.ancestor_of_leaf(leaf_keys[a.dimension], a.level);
+                assert!(value < card, "coordinate {value} out of range (< {card})");
+                number * card + value
+            })
     }
 
     /// Average number of fact rows per fragment (uniform-distribution
@@ -408,6 +409,29 @@ mod prop_tests {
             let keys = vec![product, store, chan, month];
             let frag = f.fragment_of_row(&s, &keys);
             prop_assert!(frag < f.fragment_count());
+            // It is the fragment number of the keys' ancestor coordinates.
+            let three = Fragmentation::parse(
+                &s,
+                &["customer::retailer", "channel::channel", "time::quarter"],
+            )
+            .unwrap();
+            for fragmentation in [&f, &three] {
+                let coordinates = FragmentCoordinates(
+                    fragmentation
+                        .attrs()
+                        .iter()
+                        .map(|a| {
+                            s.dimensions()[a.dimension]
+                                .hierarchy()
+                                .ancestor_of_leaf(keys[a.dimension], a.level)
+                        })
+                        .collect(),
+                );
+                prop_assert_eq!(
+                    fragmentation.fragment_of_row(&s, &keys),
+                    fragmentation.fragment_number(&coordinates)
+                );
+            }
             // Changing only non-fragmentation dimensions keeps the fragment.
             let other_keys = vec![product, (store + 1) % 40, (chan + 1) % 3, month];
             prop_assert_eq!(f.fragment_of_row(&s, &other_keys), frag);

@@ -1,20 +1,24 @@
 //! In-memory columnar storage of an MDHF-fragmented fact table.
 //!
 //! The simulator (`simpad`) works on cardinalities; this store holds *real*
-//! rows so that wall-clock execution can be measured.  A generated
-//! [`MaterialisedFactTable`] is partitioned by [`Fragmentation::fragment_of_row`]
-//! into one [`ColumnarFragment`] per fragment number.  Each fragment keeps
+//! rows so that wall-clock execution can be measured.  Rows — streamed by
+//! [`MaterialisedFactTable::generate_each`], drawn by the skewed generator,
+//! or read from an existing table — are routed by
+//! [`Fragmentation::fragment_of_row`] straight into per-fragment columns,
+//! in one pass and in arrival order, into one [`ColumnarFragment`] per
+//! fragment number.  Each fragment keeps
 //!
 //! * its fact rows in columnar layout (one key column per dimension, one
 //!   value column per measure), and
-//! * one [`MaterialisedIndex`] per dimension built over *only its own rows* —
-//!   the materialised counterpart of the paper's fragment-aligned bitmap
-//!   fragments (§4): bit `i` of a fragment's bitmap refers to the `i`-th row
-//!   of that fragment, so fragments can be processed independently.
+//! * one [`MaterialisedIndex`] per dimension built from *only its own* key
+//!   column — the materialised counterpart of the paper's fragment-aligned
+//!   bitmap fragments (§4): bit `i` of a fragment's bitmap refers to the
+//!   `i`-th row of that fragment, so fragments can be processed
+//!   independently.
 
 use bitmap::{
-    BitmapFragmentation, FactRow, IndexCatalog, MaterialisedFactTable, MaterialisedIndex,
-    ReprStats, RepresentationPolicy,
+    BitmapFragmentation, IndexCatalog, MaterialisedFactTable, MaterialisedIndex, ReprStats,
+    RepresentationPolicy,
 };
 use mdhf::Fragmentation;
 use schema::{PageSizing, StarSchema};
@@ -48,42 +52,6 @@ pub struct ColumnarFragment {
 }
 
 impl ColumnarFragment {
-    fn build(
-        schema: &StarSchema,
-        catalog: &IndexCatalog,
-        policy: RepresentationPolicy,
-        fragment_number: u64,
-        rows: Vec<FactRow>,
-        dimension_cardinalities: Vec<u64>,
-    ) -> Self {
-        let dimension_count = schema.dimension_count();
-        let measure_count = schema.fact().measures().len();
-        let mut keys: Vec<Vec<u64>> = (0..dimension_count)
-            .map(|_| Vec::with_capacity(rows.len()))
-            .collect();
-        let mut measures: Vec<Vec<f64>> = (0..measure_count)
-            .map(|_| Vec::with_capacity(rows.len()))
-            .collect();
-        for row in &rows {
-            for (column, &key) in keys.iter_mut().zip(&row.keys) {
-                column.push(key);
-            }
-            for (column, &value) in measures.iter_mut().zip(&row.measures) {
-                column.push(value);
-            }
-        }
-        let sub_table = MaterialisedFactTable::from_rows(rows, dimension_cardinalities);
-        let indices = (0..dimension_count)
-            .map(|d| MaterialisedIndex::build_with_policy(schema, catalog, &sub_table, d, policy))
-            .collect();
-        ColumnarFragment {
-            fragment_number,
-            keys,
-            measures,
-            indices,
-        }
-    }
-
     /// Reassembles a fragment from already-built columns and indices — the
     /// decode path of the on-disk format ([`crate::file`]), which
     /// deserialises exactly these parts.
@@ -166,16 +134,27 @@ impl FragmentStore {
     /// with per-fragment indices is only sensible for scaled-down warehouses.
     pub const MAX_FRAGMENTS: u64 = 1_000_000;
 
-    /// Generates a fact table for `schema` from `seed` (via
+    /// Generates a fact table for `schema` from `seed` (the rows of
     /// [`MaterialisedFactTable::generate`]) and partitions it under
     /// `fragmentation`, with the default adaptive representation policy.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the fragmentation yields more than [`Self::MAX_FRAGMENTS`]
+    /// fragments or the schema is too large to materialise.
     #[must_use]
     pub fn build(schema: &StarSchema, fragmentation: &Fragmentation, seed: u64) -> Self {
         Self::build_with_policy(schema, fragmentation, seed, RepresentationPolicy::default())
     }
 
     /// [`FragmentStore::build`] with an explicit per-bitmap representation
-    /// policy for every fragment's indices.
+    /// policy for every fragment's indices.  Equal to
+    /// [`FragmentStore::from_table_with_policy`] over the generated table,
+    /// without ever materialising that table.
+    ///
+    /// # Panics
+    ///
+    /// As [`FragmentStore::build`].
     #[must_use]
     pub fn build_with_policy(
         schema: &StarSchema,
@@ -183,12 +162,11 @@ impl FragmentStore {
         seed: u64,
         policy: RepresentationPolicy,
     ) -> Self {
-        Self::from_table_with_policy(
-            schema,
-            fragmentation,
-            &MaterialisedFactTable::generate(schema, seed),
-            policy,
-        )
+        let mut sink = ColumnSink::new(schema, fragmentation).unwrap_or_else(|e| panic!("{e}"));
+        MaterialisedFactTable::generate_each(schema, seed, |keys, measures| {
+            sink.push(keys, measures);
+        });
+        sink.finish(policy)
     }
 
     /// Generates a **selectivity-skewed** fact table of exactly `rows` rows
@@ -211,37 +189,27 @@ impl FragmentStore {
         theta: f64,
         rows: usize,
     ) -> Self {
+        let mut sink = ColumnSink::new(schema, fragmentation).unwrap_or_else(|e| panic!("{e}"));
         let samplers: Vec<workload::ZipfSampler> = schema
             .dimensions()
             .iter()
             .map(|d| workload::ZipfSampler::new(d.cardinality(), theta))
             .collect();
-        let cards: Vec<u64> = schema
-            .dimensions()
-            .iter()
-            .map(schema::Dimension::cardinality)
-            .collect();
-        let measure_count = schema.fact().measures().len().max(1);
         let dims = samplers.len() as u64;
-        let fact_rows: Vec<FactRow> = (0..rows as u64)
-            .map(|r| {
-                let keys: Vec<u64> = samplers
-                    .iter()
-                    .enumerate()
-                    .map(|(d, s)| s.sample_u64(mix64(seed, r * (dims + 1) + d as u64)))
-                    .collect();
-                let measures: Vec<f64> = (0..measure_count)
-                    .map(|m| {
-                        f64::from(
-                            (mix64(seed ^ r, r * (dims + 1) + dims + m as u64) % 1_000) as u32,
-                        ) + 1.0
-                    })
-                    .collect();
-                FactRow { keys, measures }
-            })
-            .collect();
-        let table = MaterialisedFactTable::from_rows(fact_rows, cards);
-        Self::from_table(schema, fragmentation, &table)
+        let mut keys = vec![0u64; samplers.len()];
+        let mut measures = vec![0.0f64; schema.fact().measures().len().max(1)];
+        for r in 0..rows as u64 {
+            for ((d, sampler), key) in samplers.iter().enumerate().zip(&mut keys) {
+                *key = sampler.sample_u64(mix64(seed, r * (dims + 1) + d as u64));
+            }
+            for (m, value) in measures.iter_mut().enumerate() {
+                *value =
+                    f64::from((mix64(seed ^ r, r * (dims + 1) + dims + m as u64) % 1_000) as u32)
+                        + 1.0;
+            }
+            sink.push(&keys, &measures);
+        }
+        sink.finish(RepresentationPolicy::default())
     }
 
     /// Partitions an existing materialised table under `fragmentation` with
@@ -299,41 +267,11 @@ impl FragmentStore {
         table: &MaterialisedFactTable,
         policy: RepresentationPolicy,
     ) -> Result<Self, StorageError> {
-        let fragment_count = fragmentation.fragment_count();
-        if fragment_count > Self::MAX_FRAGMENTS {
-            return Err(StorageError::Config(format!(
-                "refusing to materialise {fragment_count} fragments; use a coarser fragmentation"
-            )));
-        }
-        let catalog = IndexCatalog::default_for(schema);
-        let mut per_fragment: Vec<Vec<FactRow>> = vec![Vec::new(); fragment_count as usize];
+        let mut sink = ColumnSink::new(schema, fragmentation)?;
         for row in table.rows() {
-            let fragment = fragmentation.fragment_of_row(schema, &row.keys);
-            per_fragment[fragment as usize].push(row.clone());
+            sink.push(&row.keys, &row.measures);
         }
-        let cards = table.dimension_cardinalities();
-        let fragments = per_fragment
-            .into_iter()
-            .enumerate()
-            .map(|(number, rows)| {
-                ColumnarFragment::build(
-                    schema,
-                    &catalog,
-                    policy,
-                    number as u64,
-                    rows,
-                    cards.to_vec(),
-                )
-            })
-            .collect();
-        Ok(FragmentStore {
-            schema: schema.clone(),
-            fragmentation: fragmentation.clone(),
-            catalog,
-            policy,
-            fragments,
-            total_rows: table.len(),
-        })
+        Ok(sink.finish(policy))
     }
 
     /// Reassembles a store from decoded parts — the final step of opening an
@@ -465,6 +403,96 @@ impl FragmentStore {
     pub fn measured_bitmap_sizing(&self) -> BitmapFragmentation {
         self.logical_bitmap_sizing()
             .with_compression_ratio(self.measured_compression_ratio())
+    }
+}
+
+/// The columns of one fragment while its rows arrive.
+#[derive(Clone)]
+struct FragmentColumns {
+    keys: Vec<Vec<u64>>,
+    measures: Vec<Vec<f64>>,
+}
+
+/// The one build path of a [`FragmentStore`]: rows are appended, in
+/// arrival order, to the columns of the fragment they fall into; then each
+/// fragment's indices are built from its key columns.  Nothing is kept per
+/// row but the column values themselves.
+struct ColumnSink<'a> {
+    schema: &'a StarSchema,
+    fragmentation: &'a Fragmentation,
+    /// Dense, indexed by fragment number.
+    fragments: Vec<FragmentColumns>,
+    rows: usize,
+}
+
+impl<'a> ColumnSink<'a> {
+    /// Empty columns for every fragment of `fragmentation`, after checking
+    /// the fragment count against [`FragmentStore::MAX_FRAGMENTS`].
+    fn new(schema: &'a StarSchema, fragmentation: &'a Fragmentation) -> Result<Self, StorageError> {
+        let fragment_count = fragmentation.fragment_count();
+        if fragment_count > FragmentStore::MAX_FRAGMENTS {
+            return Err(StorageError::Config(format!(
+                "refusing to materialise {fragment_count} fragments; use a coarser fragmentation"
+            )));
+        }
+        let empty = FragmentColumns {
+            keys: vec![Vec::new(); schema.dimension_count()],
+            measures: vec![Vec::new(); schema.fact().measures().len()],
+        };
+        Ok(ColumnSink {
+            schema,
+            fragmentation,
+            fragments: vec![empty; fragment_count as usize],
+            rows: 0,
+        })
+    }
+
+    /// Appends one row — a leaf key per dimension and its measure values —
+    /// to its fragment.  Measure values beyond the schema's measures are
+    /// ignored.
+    fn push(&mut self, keys: &[u64], measures: &[f64]) {
+        let number = self.fragmentation.fragment_of_row(self.schema, keys);
+        let columns = &mut self.fragments[number as usize];
+        for (column, &key) in columns.keys.iter_mut().zip(keys) {
+            column.push(key);
+        }
+        for (column, &value) in columns.measures.iter_mut().zip(measures) {
+            column.push(value);
+        }
+        self.rows += 1;
+    }
+
+    /// Builds every fragment's indices from its key columns under `policy`
+    /// and assembles the store.
+    fn finish(self, policy: RepresentationPolicy) -> FragmentStore {
+        let schema = self.schema;
+        let catalog = IndexCatalog::default_for(schema);
+        let fragments = self
+            .fragments
+            .into_iter()
+            .enumerate()
+            .map(|(number, mut columns)| {
+                columns.keys.iter_mut().for_each(Vec::shrink_to_fit);
+                columns.measures.iter_mut().for_each(Vec::shrink_to_fit);
+                let indices = columns
+                    .keys
+                    .iter()
+                    .enumerate()
+                    .map(|(d, keys)| {
+                        MaterialisedIndex::build_from_column(schema, &catalog, keys, d, policy)
+                    })
+                    .collect();
+                ColumnarFragment::from_parts(number as u64, columns.keys, columns.measures, indices)
+            })
+            .collect();
+        FragmentStore {
+            schema: schema.clone(),
+            fragmentation: self.fragmentation.clone(),
+            catalog,
+            policy,
+            fragments,
+            total_rows: self.rows,
+        }
     }
 }
 
@@ -654,5 +682,86 @@ mod tests {
         .unwrap();
         let table = MaterialisedFactTable::from_rows(vec![], vec![14_400, 1_440, 15, 24]);
         let _ = FragmentStore::from_table(&schema, &fragmentation, &table);
+    }
+
+    #[test]
+    #[should_panic(expected = "refusing to materialise 497664000 fragments")]
+    fn too_fine_fragmentations_rejected_before_generating() {
+        // The full-size schema is also too large to generate; the fragment
+        // count is checked first, before anything is allocated.
+        let schema = schema::apb1::apb1_schema();
+        let fragmentation = Fragmentation::parse(
+            &schema,
+            &["time::month", "product::code", "customer::store"],
+        )
+        .unwrap();
+        let _ = FragmentStore::build(&schema, &fragmentation, 1);
+    }
+
+    #[test]
+    fn build_equals_from_table_of_the_generated_table() {
+        let schema = apb1_scaled_down();
+        let seed = 2024;
+        let table = MaterialisedFactTable::generate(&schema, seed);
+        for (levels, has_empty_fragments) in [
+            (&["time::month", "product::group"][..], false),
+            // 4 800 fragments of 36 combinations each: many stay empty.
+            (&["product::code", "customer::store"][..], true),
+        ] {
+            let fragmentation = Fragmentation::parse(&schema, levels).unwrap();
+            for policy in [
+                RepresentationPolicy::Plain,
+                RepresentationPolicy::Wah,
+                RepresentationPolicy::Roaring,
+                RepresentationPolicy::default(),
+            ] {
+                let built = FragmentStore::build_with_policy(&schema, &fragmentation, seed, policy);
+                let reference =
+                    FragmentStore::from_table_with_policy(&schema, &fragmentation, &table, policy);
+                assert!(built == reference, "{levels:?} under {policy:?}");
+                assert_eq!(
+                    built.fragments().iter().any(ColumnarFragment::is_empty),
+                    has_empty_fragments
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn build_skewed_equals_a_row_major_reference() {
+        let schema = apb1_scaled_down();
+        let fragmentation =
+            Fragmentation::parse(&schema, &["time::month", "product::group"]).unwrap();
+        let (seed, theta, rows) = (11, 0.8, 5_000u64);
+        // The skewed generator written out row by row.
+        let samplers: Vec<workload::ZipfSampler> = schema
+            .dimensions()
+            .iter()
+            .map(|d| workload::ZipfSampler::new(d.cardinality(), theta))
+            .collect();
+        let dims = samplers.len() as u64;
+        let fact_rows = (0..rows)
+            .map(|r| bitmap::FactRow {
+                keys: samplers
+                    .iter()
+                    .enumerate()
+                    .map(|(d, s)| s.sample_u64(mix64(seed, r * (dims + 1) + d as u64)))
+                    .collect(),
+                measures: (0..3)
+                    .map(|m| {
+                        f64::from((mix64(seed ^ r, r * (dims + 1) + dims + m) % 1_000) as u32) + 1.0
+                    })
+                    .collect(),
+            })
+            .collect();
+        let cards = schema
+            .dimensions()
+            .iter()
+            .map(schema::Dimension::cardinality)
+            .collect();
+        let table = MaterialisedFactTable::from_rows(fact_rows, cards);
+        let reference = FragmentStore::from_table(&schema, &fragmentation, &table);
+        let skewed = FragmentStore::build_skewed(&schema, &fragmentation, seed, theta, 5_000);
+        assert!(skewed == reference);
     }
 }
