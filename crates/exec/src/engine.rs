@@ -44,6 +44,7 @@ use bitmap::{Bitmap, BitmapRepr};
 use obs::{ObsConfig, Trace};
 use workload::BoundQuery;
 
+use crate::file::StorageError;
 use crate::io::IoConfig;
 use crate::metrics::ExecMetrics;
 use crate::plan::{PredicateBinding, QueryPlan};
@@ -269,18 +270,27 @@ pub(crate) fn placement_seed_order(
 /// largest fragment, a task allocates nothing.  The partial's
 /// `compressed` flag is set exactly when a lone simple-index predicate
 /// iterated a compressed stored bitmap.
+///
+/// Only the predicates' indices are read, so a fragment loaded from a file
+/// decodes those and no other.
+///
+/// # Errors
+///
+/// As [`ColumnarFragment::try_bitmap_index`], for a predicate's index.
 pub(crate) fn process_fragment(
     fragment: &ColumnarFragment,
     bitmap_predicates: &[PredicateBinding],
     scratch: &mut Bitmap,
     sums: &mut [f64],
-) -> FragmentPartial {
+) -> Result<FragmentPartial, StorageError> {
     sums.fill(0.0);
     let rows = fragment.len() as u64;
-    let partial = |hits, compressed| FragmentPartial {
-        rows,
-        hits,
-        compressed,
+    let partial = |hits, compressed| {
+        Ok(FragmentPartial {
+            rows,
+            hits,
+            compressed,
+        })
     };
     if fragment.is_empty() {
         return partial(0, false);
@@ -296,7 +306,7 @@ pub(crate) fn process_fragment(
     }
     if let [only] = bitmap_predicates {
         if let Some(selection) = fragment
-            .bitmap_index(only.dimension)
+            .try_bitmap_index(only.dimension)?
             .simple_bitmap(only.level, only.value)
         {
             // The stored bitmap is the selection: iterate it in place.
@@ -309,7 +319,7 @@ pub(crate) fn process_fragment(
     scratch.reset_ones(fragment.len());
     for p in bitmap_predicates {
         fragment
-            .bitmap_index(p.dimension)
+            .try_bitmap_index(p.dimension)?
             .and_selection_into(p.level, p.value, scratch);
     }
     partial(aggregate(fragment, scratch.iter_ones(), sums), false)
@@ -937,7 +947,8 @@ mod tests {
                                 needs_bitmap: true,
                             };
                             let partial =
-                                process_fragment(fragment, &[binding], &mut scratch, &mut sums);
+                                process_fragment(fragment, &[binding], &mut scratch, &mut sums)
+                                    .unwrap();
                             let got = sums.iter().map(|s| s.to_bits()).collect();
                             assert_eq!(
                                 (partial.hits, got),
@@ -959,7 +970,7 @@ mod tests {
                     for b in &bindings[i + 1..] {
                         let expected = key_scan(a).and(&key_scan(b));
                         let partial =
-                            process_fragment(fragment, &[*a, *b], &mut scratch, &mut sums);
+                            process_fragment(fragment, &[*a, *b], &mut scratch, &mut sums).unwrap();
                         let got = sums.iter().map(|s| s.to_bits()).collect();
                         assert_eq!(
                             (partial.hits, got),

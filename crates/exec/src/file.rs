@@ -46,13 +46,28 @@
 //! corruption surfaces as a typed [`StorageError`] instead of a panic deep
 //! inside a query.
 //!
+//! # What a miss decodes
+//!
+//! The paper prices a subquery as its fact pages plus the bitmap fragments
+//! of its own predicates (§4.3); an IOC1 query reads no bitmap at all.  So
+//! a miss reads and checksums the whole extent but decodes only the
+//! measure columns.  Each index segment has its framing checked (tag,
+//! bitmap count, every length prefix) and each key segment its header,
+//! width and length; both are kept as bytes in the loaded fragment.  An
+//! index is decoded the first time a query asks for it — once per loaded
+//! fragment, by one thread — and a key column is unpacked only when
+//! [`ColumnarFragment::key_column`] is called, which no query does.
+//! Checksum, truncation and framing errors still surface at fetch; an index
+//! whose verified bytes fail to decode is an error of that index alone, at
+//! its first use ([`ColumnarFragment::try_bitmap_index`]).
+//!
 //! # Many readers at once
 //!
 //! The file stands in for the paper's disks, which many processors read at
 //! the same time, so no fetch holds a store-wide lock for long: a fragment
-//! whose decoded form is resident is handed out from its own slot, and a
+//! whose loaded form is resident is handed out from its own slot, and a
 //! fragment that has to be loaded is read (one positional read of its
-//! extent, through one shared handle), verified and decoded with only its
+//! extent, through one shared handle), verified and loaded with only its
 //! own load lock held.  The page pool sees the hits later, in the order
 //! they happened, before it next has to choose a victim or report its
 //! counters — see [`FileStore`].
@@ -60,9 +75,10 @@
 use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::Write;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use bitmap::{
     BitmapIndexKind, BitmapIndexSpec, BitmapRepr, IndexCatalog, MaterialisedIndex, ReprDecodeError,
@@ -593,73 +609,143 @@ fn encode_index_segment(index: &MaterialisedIndex) -> Vec<u8> {
     out
 }
 
-fn decode_index_segment(
-    bytes: &[u8],
-    meta: &StoreMeta,
-    dimension: usize,
-    rows: u64,
-) -> Result<MaterialisedIndex, StorageError> {
+/// The kind tag an index segment starts with.
+#[derive(Debug, Clone, Copy)]
+enum IndexSegmentKind {
+    /// Tag 0: per bitmap its `(level: u32, value: u64)` key, then the blob.
+    Simple,
+    /// Tag 1: one blob per bit slice, coarsest first.
+    Encoded,
+}
+
+/// Walks the framing of an index segment — its tag, its bitmap count and
+/// every bitmap's key and length prefix — handing each bitmap's key (simple
+/// indices only) and BMRP blob to `each`, and returns the segment's kind.
+/// No blob is decoded here.
+fn walk_index_segment<'a>(
+    bytes: &'a [u8],
+    mut each: impl FnMut(Option<(usize, u64)>, &'a [u8]) -> Result<(), StorageError>,
+) -> Result<IndexSegmentKind, StorageError> {
     let mut r = ByteReader::new(bytes, "bitmap index segment");
-    let tag = r.u8()?;
-    let count = r.u32()? as usize;
-    let decode_bitmap = |r: &mut ByteReader<'_>| -> Result<BitmapRepr, StorageError> {
-        let len = r.u32()? as usize;
-        let repr = BitmapRepr::from_bytes(r.take(len)?)?;
-        if repr.len() as u64 != rows {
-            return Err(StorageError::Corrupt(format!(
-                "bitmap of dimension {dimension} covers {} rows, fragment holds {rows}",
-                repr.len()
-            )));
-        }
-        Ok(repr)
-    };
-    let index = match tag {
-        1 => {
-            let mut slices = Vec::with_capacity(count);
-            for _ in 0..count {
-                slices.push(decode_bitmap(&mut r)?);
-            }
-            r.done()?;
-            MaterialisedIndex::from_stored_encoded(
-                &meta.schema,
-                &meta.catalog,
-                dimension,
-                meta.policy,
-                slices,
-            )
-        }
-        0 => {
-            let mut map = BTreeMap::new();
-            for _ in 0..count {
-                let level = r.u32()? as usize;
-                let value = r.u64()?;
-                let bitmap = decode_bitmap(&mut r)?;
-                if map.insert((level, value), bitmap).is_some() {
-                    return Err(StorageError::Corrupt(format!(
-                        "duplicate bitmap key (level {level}, value {value})"
-                    )));
-                }
-            }
-            r.done()?;
-            MaterialisedIndex::from_stored_simple(
-                &meta.schema,
-                &meta.catalog,
-                dimension,
-                meta.policy,
-                map,
-            )
-        }
+    let kind = match r.u8()? {
+        0 => IndexSegmentKind::Simple,
+        1 => IndexSegmentKind::Encoded,
         other => {
             return Err(StorageError::Corrupt(format!(
                 "unknown index segment tag {other}"
             )))
         }
     };
-    index.map_err(StorageError::Corrupt)
+    for _ in 0..r.u32()? {
+        let key = match kind {
+            IndexSegmentKind::Simple => Some((r.u32()? as usize, r.u64()?)),
+            IndexSegmentKind::Encoded => None,
+        };
+        let len = r.u32()? as usize;
+        each(key, r.take(len)?)?;
+    }
+    r.done()?;
+    Ok(kind)
 }
 
-/// Inverse of [`encode_key_column`] for a fragment of `rows` rows.
-fn decode_key_column(bytes: &[u8], rows: u64) -> Result<Vec<u64>, StorageError> {
+/// Decodes the index segment of `dimension` in a fragment of `rows` rows.
+fn decode_index_segment(
+    bytes: &[u8],
+    meta: &StoreMeta,
+    dimension: usize,
+    rows: u64,
+) -> Result<MaterialisedIndex, StorageError> {
+    let mut slices = Vec::new();
+    let mut map = BTreeMap::new();
+    let kind = walk_index_segment(bytes, |key, blob| {
+        let repr = BitmapRepr::from_bytes(blob)?;
+        if repr.len() as u64 != rows {
+            return Err(StorageError::Corrupt(format!(
+                "bitmap of dimension {dimension} covers {} rows, fragment holds {rows}",
+                repr.len()
+            )));
+        }
+        match key {
+            None => slices.push(repr),
+            Some((level, value)) => {
+                if map.insert((level, value), repr).is_some() {
+                    return Err(StorageError::Corrupt(format!(
+                        "duplicate bitmap key (level {level}, value {value})"
+                    )));
+                }
+            }
+        }
+        Ok(())
+    })?;
+    let (schema, catalog, policy) = (&meta.schema, &meta.catalog, meta.policy);
+    match kind {
+        IndexSegmentKind::Encoded => {
+            MaterialisedIndex::from_stored_encoded(schema, catalog, dimension, policy, slices)
+        }
+        IndexSegmentKind::Simple => {
+            MaterialisedIndex::from_stored_simple(schema, catalog, dimension, policy, map)
+        }
+    }
+    .map_err(StorageError::Corrupt)
+}
+
+/// Bytes of a key column segment before its packed words: `min`, `width`.
+const KEY_HEADER_LEN: usize = 9;
+
+/// The header of a key column segment that [`check_key_column`] accepted:
+/// unpacking its words can no longer fail.
+#[derive(Debug, Clone, Copy)]
+struct PackedKeys {
+    min: u64,
+    /// Bits a key, at most 64.
+    width: u8,
+    rows: usize,
+}
+
+impl PackedKeys {
+    /// The largest `width`-bit value: `key - min` of any key.
+    fn span(self) -> u64 {
+        u64::MAX
+            .checked_shr(64 - u32::from(self.width))
+            .unwrap_or(0)
+    }
+
+    /// The keys packed in `segment` (the whole segment, header included),
+    /// in row order.  Words past the end read as zero, which a checked
+    /// segment never needs.
+    fn keys<'a>(self, segment: &'a [u8]) -> impl Iterator<Item = u64> + 'a {
+        let words = segment.get(KEY_HEADER_LEN..).unwrap_or_default();
+        let word = move |at: u64| {
+            words
+                .get(at as usize * 8..)
+                .and_then(<[u8]>::first_chunk::<8>)
+                .map_or(0, |bytes| u64::from_le_bytes(*bytes))
+        };
+        let (width, mask) = (u64::from(self.width), self.span());
+        (0..self.rows as u64).map(move |row| {
+            let bit = row * width;
+            let shift = bit % 64;
+            let mut bits = word(bit / 64) >> shift;
+            // A key that straddles two words takes its high bits from the
+            // next one.
+            if shift + width > 64 {
+                bits |= word(bit / 64 + 1) << (64 - shift);
+            }
+            self.min.wrapping_add(bits & mask)
+        })
+    }
+
+    /// The key column packed in `segment`.
+    fn unpack(self, segment: &[u8]) -> Vec<u64> {
+        self.keys(segment).collect()
+    }
+}
+
+/// Checks a key column segment of a fragment of `rows` rows — header,
+/// width, payload length, and that no key overflows past its minimum —
+/// without unpacking it.  The overflow scan runs only when `min` plus the
+/// largest `width`-bit value can overflow at all.
+fn check_key_column(bytes: &[u8], rows: u64) -> Result<PackedKeys, StorageError> {
     let mut r = ByteReader::new(bytes, "key column segment");
     let min = r.u64()?;
     let width = r.u8()?;
@@ -671,42 +757,31 @@ fn decode_key_column(bytes: &[u8], rows: u64) -> Result<Vec<u64>, StorageError> 
     let payload = packed_words(rows, width)
         .and_then(|words| usize::try_from(words.checked_mul(8)?).ok())
         .ok_or_else(|| StorageError::Corrupt(format!("key column of {rows} rows overflows")))?;
-    let words = r.take(payload)?;
+    r.take(payload)?;
     r.done()?;
-    let mut column = Vec::new();
-    usize::try_from(rows)
-        .ok()
-        .and_then(|rows| column.try_reserve_exact(rows).ok())
+    // The unpacked column must be allocatable: `rows` keys of 8 bytes.
+    let keys = rows
+        .checked_mul(8)
+        .and_then(|bytes| isize::try_from(bytes).ok())
+        .map(|_| PackedKeys {
+            min,
+            width,
+            rows: rows as usize,
+        })
         .ok_or_else(|| StorageError::Corrupt(format!("key column of {rows} rows")))?;
-    if width == 0 {
-        column.extend((0..rows).map(|_| min));
-        return Ok(column);
-    }
-    // A key is cut from the 16 bytes starting at the byte of its first bit
-    // (at most 7 + 64 bits reach past that byte's start), so the last keys
-    // read into a zero tail.
-    let mut packed = Vec::with_capacity(payload + 16);
-    packed.extend_from_slice(words);
-    packed.resize(payload + 16, 0);
-    let width = u64::from(width);
-    let mask = u64::MAX >> (64 - width);
-    let (mut bit, mut overflow) = (0u64, false);
-    for _ in 0..rows {
-        let bits = packed
-            .get((bit / 8) as usize..)
-            .and_then(|rest| rest.first_chunk::<16>())
-            .map_or(0, |bytes| (u128::from_le_bytes(*bytes) >> (bit % 8)) as u64);
-        let key = min.wrapping_add(bits & mask);
-        overflow |= key < min;
-        column.push(key);
-        bit += width;
-    }
-    if overflow {
+    if min.checked_add(keys.span()).is_none() && keys.keys(bytes).any(|key| key < min) {
         return Err(StorageError::Corrupt(format!(
             "key column overflows past its minimum {min}"
         )));
     }
-    Ok(column)
+    Ok(keys)
+}
+
+/// Inverse of [`encode_key_column`] for a fragment of `rows` rows:
+/// [`check_key_column`], then [`PackedKeys::unpack`].
+#[cfg(test)]
+fn decode_key_column(bytes: &[u8], rows: u64) -> Result<Vec<u64>, StorageError> {
+    Ok(check_key_column(bytes, rows)?.unpack(bytes))
 }
 
 /// Decodes a measure column of `rows` rows: `f64` bits, little-endian.
@@ -875,10 +950,13 @@ fn verified_segments<'a>(
         })
 }
 
-/// Verifies and decodes one fragment from its `extent`, segment by segment
-/// in file order.
+/// Loads one fragment from its `extent`, segment by segment in file order:
+/// every segment's checksum is verified and the measure columns are
+/// decoded, while each index segment gets only its framing checked and
+/// each key segment [`check_key_column`]'s checks.  Those segments are kept
+/// as bytes in the fragment's [`StoredParts`], to be decoded on first use.
 fn decode_extent(
-    meta: &StoreMeta,
+    meta: &Arc<StoreMeta>,
     fragment: u64,
     entry: &FragmentEntry,
     extent: &[u8],
@@ -892,19 +970,174 @@ fn decode_extent(
             )))
         })
     };
-    let measures = (0..meta.schema.fact().measures().len())
+    let measures: Vec<Vec<f64>> = (0..meta.schema.fact().measures().len())
         .map(|_| decode_measure_column(next()?, rows))
         .collect::<Result<_, _>>()?;
     let dimensions = meta.schema.dimension_count();
-    let indices = (0..dimensions)
-        .map(|dimension| decode_index_segment(next()?, meta, dimension, rows))
-        .collect::<Result<_, _>>()?;
-    let keys = (0..dimensions)
-        .map(|_| decode_key_column(next()?, rows))
-        .collect::<Result<_, _>>()?;
-    Ok(ColumnarFragment::from_parts(
-        fragment, keys, measures, indices,
-    ))
+    let kept: u64 = entry
+        .segments
+        .iter()
+        .skip(measures.len())
+        .map(|s| s.len)
+        .sum();
+    let mut bytes = Vec::with_capacity(extent.len().min(kept as usize));
+    let mut keep = |segment: &[u8]| {
+        let start = bytes.len();
+        bytes.extend_from_slice(segment);
+        start..bytes.len()
+    };
+    let mut indices = Vec::with_capacity(dimensions);
+    for _ in 0..dimensions {
+        let segment = next()?;
+        walk_index_segment(segment, |_, _| Ok(()))?;
+        indices.push(StoredIndex {
+            segment: keep(segment),
+            decoded: OnceLock::new(),
+        });
+    }
+    let mut keys = Vec::with_capacity(dimensions);
+    for _ in 0..dimensions {
+        let segment = next()?;
+        keys.push(StoredKeys {
+            packed: check_key_column(segment, rows)?,
+            segment: keep(segment),
+            unpacked: OnceLock::new(),
+        });
+    }
+    let parts = StoredParts {
+        meta: Arc::clone(meta),
+        fragment,
+        rows,
+        bytes,
+        indices,
+        keys,
+        #[cfg(test)]
+        index_decodes: AtomicU64::new(0),
+    };
+    Ok(ColumnarFragment::stored(fragment, measures, parts))
+}
+
+/// The bitmap indices and key columns of a fragment loaded from a file:
+/// their checked segments, each decoded the first time it is asked for and
+/// kept for as long as the loaded fragment lives.
+///
+/// A decoded index or key column is built by exactly one thread, with no
+/// lock of the store held; threads asking for it meanwhile wait for that
+/// one.  An index whose checked bytes still fail to decode fails every
+/// later use the same way.
+pub(crate) struct StoredParts {
+    meta: Arc<StoreMeta>,
+    fragment: u64,
+    rows: u64,
+    /// Every index segment, then every key segment, back to back.
+    bytes: Vec<u8>,
+    indices: Vec<StoredIndex>,
+    keys: Vec<StoredKeys>,
+    /// Index decodes run so far.
+    #[cfg(test)]
+    index_decodes: AtomicU64,
+}
+
+/// One index segment of [`StoredParts`].
+struct StoredIndex {
+    /// Where the segment lies in [`StoredParts::bytes`].
+    segment: Range<usize>,
+    /// The decoded index, or why the segment failed to decode.
+    decoded: OnceLock<Result<MaterialisedIndex, String>>,
+}
+
+/// One key segment of [`StoredParts`].
+struct StoredKeys {
+    /// Where the segment lies in [`StoredParts::bytes`].
+    segment: Range<usize>,
+    packed: PackedKeys,
+    unpacked: OnceLock<Vec<u64>>,
+}
+
+impl StoredParts {
+    /// Rows of the fragment.  A checked key column fits in memory, so
+    /// this count fits `usize`.
+    pub(crate) fn rows(&self) -> usize {
+        self.rows as usize
+    }
+
+    /// Number of dimensions, one index and one key column each.
+    pub(crate) fn dimension_count(&self) -> usize {
+        self.indices.len()
+    }
+
+    fn segment(&self, range: &Range<usize>) -> &[u8] {
+        self.bytes.get(range.clone()).unwrap_or_default()
+    }
+
+    /// The bitmap index of `dimension`, decoded on first use, or `None`
+    /// if `dimension` is out of range.  The index is a
+    /// [`StorageError::Corrupt`] when the segment, though its checksum and
+    /// framing verified, does not decode to an index of this fragment.
+    pub(crate) fn bitmap_index(
+        &self,
+        dimension: usize,
+    ) -> Option<Result<&MaterialisedIndex, StorageError>> {
+        let stored = self.indices.get(dimension)?;
+        let decoded = stored.decoded.get_or_init(|| {
+            #[cfg(test)]
+            self.index_decodes.fetch_add(1, Ordering::Relaxed);
+            decode_index_segment(
+                self.segment(&stored.segment),
+                &self.meta,
+                dimension,
+                self.rows,
+            )
+            .map_err(|error| {
+                format!(
+                    "fragment {}, index of dimension {dimension}: {error}",
+                    self.fragment
+                )
+            })
+        });
+        Some(
+            decoded
+                .as_ref()
+                .map_err(|message| StorageError::Corrupt(message.clone())),
+        )
+    }
+
+    /// The key column of `dimension`, unpacked on first use.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dimension` is out of range.
+    pub(crate) fn key_column(&self, dimension: usize) -> &[u64] {
+        let stored = &self.keys[dimension];
+        stored
+            .unpacked
+            .get_or_init(|| stored.packed.unpack(self.segment(&stored.segment)))
+    }
+
+    /// Per dimension, whether its index has been decoded and whether its
+    /// key column has been unpacked so far.
+    #[cfg(test)]
+    fn decoded(&self) -> Vec<(bool, bool)> {
+        self.indices
+            .iter()
+            .zip(&self.keys)
+            .map(|(index, keys)| (index.decoded.get().is_some(), keys.unpacked.get().is_some()))
+            .collect()
+    }
+}
+
+impl std::fmt::Debug for StoredParts {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let decoded = self.indices.iter().filter(|i| i.decoded.get().is_some());
+        let unpacked = self.keys.iter().filter(|k| k.unpacked.get().is_some());
+        f.debug_struct("StoredParts")
+            .field("fragment", &self.fragment)
+            .field("rows", &self.rows)
+            .field("bytes", &self.bytes.len())
+            .field("decoded_indices", &decoded.count())
+            .field("unpacked_keys", &unpacked.count())
+            .finish()
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1005,7 +1238,7 @@ pub struct FileStoreOptions {
     /// Verify every segment checksum eagerly at open (one read per fragment
     /// extent, the whole file swept).  With verification off, corruption
     /// still surfaces as a typed error at first read of the affected
-    /// fragment, whose segments are always verified before they are decoded.
+    /// fragment, whose segments are always verified before they are used.
     pub verify: bool,
 }
 
@@ -1055,6 +1288,10 @@ struct FileBacking {
     segment_reads: u64,
     bytes_read: u64,
     decoded_cache_hits: u64,
+    /// [`FileStore::replay_touches`]'s buffer of fragments with hits to
+    /// replay — latest hit's clock reading, number, page count, hits — kept
+    /// so that a replay allocates nothing once it has grown.
+    touched: Vec<(u64, u64, u64, u64)>,
 }
 
 /// One fragment of an open store: where it lies in the file, and the state
@@ -1069,11 +1306,11 @@ struct StoredFragment {
 #[derive(Default)]
 #[repr(align(64))]
 struct FragmentSlot {
-    /// Held for the whole of a load (charge, read, verify, decode, publish):
-    /// a second fetch of the same fragment waits here instead of decoding it
-    /// again, and then finds it published.
+    /// Held for the whole of a load (charge, read, verify, decode the
+    /// measures, publish): a second fetch of the same fragment waits here
+    /// instead of loading it again, and then finds it published.
     load: Mutex<()>,
-    /// The decoded fragment while every one of its pages is resident.  Set
+    /// The loaded fragment while every one of its pages is resident.  Set
     /// and cleared only under the backing mutex, so it always agrees with
     /// the pool; cleared the moment one of the pages is evicted.
     decoded: Mutex<Option<Arc<ColumnarFragment>>>,
@@ -1092,14 +1329,20 @@ struct FragmentSlot {
 /// requested fragment is charged to the pool (hits and misses exactly as the
 /// simulated I/O subsystem counts them), a fragment that is not fully
 /// resident is read from the file in one positional read of its extent, with
-/// every segment's checksum verified before it is decoded, and fully
-/// resident fragments are served from a decoded cache without touching the
-/// file.
+/// every segment's checksum verified before it is used, and fully resident
+/// fragments are served from a cache of loaded fragments without touching
+/// the file.
+///
+/// A load decodes the measure columns only.  A loaded fragment decodes each
+/// bitmap index on its first use and unpacks each key column on its first
+/// [`ColumnarFragment::key_column`] call (see the module docs); what it has
+/// decoded lives as long as it stays loaded, and goes with it when one of
+/// its pages is evicted.
 ///
 /// The store is cheap to share behind [`std::sync::Arc`] and built for many
 /// threads fetching at once (lock order `load` → `backing` → `decoded`):
 ///
-/// * A **hit** — the fragment's decoded form is published in its slot — is
+/// * A **hit** — the fragment's loaded form is published in its slot — is
 ///   an `Arc` clone under the slot's own `decoded` lock plus a note that the
 ///   fragment was touched.  It takes no store-wide lock and does not walk
 ///   the page pool.
@@ -1107,9 +1350,11 @@ struct FragmentSlot {
 ///   the load, to replay the noted hits into the pool and charge the
 ///   fragment's pages (evictions unpublish their victims), and after it, to
 ///   count the I/O and publish the result if every page is still resident.
-///   The positional read, checksum verification and decoding in between run
-///   with only the fragment's `load` lock held, so loads of different
-///   fragments overlap and no fragment is ever decoded twice at once.
+///   The positional read, checksum verification and measure decoding in
+///   between run with only the fragment's `load` lock held, so loads of
+///   different fragments overlap and no fragment is ever loaded twice at
+///   once.  A first-use decode of an index runs later, under no lock of
+///   the store.
 ///
 /// Replaying the noted hits before every replacement decision and every
 /// [`FileStore::metrics`] read leaves the pool and the counters exactly
@@ -1118,7 +1363,8 @@ struct FragmentSlot {
 /// accounted in *some* order, with nothing lost.
 pub struct FileStore {
     path: PathBuf,
-    meta: StoreMeta,
+    /// Shared with every loaded fragment, whose indices decode against it.
+    meta: Arc<StoreMeta>,
     total_rows: u64,
     file: File,
     /// In page-directory order: a fragment's number is its position.
@@ -1298,7 +1544,7 @@ impl FileStore {
 
         Ok(FileStore {
             path,
-            meta,
+            meta: Arc::new(meta),
             total_rows,
             file,
             touch_clock: AtomicU64::new(0),
@@ -1309,6 +1555,7 @@ impl FileStore {
                 segment_reads: 0,
                 bytes_read: 0,
                 decoded_cache_hits: 0,
+                touched: Vec::new(),
             }),
             fragments: directory
                 .into_iter()
@@ -1464,7 +1711,8 @@ impl FileStore {
     /// page, fragments in the order of their latest hits, and each earlier
     /// hit is counted as `page_count` pool hits.
     fn replay_touches(&self, backing: &mut FileBacking) {
-        let mut touched = Vec::new();
+        let mut touched = std::mem::take(&mut backing.touched);
+        touched.clear();
         for (number, StoredFragment { entry, slot }) in (0u64..).zip(&self.fragments) {
             // A touch this load does not see yet is replayed next time.
             if slot.touches.load(Ordering::Relaxed) == 0 {
@@ -1479,12 +1727,13 @@ impl FileStore {
             ));
         }
         touched.sort_unstable();
-        for (_, number, pages, touches) in touched {
+        for &(_, number, pages, touches) in &touched {
             // All hits: a published fragment has every page resident.
             self.charge(backing, number, pages);
             backing.folded_hits += pages * (touches - 1);
             backing.decoded_cache_hits += touches;
         }
+        backing.touched = touched;
     }
 
     /// Charges every page of fragment `number` to the pool.
@@ -1520,9 +1769,9 @@ impl FileStore {
     }
 
     /// Reads one fragment's extent with a single positional read, then
-    /// verifies and decodes it.  Touches only immutable state and the shared
-    /// file handle; `read` receives the segments and bytes actually read,
-    /// whether or not the load succeeds.
+    /// verifies and loads it ([`decode_extent`]).  Touches only immutable
+    /// state and the shared file handle; `read` receives the segments and
+    /// bytes actually read, whether or not the load succeeds.
     fn load_fragment(
         &self,
         fragment_number: u64,
@@ -1546,7 +1795,7 @@ impl FileStore {
     pub fn materialise(&self) -> Result<FragmentStore, StorageError> {
         let mut fragments = Vec::with_capacity(self.fragments.len());
         for number in 0..self.fragment_count() {
-            fragments.push((*self.read_fragment(number)?).clone());
+            fragments.push(self.read_fragment(number)?.to_built()?);
         }
         Ok(FragmentStore::from_parts(
             self.meta.schema.clone(),
@@ -2247,6 +2496,268 @@ mod tests {
             }
         }
         assert!(flips > 1_000, "only {flips} bytes flipped");
+    }
+
+    /// `path`'s file with `change` applied to segment `index` of fragment
+    /// `fragment`, and that segment's and the directory's checksums
+    /// restated, so that the file still opens and verifies.
+    fn rewrite_segment(path: &Path, fragment: u64, index: usize, change: impl FnOnce(&mut [u8])) {
+        let mut entries: Vec<FragmentEntry> = open_unverified(path, 64)
+            .fragments
+            .iter()
+            .map(|f| f.entry.clone())
+            .collect();
+        let mut bytes = std::fs::read(path).unwrap();
+        let segment = &mut entries[fragment as usize].segments[index];
+        let range = segment.offset as usize..(segment.offset + segment.len) as usize;
+        change(&mut bytes[range.clone()]);
+        segment.checksum = checksum(&bytes[range]);
+        // The trailer: magic, version, page size, then the directory's
+        // offset, length and checksum.
+        let trailer = bytes.len() - TRAILER_LEN as usize;
+        let directory_at = le_word(&bytes[trailer + 16..trailer + 24]) as usize;
+        let directory = encode_directory(&entries);
+        bytes[directory_at..directory_at + directory.len()].copy_from_slice(&directory);
+        bytes[trailer + 32..].copy_from_slice(&checksum(&directory).to_le_bytes());
+        std::fs::write(path, &bytes).unwrap();
+    }
+
+    /// No index decoded and no key column unpacked, for `dimensions`
+    /// dimensions.
+    fn nothing_decoded(dimensions: usize) -> Vec<(bool, bool)> {
+        vec![(false, false); dimensions]
+    }
+
+    #[test]
+    fn a_load_decodes_no_index_and_first_use_decodes_only_that_one() {
+        let store = small_store();
+        let file = TempFile(temp_path("lazy"));
+        write_store(&store, &file.0).unwrap();
+        let opened = FileStore::open(&file.0).unwrap();
+        let dimensions = store.schema().dimension_count();
+        let number = 1;
+        let fragment = opened.read_fragment(number).unwrap();
+        let parts = fragment
+            .stored_parts()
+            .expect("a loaded fragment is stored");
+        assert_eq!(parts.decoded(), nothing_decoded(dimensions));
+        for dimension in 0..dimensions {
+            let index = fragment.try_bitmap_index(dimension).unwrap();
+            assert_eq!(index, store.fragment(number).bitmap_index(dimension));
+            let expected: Vec<(bool, bool)> =
+                (0..dimensions).map(|d| (d <= dimension, false)).collect();
+            assert_eq!(parts.decoded(), expected, "after dimension {dimension}");
+            // A second use, and a hit's, find the same decoded index.
+            let hit = opened.read_fragment(number).unwrap();
+            assert!(Arc::ptr_eq(&hit, &fragment));
+            assert!(std::ptr::eq(
+                hit.try_bitmap_index(dimension).unwrap(),
+                index
+            ));
+        }
+        assert_eq!(
+            parts.index_decodes.load(Ordering::Relaxed),
+            dimensions as u64
+        );
+        assert!(matches!(
+            fragment.try_bitmap_index(dimensions),
+            Err(StorageError::Config(_))
+        ));
+        // Key columns unpack only when asked for, and then one at a time.
+        assert_eq!(fragment.key_column(2), store.fragment(number).key_column(2));
+        let unpacked: Vec<bool> = parts.decoded().iter().map(|&(_, keys)| keys).collect();
+        assert_eq!(unpacked, [false, false, true, false]);
+    }
+
+    #[test]
+    fn a_query_decodes_its_predicates_indices_and_no_key_column() {
+        let store = small_store();
+        let file = TempFile(temp_path("query"));
+        write_store(&store, &file.0).unwrap();
+        let schema = store.schema().clone();
+        let engine = crate::StarJoinEngine::from_source(FileStore::open(&file.0).unwrap());
+        let product = schema.dimension_index("product").unwrap();
+        let query = workload::QueryGenerator::new(&schema, workload::QueryType::OneCode, 3)
+            .batch(1)
+            .remove(0);
+        let plan = engine.plan(&query);
+        let result = engine.execute(&query, &crate::RunConfig::serial());
+        let expected =
+            crate::StarJoinEngine::new(store).execute(&query, &crate::RunConfig::serial());
+        assert!(result.hits > 0);
+        assert_eq!(result.hits, expected.hits);
+        let bits = |sums: &[f64]| sums.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&result.measure_sums), bits(&expected.measure_sums));
+        let file = engine.source().as_file().unwrap();
+        for &number in plan.fragments() {
+            let fragment = file.read_fragment(number).unwrap();
+            let decoded: Vec<(bool, bool)> = (0..schema.dimension_count())
+                .map(|d| (d == product && !fragment.is_empty(), false))
+                .collect();
+            assert_eq!(fragment.stored_parts().unwrap().decoded(), decoded);
+        }
+    }
+
+    #[test]
+    fn two_threads_first_use_of_one_index_decodes_it_once() {
+        let store = small_store();
+        let file = TempFile(temp_path("race"));
+        write_store(&store, &file.0).unwrap();
+        let opened = FileStore::open(&file.0).unwrap();
+        let customer = store.schema().dimension_index("customer").unwrap();
+        for number in 0..store.fragment_count() {
+            let fragment = opened.read_fragment(number).unwrap();
+            let start = std::sync::Barrier::new(2);
+            let [a, b] = std::thread::scope(|scope| {
+                [(), ()]
+                    .map(|()| {
+                        scope.spawn(|| {
+                            start.wait();
+                            fragment.try_bitmap_index(customer).unwrap()
+                        })
+                    })
+                    .map(|thread| thread.join().unwrap())
+            });
+            assert!(std::ptr::eq(a, b));
+            assert_eq!(a, store.fragment(number).bitmap_index(customer));
+            let parts = fragment.stored_parts().unwrap();
+            assert_eq!(parts.index_decodes.load(Ordering::Relaxed), 1);
+            let decoded: Vec<bool> = parts.decoded().iter().map(|&(index, _)| index).collect();
+            let only_customer: Vec<bool> = (0..decoded.len()).map(|d| d == customer).collect();
+            assert_eq!(decoded, only_customer);
+        }
+    }
+
+    #[test]
+    fn an_evicted_fragments_decoded_indices_go_with_it() {
+        let store = month_channel_store();
+        let file = TempFile(temp_path("evicted"));
+        write_store(&store, &file.0).unwrap();
+        // A pool of one fragment: every load of another evicts it.
+        let opened = open_unverified(&file.0, MONTH_CHANNEL_FRAGMENT_PAGES as usize);
+        let dimensions = store.schema().dimension_count();
+        let fragment = opened.read_fragment(0).unwrap();
+        let index = fragment.try_bitmap_index(0).unwrap().clone();
+        let decoded = Arc::downgrade(&fragment);
+        drop(fragment);
+        // Still published: a hit finds the index decoded.
+        let hit = opened.read_fragment(0).unwrap();
+        assert!(hit.stored_parts().unwrap().decoded()[0].0);
+        drop(hit);
+        opened.read_fragment(1).unwrap();
+        assert!(
+            decoded.upgrade().is_none(),
+            "the evicted fragment was freed"
+        );
+        let reads = opened.metrics().segment_reads;
+        let reloaded = opened.read_fragment(0).unwrap();
+        assert!(opened.metrics().segment_reads > reads, "read again");
+        assert_eq!(
+            reloaded.stored_parts().unwrap().decoded(),
+            nothing_decoded(dimensions)
+        );
+        assert_eq!(*reloaded.try_bitmap_index(0).unwrap(), index);
+    }
+
+    #[test]
+    fn loaded_fragments_equal_the_store_keys_included() {
+        let store = month_channel_store();
+        let file = TempFile(temp_path("equal"));
+        write_store(&store, &file.0).unwrap();
+        let opened = FileStore::open(&file.0).unwrap();
+        for number in 0..store.fragment_count() {
+            let fragment = opened.read_fragment(number).unwrap();
+            let built = store.fragment(number);
+            assert_eq!(*fragment, *built);
+            assert_eq!(fragment.len(), built.len());
+            for dimension in 0..store.schema().dimension_count() {
+                assert_eq!(fragment.key_column(dimension), built.key_column(dimension));
+            }
+            assert!(fragment
+                .stored_parts()
+                .unwrap()
+                .decoded()
+                .iter()
+                .all(|&(i, k)| i && k));
+            assert_eq!(fragment.to_built().unwrap(), *built);
+        }
+    }
+
+    #[test]
+    fn an_index_that_passes_its_checksum_but_fails_to_decode_fails_only_its_uses() {
+        let store = small_store();
+        let file = TempFile(temp_path("baddecode"));
+        write_store(&store, &file.0).unwrap();
+        let schema = store.schema();
+        let product = schema.dimension_index("product").unwrap();
+        let bad = 2;
+        rewrite_segment(&file.0, bad, store.measure_count() + product, |segment| {
+            // An encoded index segment: tag, slice count, then the first
+            // slice's length and its BMRP magic.
+            assert_eq!(segment[0], 1, "product has an encoded index");
+            segment[9] ^= 0xFF;
+        });
+        // Every checksum still verifies, so open and the load succeed.
+        let opened = FileStore::open(&file.0).unwrap();
+        let fragment = opened.read_fragment(bad).unwrap();
+        for _ in 0..2 {
+            match fragment.try_bitmap_index(product) {
+                Err(StorageError::Corrupt(msg)) => {
+                    let which = format!("fragment {bad}, index of dimension {product}");
+                    assert!(msg.contains(&which), "{msg}");
+                    assert!(msg.contains("BMRP magic"), "{msg}");
+                }
+                other => panic!("expected Corrupt, got {other:?}"),
+            }
+        }
+        assert_eq!(
+            fragment
+                .stored_parts()
+                .unwrap()
+                .index_decodes
+                .load(Ordering::Relaxed),
+            1
+        );
+        // The fragment's other indices and its keys serve ...
+        for dimension in (0..schema.dimension_count()).filter(|&d| d != product) {
+            assert_eq!(
+                fragment.try_bitmap_index(dimension).unwrap(),
+                store.fragment(bad).bitmap_index(dimension)
+            );
+            assert_eq!(
+                fragment.key_column(dimension),
+                store.fragment(bad).key_column(dimension)
+            );
+        }
+        // ... and so does every other fragment.
+        for number in (0..store.fragment_count()).filter(|&n| n != bad) {
+            assert_eq!(
+                *opened.read_fragment(number).unwrap(),
+                *store.fragment(number)
+            );
+        }
+        assert!(*fragment != *store.fragment(bad));
+        assert!(matches!(
+            opened.materialise(),
+            Err(StorageError::Corrupt(_))
+        ));
+        // A query that needs the index ends in the worker's one panic,
+        // re-raised on the caller with the error.
+        let engine = crate::StarJoinEngine::from_source(opened);
+        let query = workload::QueryGenerator::new(schema, workload::QueryType::OneCode, 3)
+            .batch(1)
+            .remove(0);
+        assert!(engine.plan(&query).fragments().contains(&bad));
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            engine.execute(&query, &crate::RunConfig::serial())
+        }))
+        .expect_err("the query reads the corrupt index");
+        let message = panic.downcast_ref::<String>().expect("a formatted panic");
+        assert!(
+            message.contains(&format!("fragment {bad} unreadable mid-scan"))
+                && message.contains("BMRP magic"),
+            "{message}"
+        );
     }
 
     /// The directory of `store` as written, with the bounds of its data area.

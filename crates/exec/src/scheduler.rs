@@ -569,9 +569,16 @@ fn worker_loop(shared: &Shared, worker: usize) {
                 }
             }
         }
-        let fragment = source.fetch(task.fragment);
         let bindings = &shared.prepared[task.query].bindings;
-        let partial = process_fragment(&fragment, bindings, &mut selection, &mut sums);
+        // A fetch fails only when the file changed under the open store,
+        // and a first-use decode only when checksum-verified bytes are
+        // malformed: no result can be produced from either.
+        let partial = source
+            .try_fetch(task.fragment)
+            .and_then(|fragment| process_fragment(&fragment, bindings, &mut selection, &mut sums))
+            .unwrap_or_else(|error| {
+                panic!("fragment {} unreadable mid-scan: {error}", task.fragment)
+            });
         metrics.busy += task_started.elapsed();
         metrics.fragments_processed += 1;
         metrics.fragments_stolen += usize::from(stolen);

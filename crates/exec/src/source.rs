@@ -9,9 +9,10 @@
 //! fragment or what its page cache did.
 //!
 //! Fetching borrows from the memory backing ([`FragmentRef::Borrowed`])
-//! and hands out a decoded [`std::sync::Arc`] from the file backing
-//! ([`FragmentRef::Shared`]); workers treat both as a
-//! [`ColumnarFragment`] through [`std::ops::Deref`].
+//! and hands out a loaded [`std::sync::Arc`] from the file backing
+//! ([`FragmentRef::Shared`]), which decodes each index on its first use;
+//! workers treat both as a [`ColumnarFragment`] through
+//! [`std::ops::Deref`].
 
 use std::ops::Deref;
 use std::sync::Arc;
@@ -139,25 +140,6 @@ impl ScanSource {
         }
     }
 
-    /// Fetches fragment `fragment_number`, panicking on file corruption.
-    ///
-    /// Worker loops use this: [`FileStore::open`] verifies every segment
-    /// checksum up front, so a failure here means the file was truncated
-    /// or rewritten *while the engine was scanning it* — not a state a
-    /// query result can be produced from.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the file backing fails mid-scan (see above) or
-    /// `fragment_number` is out of range.
-    #[must_use]
-    pub fn fetch(&self, fragment_number: u64) -> FragmentRef<'_> {
-        match self.try_fetch(fragment_number) {
-            Ok(fragment) => fragment,
-            Err(error) => panic!("fragment {fragment_number} unreadable mid-scan: {error}"),
-        }
-    }
-
     /// The memory backing, when this source is one.
     #[must_use]
     pub fn as_memory(&self) -> Option<&FragmentStore> {
@@ -200,13 +182,13 @@ impl From<FileStore> for ScanSource {
 }
 
 /// A fetched fragment: borrowed from the memory backing, or a shared
-/// decoded copy from the file backing's cache.  Both deref to
+/// loaded copy from the file backing's cache.  Both deref to
 /// [`ColumnarFragment`].
 #[derive(Debug)]
 pub enum FragmentRef<'a> {
     /// A direct borrow of an in-memory fragment.
     Borrowed(&'a ColumnarFragment),
-    /// A decoded fragment shared with the file store's cache.
+    /// A loaded fragment shared with the file store's cache.
     Shared(Arc<ColumnarFragment>),
 }
 
@@ -271,8 +253,8 @@ mod tests {
 
         for no in 0..memory_src.fragment_count() {
             assert_eq!(memory_src.fragment_rows(no), file_src.fragment_rows(no));
-            let borrowed = memory_src.fetch(no);
-            let shared = file_src.fetch(no);
+            let borrowed = memory_src.try_fetch(no).unwrap();
+            let shared = file_src.try_fetch(no).unwrap();
             assert_eq!(*borrowed, *shared);
         }
         assert!(file_src.file_metrics().expect("file metrics").segment_reads > 0);

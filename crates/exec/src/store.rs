@@ -16,6 +16,8 @@
 //!   `i`-th row of that fragment, so fragments can be processed
 //!   independently.
 
+use std::sync::Arc;
+
 use bitmap::{
     BitmapFragmentation, IndexCatalog, MaterialisedFactTable, MaterialisedIndex, ReprStats,
     RepresentationPolicy,
@@ -23,7 +25,7 @@ use bitmap::{
 use mdhf::Fragmentation;
 use schema::{PageSizing, StarSchema};
 
-use crate::file::StorageError;
+use crate::file::{StorageError, StoredParts};
 
 /// Splitmix64-style mixing, shared by the deterministic skewed-row
 /// generator here and the I/O layer's track scattering
@@ -40,33 +42,87 @@ pub(crate) fn mix64(seed: u64, value: u64) -> u64 {
 
 /// One fact fragment in columnar layout plus its fragment-aligned bitmap
 /// join indices.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Measure columns are always held decoded.  Key columns and indices are
+/// either built in memory, or — for a fragment loaded from a file — kept as
+/// their checked segments and decoded the first time they are asked for
+/// (see [`crate::file`]), so a query decodes only the indices of its own
+/// predicates and never a key column.
+#[derive(Debug, Clone)]
 pub struct ColumnarFragment {
     fragment_number: u64,
-    /// One column per schema dimension, each of `len()` leaf keys.
-    keys: Vec<Vec<u64>>,
+    rows: usize,
     /// One column per schema measure, each of `len()` values.
     measures: Vec<Vec<f64>>,
-    /// One bitmap join index per dimension, covering only this fragment's rows.
-    indices: Vec<MaterialisedIndex>,
+    parts: Parts,
+}
+
+/// A fragment's key columns and bitmap join indices.
+#[derive(Debug, Clone)]
+enum Parts {
+    /// Built in memory: per dimension one column of `len()` leaf keys and
+    /// one index covering only this fragment's rows.
+    Built {
+        keys: Vec<Vec<u64>>,
+        indices: Vec<MaterialisedIndex>,
+    },
+    /// Loaded from a file, each decoded on first use (shared by clones).
+    Stored(Arc<StoredParts>),
 }
 
 impl ColumnarFragment {
-    /// Reassembles a fragment from already-built columns and indices — the
-    /// decode path of the on-disk format ([`crate::file`]), which
-    /// deserialises exactly these parts.
-    pub(crate) fn from_parts(
+    /// A fragment of `rows` rows from columns and indices built in memory.
+    fn built(
         fragment_number: u64,
+        rows: usize,
         keys: Vec<Vec<u64>>,
         measures: Vec<Vec<f64>>,
         indices: Vec<MaterialisedIndex>,
     ) -> Self {
         ColumnarFragment {
             fragment_number,
-            keys,
+            rows,
             measures,
-            indices,
+            parts: Parts::Built { keys, indices },
         }
+    }
+
+    /// A fragment loaded from a file ([`crate::file`]): its decoded
+    /// measure columns, and the stored segments of its key columns and
+    /// indices.
+    pub(crate) fn stored(
+        fragment_number: u64,
+        measures: Vec<Vec<f64>>,
+        parts: StoredParts,
+    ) -> Self {
+        ColumnarFragment {
+            fragment_number,
+            rows: parts.rows(),
+            measures,
+            parts: Parts::Stored(Arc::new(parts)),
+        }
+    }
+
+    /// This fragment with every key column and index built: a loaded
+    /// fragment decoded in full, a built one cloned.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::try_bitmap_index`], for any dimension.
+    pub(crate) fn to_built(&self) -> Result<Self, StorageError> {
+        let dimensions = 0..self.dimension_count();
+        let indices = dimensions
+            .clone()
+            .map(|d| self.try_bitmap_index(d).cloned())
+            .collect::<Result<_, _>>()?;
+        let keys = dimensions.map(|d| self.key_column(d).to_vec()).collect();
+        Ok(Self::built(
+            self.fragment_number,
+            self.rows,
+            keys,
+            self.measures.clone(),
+            indices,
+        ))
     }
 
     /// The linear fragment number this fragment holds.
@@ -78,19 +134,34 @@ impl ColumnarFragment {
     /// Number of fact rows in this fragment.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.keys.first().map_or(0, Vec::len)
+        self.rows
     }
 
     /// True if no fact row falls into this fragment.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.rows == 0
     }
 
-    /// The leaf-key column of dimension `dimension`.
+    fn dimension_count(&self) -> usize {
+        match &self.parts {
+            Parts::Built { indices, .. } => indices.len(),
+            Parts::Stored(stored) => stored.dimension_count(),
+        }
+    }
+
+    /// The leaf-key column of dimension `dimension`.  No query reads it; a
+    /// loaded fragment unpacks it on the first call.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dimension` is out of range.
     #[must_use]
     pub fn key_column(&self, dimension: usize) -> &[u64] {
-        &self.keys[dimension]
+        match &self.parts {
+            Parts::Built { keys, .. } => &keys[dimension],
+            Parts::Stored(stored) => stored.key_column(dimension),
+        }
     }
 
     /// The value column of measure `measure`.
@@ -99,20 +170,82 @@ impl ColumnarFragment {
         &self.measures[measure]
     }
 
-    /// The fragment-aligned bitmap join index of dimension `dimension`.
+    /// The fragment-aligned bitmap join index of dimension `dimension`:
+    /// a borrow of a built index, or a loaded fragment's index, decoded on
+    /// first use.
+    ///
+    /// # Errors
+    ///
+    /// [`StorageError::Corrupt`] when a loaded fragment's index segment,
+    /// though it passed its checksum, does not decode, and
+    /// [`StorageError::Config`] when `dimension` is out of range.
+    pub fn try_bitmap_index(&self, dimension: usize) -> Result<&MaterialisedIndex, StorageError> {
+        let index = match &self.parts {
+            Parts::Built { indices, .. } => indices.get(dimension).map(Ok),
+            Parts::Stored(stored) => stored.bitmap_index(dimension),
+        };
+        index.unwrap_or_else(|| {
+            Err(StorageError::Config(format!(
+                "dimension {dimension} out of range: the fragment has {}",
+                self.dimension_count()
+            )))
+        })
+    }
+
+    /// [`Self::try_bitmap_index`] for callers that hold a verified
+    /// fragment.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dimension` is out of range, or if a loaded fragment's
+    /// checksum-verified index segment fails to decode.
     #[must_use]
     pub fn bitmap_index(&self, dimension: usize) -> &MaterialisedIndex {
-        &self.indices[dimension]
+        self.try_bitmap_index(dimension)
+            .unwrap_or_else(|error| panic!("{error}"))
     }
 
     /// Aggregate representation statistics over this fragment's indices.
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::bitmap_index`].
     #[must_use]
     pub fn index_stats(&self) -> ReprStats {
         let mut stats = ReprStats::default();
-        for index in &self.indices {
-            stats.merge(index.repr_stats());
+        for dimension in 0..self.dimension_count() {
+            stats.merge(self.bitmap_index(dimension).repr_stats());
         }
         stats
+    }
+
+    /// The loaded fragment's stored parts, if it is one.
+    #[cfg(test)]
+    pub(crate) fn stored_parts(&self) -> Option<&StoredParts> {
+        match &self.parts {
+            Parts::Built { .. } => None,
+            Parts::Stored(stored) => Some(stored),
+        }
+    }
+}
+
+/// Equal fragments hold the same rows, columns and indices, however each
+/// is held; comparing decodes a loaded fragment's key columns and indices.
+/// A fragment with an index that fails to decode equals no fragment.
+impl PartialEq for ColumnarFragment {
+    fn eq(&self, other: &Self) -> bool {
+        let dimensions = self.dimension_count();
+        self.fragment_number == other.fragment_number
+            && self.rows == other.rows
+            && self.measures == other.measures
+            && dimensions == other.dimension_count()
+            && (0..dimensions).all(|d| {
+                self.key_column(d) == other.key_column(d)
+                    && matches!(
+                        (self.try_bitmap_index(d), other.try_bitmap_index(d)),
+                        (Ok(a), Ok(b)) if a == b
+                    )
+            })
     }
 }
 
@@ -409,6 +542,7 @@ impl FragmentStore {
 /// The columns of one fragment while its rows arrive.
 #[derive(Clone)]
 struct FragmentColumns {
+    rows: usize,
     keys: Vec<Vec<u64>>,
     measures: Vec<Vec<f64>>,
 }
@@ -436,6 +570,7 @@ impl<'a> ColumnSink<'a> {
             )));
         }
         let empty = FragmentColumns {
+            rows: 0,
             keys: vec![Vec::new(); schema.dimension_count()],
             measures: vec![Vec::new(); schema.fact().measures().len()],
         };
@@ -459,6 +594,7 @@ impl<'a> ColumnSink<'a> {
         for (column, &value) in columns.measures.iter_mut().zip(measures) {
             column.push(value);
         }
+        columns.rows += 1;
         self.rows += 1;
     }
 
@@ -482,7 +618,13 @@ impl<'a> ColumnSink<'a> {
                         MaterialisedIndex::build_from_column(schema, &catalog, keys, d, policy)
                     })
                     .collect();
-                ColumnarFragment::from_parts(number as u64, columns.keys, columns.measures, indices)
+                ColumnarFragment::built(
+                    number as u64,
+                    columns.rows,
+                    columns.keys,
+                    columns.measures,
+                    indices,
+                )
             })
             .collect();
         FragmentStore {
@@ -725,6 +867,39 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn fragments_differing_in_one_key_or_index_differ() {
+        let store = store();
+        let fragment = store.fragments().iter().find(|f| f.len() > 1).unwrap();
+        assert_eq!(fragment.clone(), *fragment);
+        let mut other_key = fragment.clone();
+        let mut other_index = fragment.clone();
+        let neighbour = store.fragment(fragment.fragment_number() + 1);
+        match (
+            &mut other_key.parts,
+            &mut other_index.parts,
+            &neighbour.parts,
+        ) {
+            (
+                Parts::Built { keys, .. },
+                Parts::Built { indices, .. },
+                Parts::Built {
+                    indices: theirs, ..
+                },
+            ) => {
+                keys[0][0] += 1;
+                indices[1] = theirs[1].clone();
+            }
+            _ => unreachable!("a built store holds built fragments"),
+        }
+        assert_ne!(other_key, *fragment);
+        assert_ne!(other_index, *fragment);
+        assert!(matches!(
+            fragment.try_bitmap_index(store.schema().dimension_count()),
+            Err(StorageError::Config(_))
+        ));
     }
 
     #[test]

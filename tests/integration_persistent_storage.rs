@@ -71,8 +71,8 @@ fn assert_roundtrip(store: FragmentStore, seed: u64, tag: &str) {
     assert_eq!(memory_src.total_rows(), disk_src.total_rows());
     for fragment in 0..memory_src.fragment_count() {
         assert_eq!(
-            *memory_src.fetch(fragment),
-            *disk_src.fetch(fragment),
+            *memory_src.try_fetch(fragment).unwrap(),
+            *disk_src.try_fetch(fragment).unwrap(),
             "fragment {fragment} did not round-trip bit-identically"
         );
     }
