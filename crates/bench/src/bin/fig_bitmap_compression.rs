@@ -10,9 +10,9 @@
 //! * **storage** — total `size_bytes()` of the k predicate bitmaps under
 //!   each representation policy, and the adaptive compression ratio,
 //! * **intersection throughput** — wall time of the k-way AND under each
-//!   policy (plain `Bitmap::and_many`, compressed-domain
-//!   `WahBitmap::and_many` and `RoaringBitmap::and_many`, and the
-//!   policy-chosen `BitmapRepr::and_many`).
+//!   policy: plain `Bitmap::and_many`, and for the WAH, roaring and
+//!   policy-chosen forms the fold a fragment task runs, each operand
+//!   ANDed into an all-one plain bitmap in place (`BitmapRepr::and_into`).
 //!
 //! A second section measures a real [`FragmentStore`] build and shows the
 //! measured ratio flowing into the compressed bitmap-fragment page sizing
@@ -21,8 +21,8 @@
 //! `--quick` shrinks the bitmap length and repeat count for CI smoke runs.
 
 use bench_support::{
-    measured_store, paper_schema, print_header, print_row, quick_mode, random_bitmap,
-    sparse_clustered_bitmap, splitmix, time_us,
+    and_into_fold, measured_store, paper_schema, print_header, print_row, quick_mode,
+    random_bitmap, sparse_clustered_bitmap, splitmix, time_us,
 };
 use warehouse::mdhf::StarQuery;
 use warehouse::prelude::*;
@@ -98,40 +98,35 @@ fn main() {
 
     for workload in workloads(n, k) {
         let plain = &workload.bitmaps;
-        let wah: Vec<WahBitmap> = plain.iter().map(WahBitmap::compress).collect();
-        let roaring: Vec<RoaringBitmap> = plain.iter().map(RoaringBitmap::compress).collect();
+        let wah: Vec<BitmapRepr> = plain
+            .iter()
+            .map(|b| BitmapRepr::Wah(WahBitmap::compress(b)))
+            .collect();
+        let roaring: Vec<BitmapRepr> = plain
+            .iter()
+            .map(|b| BitmapRepr::Roaring(RoaringBitmap::compress(b)))
+            .collect();
         let adaptive: Vec<BitmapRepr> = plain
             .iter()
             .map(|b| BitmapRepr::from_bitmap(b.clone(), RepresentationPolicy::default()))
             .collect();
 
         let plain_bytes: usize = plain.iter().map(Bitmap::size_bytes).sum();
-        let wah_bytes: usize = wah.iter().map(WahBitmap::size_bytes).sum();
-        let roaring_bytes: usize = roaring.iter().map(RoaringBitmap::size_bytes).sum();
+        let wah_bytes: usize = wah.iter().map(BitmapRepr::size_bytes).sum();
+        let roaring_bytes: usize = roaring.iter().map(BitmapRepr::size_bytes).sum();
         let adaptive_bytes: usize = adaptive.iter().map(BitmapRepr::size_bytes).sum();
 
         let plain_refs: Vec<&Bitmap> = plain.iter().collect();
-        let wah_refs: Vec<&WahBitmap> = wah.iter().collect();
-        let roaring_refs: Vec<&RoaringBitmap> = roaring.iter().collect();
-        let adaptive_refs: Vec<&BitmapRepr> = adaptive.iter().collect();
         let plain_us = time_us(repeats, || Bitmap::and_many(&plain_refs));
-        let wah_us = time_us(repeats, || WahBitmap::and_many(&wah_refs));
-        let roaring_us = time_us(repeats, || RoaringBitmap::and_many(&roaring_refs));
-        let adaptive_us = time_us(repeats, || BitmapRepr::and_many(&adaptive_refs));
+        let wah_us = time_us(repeats, || and_into_fold(n, &wah));
+        let roaring_us = time_us(repeats, || and_into_fold(n, &roaring));
+        let adaptive_us = time_us(repeats, || and_into_fold(n, &adaptive));
 
-        // All three paths agree bit-for-bit.
-        assert_eq!(
-            WahBitmap::and_many(&wah_refs).decompress(),
-            Bitmap::and_many(&plain_refs)
-        );
-        assert_eq!(
-            RoaringBitmap::and_many(&roaring_refs).decompress(),
-            Bitmap::and_many(&plain_refs)
-        );
-        assert_eq!(
-            BitmapRepr::and_many(&adaptive_refs).to_plain(),
-            Bitmap::and_many(&plain_refs)
-        );
+        // Every path agrees bit-for-bit.
+        let expected = Bitmap::and_many(&plain_refs);
+        assert_eq!(and_into_fold(n, &wah), expected);
+        assert_eq!(and_into_fold(n, &roaring), expected);
+        assert_eq!(and_into_fold(n, &adaptive), expected);
 
         print_row(
             &[

@@ -1,5 +1,5 @@
-//! Bitmap kernel sweep: unrolled plain kernels and compressed-domain
-//! intersections across representations and operand counts.
+//! Bitmap kernel sweep: unrolled plain kernels and the engine's in-place
+//! fold across representations and operand counts.
 //!
 //! The hot operation of star-join selection is the k-way AND of predicate
 //! bitmaps.  This binary measures it for three predicate shapes (dense
@@ -7,7 +7,9 @@
 //! (plain/unrolled, WAH, roaring) and k ∈ {2, 4, 8} operands, and compares
 //! the unrolled plain kernel against a *scalar reference* — a verbatim copy
 //! of the pre-unrolling per-word gather fold — to quantify the kernel
-//! rewrite itself.
+//! rewrite itself.  The WAH, roaring and adaptive columns time what a
+//! fragment task does with compressed operands: fold each one into an
+//! all-one plain bitmap in place ([`BitmapRepr::and_into`]).
 //!
 //! Every timed path is asserted bit-identical to the scalar reference, and
 //! the adaptive chooser is asserted to never pick a representation that is
@@ -19,7 +21,8 @@
 //! best-of-N timings sit under `"wall"`.
 
 use bench_support::{
-    print_header, print_row, quick_mode, random_bitmap, sparse_clustered_bitmap, time_us, Record,
+    and_into_fold, print_header, print_row, quick_mode, random_bitmap, sparse_clustered_bitmap,
+    time_us, Record,
 };
 use warehouse::prelude::*;
 
@@ -116,29 +119,29 @@ fn main() {
             let plain_refs: Vec<&Bitmap> = bitmaps.iter().collect();
             let words: Vec<Vec<u64>> = bitmaps.iter().map(to_words).collect();
             let word_refs: Vec<&[u64]> = words.iter().map(Vec::as_slice).collect();
-            let wah: Vec<WahBitmap> = bitmaps.iter().map(WahBitmap::compress).collect();
-            let wah_refs: Vec<&WahBitmap> = wah.iter().collect();
-            let roaring: Vec<RoaringBitmap> = bitmaps.iter().map(RoaringBitmap::compress).collect();
-            let roaring_refs: Vec<&RoaringBitmap> = roaring.iter().collect();
+            let wah: Vec<BitmapRepr> = bitmaps
+                .iter()
+                .map(|b| BitmapRepr::Wah(WahBitmap::compress(b)))
+                .collect();
+            let roaring: Vec<BitmapRepr> = bitmaps
+                .iter()
+                .map(|b| BitmapRepr::Roaring(RoaringBitmap::compress(b)))
+                .collect();
 
             let scalar_us = time_us(repeats, || scalar_and_many(&word_refs));
             let plain_us = time_us(repeats, || Bitmap::and_many(&plain_refs));
-            let wah_us = time_us(repeats, || WahBitmap::and_many(&wah_refs));
-            let roaring_us = time_us(repeats, || RoaringBitmap::and_many(&roaring_refs));
+            let wah_us = time_us(repeats, || and_into_fold(n, &wah));
+            let roaring_us = time_us(repeats, || and_into_fold(n, &roaring));
 
             // Every path is bit-identical to the scalar reference.
             let reference = scalar_and_many(&word_refs);
             let plain_result = Bitmap::and_many(&plain_refs);
             assert_eq!(to_words(&plain_result), reference, "plain kernel bits");
+            assert_eq!(and_into_fold(n, &wah), plain_result, "wah in-place bits");
             assert_eq!(
-                WahBitmap::and_many(&wah_refs).decompress(),
+                and_into_fold(n, &roaring),
                 plain_result,
-                "wah compressed-domain bits"
-            );
-            assert_eq!(
-                RoaringBitmap::and_many(&roaring_refs).decompress(),
-                plain_result,
-                "roaring compressed-domain bits"
+                "roaring in-place bits"
             );
 
             let speedup = scalar_us / plain_us;
@@ -160,8 +163,8 @@ fn main() {
             );
 
             let plain_bytes: usize = bitmaps.iter().map(Bitmap::size_bytes).sum();
-            let wah_bytes: usize = wah.iter().map(WahBitmap::size_bytes).sum();
-            let roaring_bytes: usize = roaring.iter().map(RoaringBitmap::size_bytes).sum();
+            let wah_bytes: usize = wah.iter().map(BitmapRepr::size_bytes).sum();
+            let roaring_bytes: usize = roaring.iter().map(BitmapRepr::size_bytes).sum();
             for (repr, micros, bytes) in [
                 ("scalar_reference", scalar_us, plain_bytes),
                 ("plain", plain_us, plain_bytes),
@@ -178,14 +181,9 @@ fn main() {
                 .iter()
                 .map(|b| BitmapRepr::from_bitmap(b.clone(), RepresentationPolicy::default()))
                 .collect();
-            let adaptive_refs: Vec<&BitmapRepr> = adaptive.iter().collect();
-            let adaptive_us = time_us(repeats, || BitmapRepr::and_many(&adaptive_refs));
+            let adaptive_us = time_us(repeats, || and_into_fold(n, &adaptive));
             let adaptive_bytes: usize = adaptive.iter().map(BitmapRepr::size_bytes).sum();
-            assert_eq!(
-                BitmapRepr::and_many(&adaptive_refs).to_plain(),
-                plain_result,
-                "adaptive bits"
-            );
+            assert_eq!(and_into_fold(n, &adaptive), plain_result, "adaptive bits");
             for (alt, alt_bytes, alt_us) in [
                 ("plain", plain_bytes, plain_us),
                 ("wah", wah_bytes, wah_us),

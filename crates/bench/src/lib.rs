@@ -243,6 +243,18 @@ pub fn random_bitmap(n: usize, seed: u64, one_in: u64) -> Bitmap {
     )
 }
 
+/// The multi-way AND a fragment task runs: every operand, whatever its
+/// representation, ANDed in place into one all-one plain bitmap of `n`
+/// bits with [`BitmapRepr::and_into`].
+#[must_use]
+pub fn and_into_fold(n: usize, operands: &[BitmapRepr]) -> Bitmap {
+    let mut acc = Bitmap::ones(n);
+    for repr in operands {
+        repr.and_into(&mut acc, false);
+    }
+    acc
+}
+
 /// Prints a Markdown-ish table row with fixed column widths.
 pub fn print_row(cells: &[String], widths: &[usize]) {
     let rendered: Vec<String> = cells

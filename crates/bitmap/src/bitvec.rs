@@ -1,8 +1,8 @@
 //! Uncompressed bitmaps.
 //!
 //! One bit per fact row.  The operations mirror what star-join processing
-//! needs: AND (intersect selections), OR (multiple values of one attribute),
-//! NOT, population count and iteration over matching row numbers.
+//! needs: AND (intersect selections), NOT, population count and iteration
+//! over matching row numbers.
 
 /// Unroll width of the word kernels below.
 ///
@@ -11,7 +11,7 @@
 /// independent 64-bit lanes per iteration give LLVM a straight-line body it
 /// autovectorizes to 256-bit vector ops in release builds, while the
 /// `chunks_exact` shape eliminates bounds checks.  Verified to vectorize on
-/// x86-64 (`vpand`/`vpor` over `ymm`) at the default release opt-level.
+/// x86-64 (`vpand` over `ymm`) at the default release opt-level.
 const UNROLL: usize = 4;
 
 /// In-place bitwise AND over raw word slices: `dst[i] &= src[i]`.
@@ -110,25 +110,6 @@ pub(crate) fn clear_bit_range(words: &mut [u64], start: usize, end: usize) {
             *last &= !tail;
         }
         _ => {}
-    }
-}
-
-/// In-place bitwise OR over raw word slices: `dst[i] |= src[i]`.
-pub(crate) fn or_words(dst: &mut [u64], src: &[u64]) {
-    debug_assert_eq!(dst.len(), src.len(), "kernel word-count mismatch");
-    let mut d = dst.chunks_exact_mut(UNROLL);
-    let mut s = src.chunks_exact(UNROLL);
-    for (dw, sw) in d.by_ref().zip(s.by_ref()) {
-        let ([d0, d1, d2, d3], [s0, s1, s2, s3]) = (dw, sw) else {
-            unreachable!("chunks_exact yields exact chunks")
-        };
-        *d0 |= *s0;
-        *d1 |= *s1;
-        *d2 |= *s2;
-        *d3 |= *s3;
-    }
-    for (dw, sw) in d.into_remainder().iter_mut().zip(s.remainder()) {
-        *dw |= *sw;
     }
 }
 
@@ -283,12 +264,6 @@ impl Bitmap {
         self.words.iter().all(|&w| w == 0)
     }
 
-    /// True if every bit is set.
-    #[must_use]
-    pub fn is_all_one(&self) -> bool {
-        self.count_ones() == self.len
-    }
-
     /// Bitwise AND with another bitmap of the same length.
     ///
     /// # Panics
@@ -396,28 +371,6 @@ impl Bitmap {
         }
     }
 
-    /// Bitwise OR with another bitmap of the same length.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lengths differ.
-    #[must_use]
-    pub fn or(&self, other: &Bitmap) -> Bitmap {
-        let mut out = self.clone();
-        out.or_assign(other);
-        out
-    }
-
-    /// In-place bitwise OR (4×-unrolled kernel).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lengths differ.
-    pub fn or_assign(&mut self, other: &Bitmap) {
-        assert_eq!(self.len, other.len, "bitmap length mismatch");
-        or_words(&mut self.words, &other.words);
-    }
-
     /// Bitwise complement (within the bitmap's length).
     #[must_use]
     pub fn not(&self) -> Bitmap {
@@ -443,24 +396,6 @@ impl Bitmap {
                 }
             })
         })
-    }
-
-    /// Extracts the sub-bitmap for rows `range` (used for fragment-aligned
-    /// bitmap fragments).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range exceeds the bitmap length.
-    #[must_use]
-    pub fn slice(&self, range: std::ops::Range<usize>) -> Bitmap {
-        assert!(range.end <= self.len, "slice out of range");
-        let mut out = Bitmap::new(range.len());
-        for (i, idx) in range.enumerate() {
-            if self.get(idx) {
-                out.set(i, true);
-            }
-        }
-        out
     }
 
     /// Size of the uncompressed representation in bytes.
@@ -521,7 +456,6 @@ mod tests {
     fn ones_and_not_respect_length() {
         let b = Bitmap::ones(70);
         assert_eq!(b.count_ones(), 70);
-        assert!(b.is_all_one());
         let z = b.not();
         assert!(z.is_all_zero());
         assert_eq!(z.not().count_ones(), 70);
@@ -542,16 +476,13 @@ mod tests {
         let a = Bitmap::from_positions(10, [1, 3, 5, 7]);
         let b = Bitmap::from_positions(10, [3, 4, 5, 6]);
         assert_eq!(a.and(&b).iter_ones().collect::<Vec<_>>(), vec![3, 5]);
-        assert_eq!(
-            a.or(&b).iter_ones().collect::<Vec<_>>(),
-            vec![1, 3, 4, 5, 6, 7]
-        );
         let mut c = a.clone();
         c.and_assign(&b);
         assert_eq!(c, a.and(&b));
-        let mut d = a.clone();
-        d.or_assign(&b);
-        assert_eq!(d, a.or(&b));
+        assert_eq!(
+            a.not().iter_ones().collect::<Vec<_>>(),
+            vec![0, 2, 4, 6, 8, 9]
+        );
     }
 
     #[test]
@@ -592,9 +523,7 @@ mod tests {
             let a = Bitmap::from_positions(len, (0..len).filter(|i| i % 3 == 0));
             let b = Bitmap::from_positions(len, (0..len).filter(|i| i % 4 == 0));
             let and_expected: Vec<usize> = (0..len).filter(|i| i % 12 == 0).collect();
-            let or_expected: Vec<usize> = (0..len).filter(|i| i % 3 == 0 || i % 4 == 0).collect();
             assert_eq!(a.and(&b).iter_ones().collect::<Vec<_>>(), and_expected);
-            assert_eq!(a.or(&b).iter_ones().collect::<Vec<_>>(), or_expected);
             assert_eq!(a.count_ones(), len.div_ceil(3));
         }
     }
@@ -643,20 +572,11 @@ mod tests {
     }
 
     #[test]
-    fn slicing() {
-        let b = Bitmap::from_positions(100, [10, 20, 30, 40]);
-        let s = b.slice(15..35);
-        assert_eq!(s.len(), 20);
-        assert_eq!(s.iter_ones().collect::<Vec<_>>(), vec![5, 15]);
-    }
-
-    #[test]
     fn empty_bitmap() {
         let b = Bitmap::new(0);
         assert!(b.is_empty());
         assert_eq!(b.count_ones(), 0);
         assert!(b.is_all_zero());
-        assert!(b.is_all_one()); // vacuously true
         assert_eq!(b.iter_ones().count(), 0);
     }
 
@@ -695,22 +615,14 @@ mod prop_tests {
     }
 
     proptest! {
-        /// De Morgan: !(a & b) == !a | !b, restricted to the bitmap length.
+        /// AND is an intersection of set-bit positions.
         #[test]
-        fn prop_de_morgan(a in arb_bitmap(200), b in arb_bitmap(200)) {
-            prop_assert_eq!(a.and(&b).not(), a.not().or(&b.not()));
-        }
-
-        /// AND is an intersection of set-bit positions; OR a union.
-        #[test]
-        fn prop_and_or_set_semantics(a in arb_bitmap(150), b in arb_bitmap(150)) {
+        fn prop_and_set_semantics(a in arb_bitmap(150), b in arb_bitmap(150)) {
             use std::collections::BTreeSet;
             let sa: BTreeSet<_> = a.iter_ones().collect();
             let sb: BTreeSet<_> = b.iter_ones().collect();
             let and: BTreeSet<_> = a.and(&b).iter_ones().collect();
-            let or: BTreeSet<_> = a.or(&b).iter_ones().collect();
             prop_assert_eq!(and, sa.intersection(&sb).copied().collect::<BTreeSet<_>>());
-            prop_assert_eq!(or, sa.union(&sb).copied().collect::<BTreeSet<_>>());
         }
 
         /// and_many over any stack of bitmaps equals the left fold of binary
@@ -729,15 +641,6 @@ mod prop_tests {
         fn prop_counts(a in arb_bitmap(173)) {
             prop_assert_eq!(a.count_ones(), a.iter_ones().count());
             prop_assert_eq!(a.count_ones() + a.not().count_ones(), 173);
-        }
-
-        /// Slicing then counting equals counting within the range.
-        #[test]
-        fn prop_slice_counts(a in arb_bitmap(256), start in 0usize..256, len in 0usize..256) {
-            let end = (start + len).min(256);
-            let slice = a.slice(start..end);
-            let expected = a.iter_ones().filter(|&p| p >= start && p < end).count();
-            prop_assert_eq!(slice.count_ones(), expected);
         }
     }
 }

@@ -5,12 +5,9 @@
 //! into n bitmap fragments.  This ensures that the bits of a bitmap fragment
 //! refer to exactly one fact fragment and allows different fact fragments to
 //! be processed independently" (§4).  This module provides the sizing
-//! arithmetic used by the thresholds, the cost model and the simulator, plus
-//! a materialised splitter used in tests to verify the alignment property.
+//! arithmetic used by the thresholds, the cost model and the simulator.
 
 use schema::PageSizing;
-
-use crate::bitvec::Bitmap;
 
 /// Sizing of bitmap fragments for an `n`-fragment fact-table fragmentation.
 ///
@@ -110,33 +107,6 @@ impl BitmapFragmentation {
     }
 }
 
-/// Splits a materialised bitmap into per-fragment bitmaps, given the fragment
-/// id of every fact row.  Used to verify the alignment invariant: bit `i` of
-/// fragment `f`'s bitmap refers to the `i`-th row assigned to fragment `f`.
-#[must_use]
-pub fn split_bitmap_by_fragment(
-    bitmap: &Bitmap,
-    row_fragments: &[u64],
-    fragment_count: u64,
-) -> Vec<Bitmap> {
-    assert_eq!(bitmap.len(), row_fragments.len(), "one fragment id per row");
-    // Count rows per fragment to size the per-fragment bitmaps.
-    let mut counts = vec![0usize; fragment_count as usize];
-    for &f in row_fragments {
-        counts[f as usize] += 1;
-    }
-    let mut fragments: Vec<Bitmap> = counts.iter().map(|&c| Bitmap::new(c)).collect();
-    let mut next_local = vec![0usize; fragment_count as usize];
-    for (row, &f) in row_fragments.iter().enumerate() {
-        let local = next_local[f as usize];
-        next_local[f as usize] += 1;
-        if bitmap.get(row) {
-            fragments[f as usize].set(local, true);
-        }
-    }
-    fragments
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -205,54 +175,9 @@ mod tests {
     }
 
     #[test]
-    fn split_preserves_bits_and_alignment() {
-        // 10 rows in 3 fragments assigned round-robin.
-        let row_fragments: Vec<u64> = (0..10).map(|i| i % 3).collect();
-        let bitmap = Bitmap::from_positions(10, [0, 3, 4, 9]);
-        let parts = split_bitmap_by_fragment(&bitmap, &row_fragments, 3);
-        assert_eq!(parts.len(), 3);
-        // Fragment 0 holds rows 0,3,6,9 → local bits 0 (row0), 1 (row3), 3 (row9).
-        assert_eq!(parts[0].iter_ones().collect::<Vec<_>>(), vec![0, 1, 3]);
-        // Fragment 1 holds rows 1,4,7 → local bit 1 (row 4).
-        assert_eq!(parts[1].iter_ones().collect::<Vec<_>>(), vec![1]);
-        // Fragment 2 holds rows 2,5,8 → no hits.
-        assert!(parts[2].is_all_zero());
-        // Total set bits preserved.
-        let total: usize = parts.iter().map(Bitmap::count_ones).sum();
-        assert_eq!(total, bitmap.count_ones());
-    }
-
-    #[test]
     #[should_panic(expected = "fragment count must be positive")]
     fn zero_fragments_rejected() {
         let sizing = PageSizing::new(&apb1_schema());
         let _ = BitmapFragmentation::new(&sizing, 0);
-    }
-}
-
-#[cfg(test)]
-mod prop_tests {
-    use super::*;
-    use proptest::prelude::*;
-
-    proptest! {
-        /// Splitting conserves set bits and sizes fragments by row counts.
-        #[test]
-        fn prop_split_conservation(
-            bits in proptest::collection::vec(proptest::bool::ANY, 1..300),
-            fragment_count in 1u64..8,
-        ) {
-            let n = bits.len();
-            let mut bitmap = Bitmap::new(n);
-            for (i, b) in bits.iter().enumerate() {
-                bitmap.set(i, *b);
-            }
-            let row_fragments: Vec<u64> = (0..n as u64).map(|i| i % fragment_count).collect();
-            let parts = split_bitmap_by_fragment(&bitmap, &row_fragments, fragment_count);
-            let total: usize = parts.iter().map(Bitmap::count_ones).sum();
-            prop_assert_eq!(total, bitmap.count_ones());
-            let total_len: usize = parts.iter().map(Bitmap::len).sum();
-            prop_assert_eq!(total_len, n);
-        }
     }
 }

@@ -14,13 +14,14 @@
 //! * [`bitvec::Bitmap`] — an uncompressed bitmap with the Boolean operations
 //!   used by star-join processing,
 //! * [`wah::WahBitmap`] — a word-aligned-hybrid compressed representation
-//!   with compressed-domain AND/OR/iteration (no decompress round-trips),
+//!   whose counting and iteration walk the runs (no decompress round-trip),
 //! * [`roaring::RoaringBitmap`] — roaring-style hybrid containers (sorted
 //!   array / bitset / run list per 64 Ki-bit chunk, canonically chosen per
-//!   chunk) with fully compressed-domain Boolean operations,
+//!   chunk) counted and iterated container by container,
 //! * [`repr::BitmapRepr`] / [`repr::RepresentationPolicy`] — the adaptive
 //!   measured-size per-bitmap choice among the three, used by every
-//!   materialised index,
+//!   materialised index; each form ANDs into a plain bitmap in place
+//!   ([`repr::BitmapRepr::and_into`]), the one way selections intersect,
 //! * [`encoding::HierarchicalEncoding`] — the per-level bit layout of an
 //!   encoded bitmap index derived from a dimension hierarchy — plus the
 //!   `BMRP` byte codec ([`encoding::encode_bitmap_repr`]) that serializes
@@ -36,17 +37,19 @@
 //! # Quick start
 //!
 //! ```
-//! use bitmap::{Bitmap, WahBitmap};
+//! use bitmap::{Bitmap, BitmapRepr, WahBitmap};
 //!
 //! // Two selection bitmaps over ten fact rows…
 //! let month = Bitmap::from_positions(10, [1, 3, 5, 7, 9]);
 //! let group = Bitmap::from_positions(10, [3, 4, 5]);
 //!
-//! // …ANDed to the qualifying rows, uncompressed or compressed-domain.
+//! // …ANDed to the qualifying rows: plain, or a compressed operand folded
+//! // into a plain accumulator in place.
 //! let hits = month.and(&group);
 //! assert_eq!(hits, Bitmap::from_positions(10, [3, 5]));
-//! let wah = WahBitmap::compress(&month).and(&WahBitmap::compress(&group));
-//! assert_eq!(wah.decompress(), hits);
+//! let mut acc = month.clone();
+//! BitmapRepr::Wah(WahBitmap::compress(&group)).and_into(&mut acc, false);
+//! assert_eq!(acc, hits);
 //! ```
 
 #![forbid(unsafe_code)]

@@ -15,15 +15,14 @@
 //! through zero fills, near-full ones through one fills), and a compressed
 //! form is kept only when it wins by at least
 //! [`RepresentationPolicy::MIN_COMPRESSION_GAIN`] over verbatim storage —
-//! the smallest winner is stored, ties preferring roaring (whose kernels
-//! are faster than WAH's run merge).  Mid-density bitmaps — e.g. the
-//! ~50 %-density bit slices of a hierarchically encoded index — fail the
-//! gain bar and stay on the plain fast path.
+//! the smallest winner is stored, ties preferring roaring.  Mid-density
+//! bitmaps — e.g. the ~50 %-density bit slices of a hierarchically encoded
+//! index — fail the gain bar and stay on the plain fast path.
 //!
-//! Boolean operations stay in the compressed domain whenever every operand
-//! shares a compressed representation ([`WahBitmap::and_many`],
-//! [`RoaringBitmap::and_many`]); mixed operand sets fall back to the plain
-//! domain.
+//! Every representation intersects one way: [`BitmapRepr::and_into`] ANDs
+//! it — or its complement — into a plain bitmap in place, so a multi-way
+//! AND is a fold of its operands into one plain accumulator, whatever mix
+//! of forms they are stored in.
 
 use crate::bitvec::Bitmap;
 use crate::roaring::RoaringBitmap;
@@ -64,12 +63,12 @@ impl RepresentationPolicy {
     /// Minimum size win required before the adaptive policy keeps the
     /// compressed form.
     ///
-    /// Compressed-domain intersection costs more per *word* than the plain
-    /// word-parallel AND, so a marginal size win (say 1.3x) would trade a
-    /// little memory for a much slower hot path.  Requiring at least a 2x
-    /// reduction keeps weakly compressible bitmaps (scattered sparse or
-    /// near-full patterns) on the plain fast path while still capturing
-    /// the order-of-magnitude wins of clustered runs.
+    /// ANDing a compressed bitmap into the selection accumulator costs more
+    /// per *word* than the plain word-parallel AND, so a marginal size win
+    /// (say 1.3x) would trade a little memory for a much slower hot path.
+    /// Requiring at least a 2x reduction keeps weakly compressible bitmaps
+    /// (scattered sparse or near-full patterns) on the plain fast path
+    /// while still capturing the order-of-magnitude wins of clustered runs.
     pub const MIN_COMPRESSION_GAIN: f64 = 2.0;
 
     /// The adaptive policy with the default density threshold.
@@ -122,10 +121,7 @@ impl BitmapRepr {
                     best = Some(BitmapRepr::Roaring(roaring));
                 }
                 // WAH only under the density gate; it must beat roaring
-                // *strictly* — on ties roaring wins, whose container
-                // kernels are faster than the WAH run merge, so the
-                // chooser never keeps a form that is both larger and
-                // slower than an alternative.
+                // *strictly*, so on ties roaring wins.
                 let d = bitmap.density();
                 if d.min(1.0 - d) <= max_density {
                     let wah = WahBitmap::compress(&bitmap);
@@ -232,65 +228,10 @@ impl BitmapRepr {
         }
     }
 
-    /// Collects the WAH forms when *every* operand is WAH.
-    fn all_wah<'a>(reprs: impl Iterator<Item = &'a BitmapRepr>) -> Option<Vec<&'a WahBitmap>> {
-        reprs.map(BitmapRepr::as_wah).collect()
-    }
-
-    /// Collects the roaring forms when *every* operand is roaring.
-    fn all_roaring<'a>(
-        reprs: impl Iterator<Item = &'a BitmapRepr>,
-    ) -> Option<Vec<&'a RoaringBitmap>> {
-        reprs.map(BitmapRepr::as_roaring).collect()
-    }
-
-    /// Multi-way intersection over representations: stays entirely in the
-    /// compressed domain when every operand shares a compressed
-    /// representation (all WAH or all roaring), otherwise falls back to a
-    /// plain-domain intersection.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `reprs` is empty or the lengths differ; use
-    /// [`BitmapRepr::try_and_many`] when the operand list may be empty.
-    #[must_use]
-    pub fn and_many(reprs: &[&BitmapRepr]) -> BitmapRepr {
-        assert!(!reprs.is_empty(), "and_many needs at least one bitmap");
-        Self::try_and_many(reprs).expect("non-empty operand list intersects")
-    }
-
-    /// Fallible multi-way intersection: `None` for an empty operand list
-    /// (which has no defined bitmap length), otherwise exactly
-    /// [`BitmapRepr::and_many`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the operand lengths differ.
-    #[must_use]
-    pub fn try_and_many(reprs: &[&BitmapRepr]) -> Option<BitmapRepr> {
-        if reprs.is_empty() {
-            return None;
-        }
-        if let Some(wahs) = Self::all_wah(reprs.iter().copied()) {
-            return Some(BitmapRepr::Wah(WahBitmap::and_many(&wahs)));
-        }
-        if let Some(roars) = Self::all_roaring(reprs.iter().copied()) {
-            return Some(BitmapRepr::Roaring(RoaringBitmap::and_many(&roars)));
-        }
-        // Mixed operands: every one ANDs into one plain bitmap in place.
-        let mut acc = Bitmap::ones(reprs.first()?.len());
-        for repr in reprs {
-            repr.and_into(&mut acc, false);
-        }
-        Some(BitmapRepr::Plain(acc))
-    }
-
-    /// Consuming multi-way intersection: stays entirely in the compressed
-    /// domain when every operand shares a compressed representation (all
-    /// WAH or all roaring), otherwise folds every further operand into the
-    /// first operand's plain form **in place** ([`BitmapRepr::and_into`]),
-    /// with no per-operand result allocation.  The result is compressed
-    /// exactly when the whole intersection ran in the compressed domain.
+    /// Consuming multi-way intersection: folds every further operand into
+    /// the first operand's plain form **in place** ([`BitmapRepr::and_into`]),
+    /// with no per-operand result allocation, so the result is always
+    /// [`BitmapRepr::Plain`].
     ///
     /// # Panics
     ///
@@ -301,7 +242,7 @@ impl BitmapRepr {
     pub fn and_many_owned(reprs: Vec<BitmapRepr>) -> BitmapRepr {
         let Some(result) = Self::try_and_many_owned(reprs) else {
             panic!(
-                "BitmapRepr::and_many of zero operands has no defined length; \
+                "BitmapRepr::and_many_owned of zero operands has no defined length; \
                  pass at least one bitmap"
             )
         };
@@ -316,16 +257,6 @@ impl BitmapRepr {
     /// Panics if the operand lengths differ.
     #[must_use]
     pub fn try_and_many_owned(reprs: Vec<BitmapRepr>) -> Option<BitmapRepr> {
-        if let Some(wahs) = Self::all_wah(reprs.iter()) {
-            if !wahs.is_empty() {
-                return Some(BitmapRepr::Wah(WahBitmap::and_many(&wahs)));
-            }
-        }
-        if let Some(roars) = Self::all_roaring(reprs.iter()) {
-            if !roars.is_empty() {
-                return Some(BitmapRepr::Roaring(RoaringBitmap::and_many(&roars)));
-            }
-        }
         let mut reprs = reprs.into_iter();
         let mut acc = reprs.next()?.into_plain();
         for repr in reprs {
@@ -349,34 +280,6 @@ impl BitmapRepr {
             BitmapRepr::Plain(b) => b.and_into(out, negate),
             BitmapRepr::Wah(w) => w.and_into(out, negate),
             BitmapRepr::Roaring(r) => r.and_into(out, negate),
-        }
-    }
-
-    /// Union of two representations, compressed-domain when both operands
-    /// share a compressed representation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lengths differ.
-    #[must_use]
-    pub fn or(&self, other: &BitmapRepr) -> BitmapRepr {
-        match (self, other) {
-            (BitmapRepr::Wah(a), BitmapRepr::Wah(b)) => BitmapRepr::Wah(a.or(b)),
-            (BitmapRepr::Roaring(a), BitmapRepr::Roaring(b)) => BitmapRepr::Roaring(a.or(b)),
-            _ => {
-                let a = self.borrow_plain();
-                let b = other.borrow_plain();
-                BitmapRepr::Plain(a.or(&b))
-            }
-        }
-    }
-
-    /// Borrows the plain form when stored plain, decompressing otherwise.
-    pub(crate) fn borrow_plain(&self) -> std::borrow::Cow<'_, Bitmap> {
-        match self {
-            BitmapRepr::Plain(b) => std::borrow::Cow::Borrowed(b),
-            BitmapRepr::Wah(w) => std::borrow::Cow::Owned(w.decompress()),
-            BitmapRepr::Roaring(r) => std::borrow::Cow::Owned(r.decompress()),
         }
     }
 
@@ -549,14 +452,13 @@ mod tests {
         ] {
             let ra = BitmapRepr::from_bitmap(a.clone(), policy);
             let rb = BitmapRepr::from_bitmap(b.clone(), policy);
-            let and = BitmapRepr::and_many(&[&ra, &rb]);
+            let and = BitmapRepr::and_many_owned(vec![ra.clone(), rb]);
             assert_eq!(and.to_plain(), a.and(&b), "{policy:?}");
             assert_eq!(
                 and.iter_ones().collect::<Vec<_>>(),
                 a.and(&b).iter_ones().collect::<Vec<_>>(),
                 "{policy:?}"
             );
-            assert_eq!(ra.or(&rb).to_plain(), a.or(&b), "{policy:?}");
             assert_eq!(ra.count_ones(), a.count_ones());
             assert_eq!(ra.len(), n);
             assert!(!ra.is_empty());
@@ -565,40 +467,27 @@ mod tests {
 
     #[test]
     fn mixed_operands_fall_back_to_plain() {
+        // Every operand mix — plain × WAH, WAH × roaring, and all-WAH or
+        // all-roaring alike — folds into one plain bitmap.
         let n = 8_000;
-        let wah = BitmapRepr::from_bitmap(sparse(n), RepresentationPolicy::Wah);
-        let plain = BitmapRepr::from_bitmap(mid_random(n), RepresentationPolicy::Plain);
-        let and = BitmapRepr::and_many(&[&wah, &plain]);
-        assert!(!and.is_compressed());
-        assert_eq!(and.to_plain(), sparse(n).and(&mid_random(n)));
-
-        // WAH × roaring is also "mixed": both compressed, but there is no
-        // shared compressed domain, so the fold lands in the plain one.
-        let roaring = BitmapRepr::from_bitmap(mid_random(n), RepresentationPolicy::Roaring);
-        let and = BitmapRepr::and_many(&[&wah, &roaring]);
-        assert!(!and.is_compressed());
-        assert_eq!(and.to_plain(), sparse(n).and(&mid_random(n)));
-        let and_owned = BitmapRepr::and_many_owned(vec![wah, roaring]);
-        assert!(!and_owned.is_compressed());
-        assert_eq!(and_owned.to_plain(), sparse(n).and(&mid_random(n)));
-    }
-
-    #[test]
-    fn homogeneous_roaring_operands_stay_in_the_roaring_domain() {
-        let n = 70_000;
-        let a = Bitmap::from_positions(n, (0..n).filter(|i| i % 2 == 0));
-        let b = Bitmap::from_positions(n, 10_000..68_000);
-        let ra = BitmapRepr::from_bitmap(a.clone(), RepresentationPolicy::Roaring);
-        let rb = BitmapRepr::from_bitmap(b.clone(), RepresentationPolicy::Roaring);
-        let and = BitmapRepr::and_many(&[&ra, &rb]);
-        assert!(and.as_roaring().is_some());
-        assert_eq!(and.to_plain(), a.and(&b));
-        let and_owned = BitmapRepr::and_many_owned(vec![ra.clone(), rb.clone()]);
-        assert!(and_owned.as_roaring().is_some());
-        assert_eq!(and_owned.to_plain(), a.and(&b));
-        let or = ra.or(&rb);
-        assert!(or.as_roaring().is_some());
-        assert_eq!(or.to_plain(), a.or(&b));
+        let (a, b) = (sparse(n), mid_random(n));
+        let expected = Bitmap::and_many(&[&a, &b]);
+        let wah = |x: &Bitmap| BitmapRepr::from_bitmap(x.clone(), RepresentationPolicy::Wah);
+        let roaring =
+            |x: &Bitmap| BitmapRepr::from_bitmap(x.clone(), RepresentationPolicy::Roaring);
+        let plain = |x: &Bitmap| BitmapRepr::Plain(x.clone());
+        for (mix, operands) in [
+            vec![wah(&a), plain(&b)],
+            vec![wah(&a), roaring(&b)],
+            vec![wah(&a), wah(&b)],
+            vec![roaring(&a), roaring(&b)],
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let and = BitmapRepr::and_many_owned(operands);
+            assert_eq!(and, BitmapRepr::Plain(expected.clone()), "mix {mix}");
+        }
     }
 
     #[test]
@@ -666,17 +555,15 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one bitmap")]
     fn and_many_rejects_empty_input() {
-        let _ = BitmapRepr::and_many(&[]);
+        let _ = BitmapRepr::and_many_owned(vec![]);
     }
 
     #[test]
     fn try_and_many_reports_empty_input_instead_of_panicking() {
-        assert_eq!(BitmapRepr::try_and_many(&[]), None);
         assert_eq!(BitmapRepr::try_and_many_owned(vec![]), None);
         let a = BitmapRepr::Plain(Bitmap::from_positions(16, [1, 5, 9]));
         let b = BitmapRepr::Plain(Bitmap::from_positions(16, [5, 9, 12]));
-        let expected = BitmapRepr::and_many(&[&a, &b]);
-        assert_eq!(BitmapRepr::try_and_many(&[&a, &b]), Some(expected.clone()));
+        let expected = BitmapRepr::and_many_owned(vec![a.clone(), b.clone()]);
         assert_eq!(BitmapRepr::try_and_many_owned(vec![a, b]), Some(expected));
     }
 }
@@ -748,10 +635,11 @@ mod prop_tests {
             }
         }
 
-        /// `and_many` / `or` agree bit-for-bit across all three forced
-        /// representations and the adaptive chooser.
+        /// `and_many_owned` agrees bit-for-bit across all three forced
+        /// representations and the adaptive chooser, and always lands in
+        /// the plain form.
         #[test]
-        fn prop_and_or_agree_across_representations(
+        fn prop_and_agrees_across_representations(
             len in 0usize..1_500,
             run_start in 0usize..1_500,
             run_len in 0usize..1_500,
@@ -761,8 +649,7 @@ mod prop_tests {
         ) {
             let a = crate::test_shapes::shaped_bitmap(len, shape_a, run_start, run_len, seed);
             let b = crate::test_shapes::shaped_bitmap(len, shape_b, run_len, run_start, seed ^ 0x5a);
-            let expected_and = a.and(&b);
-            let expected_or = a.or(&b);
+            let expected = BitmapRepr::Plain(Bitmap::and_many(&[&a, &b]));
             for policy in [
                 RepresentationPolicy::Plain,
                 RepresentationPolicy::Wah,
@@ -771,14 +658,8 @@ mod prop_tests {
             ] {
                 let ra = BitmapRepr::from_bitmap(a.clone(), policy);
                 let rb = BitmapRepr::from_bitmap(b.clone(), policy);
-                let and = BitmapRepr::and_many(&[&ra, &rb]);
-                prop_assert_eq!(and.to_plain(), expected_and.clone(), "{:?}", policy);
-                prop_assert_eq!(
-                    and.count_ones(), expected_and.count_ones(), "{:?}", policy
-                );
-                let owned = BitmapRepr::and_many_owned(vec![ra.clone(), rb.clone()]);
-                prop_assert_eq!(owned.to_plain(), expected_and.clone(), "{:?}", policy);
-                prop_assert_eq!(ra.or(&rb).to_plain(), expected_or.clone(), "{:?}", policy);
+                let and = BitmapRepr::and_many_owned(vec![ra, rb]);
+                prop_assert_eq!(&and, &expected, "{:?}", policy);
             }
         }
     }

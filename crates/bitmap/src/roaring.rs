@@ -14,16 +14,17 @@
 //!
 //! Container selection is *canonical*: `select_kind` picks the minimal
 //! encoding (ties prefer Array, then Runs) from the chunk's exact
-//! cardinality and run count, and every operation re-canonicalises its
-//! output, so structural equality coincides with logical equality — the
+//! cardinality and run count, and deserialization re-canonicalises every
+//! container, so structural equality coincides with logical equality — the
 //! same guarantee [`crate::wah`] gives for WAH.
 //!
-//! All Boolean operations ([`RoaringBitmap::and`], [`RoaringBitmap::and_many`],
-//! [`RoaringBitmap::or`]), counting and iteration work *directly on the
-//! containers* — an array∩array intersection touches 2·min(card) bytes
-//! instead of 8 KiB, and a bitset∩bitset runs the same 4×-unrolled word
-//! kernel as the plain path ([`crate::bitvec`]).  Nothing round-trips
-//! through a plain decompress.
+//! Counting and iteration work *directly on the containers*, and the one
+//! Boolean operation is the in-place AND into a plain bitmap that
+//! star-join selection folds every predicate through
+//! ([`crate::BitmapRepr::and_into`]): each container ANDs into its own
+//! 1 024-word chunk of the accumulator — an array keeps only its listed
+//! bits, a run list clears the gaps between its runs, a bitset ANDs word
+//! by word.  Nothing round-trips through a plain decompress.
 
 use crate::bitvec::{self, Bitmap};
 use crate::encoding::{Cursor, ReprDecodeError};
@@ -251,39 +252,12 @@ impl Container {
         }
     }
 
-    /// True when no bit is set (canonical empty containers are arrays or
-    /// run lists; a canonical bitset is never empty).
-    fn is_empty(&self) -> bool {
-        match self {
-            Container::Array(v) => v.is_empty(),
-            Container::Runs(r) => r.is_empty(),
-            Container::Bitset(_) => false,
-        }
-    }
-
     /// Encoded payload bytes (excluding the per-container header).
     fn payload_bytes(&self) -> usize {
         match self {
             Container::Array(v) => 2 * v.len(),
             Container::Bitset(_) => BITSET_BYTES,
             Container::Runs(r) => 4 * r.len(),
-        }
-    }
-
-    /// ORs this container's bits into raw chunk words.
-    fn write_into_words(&self, out: &mut [u64; CHUNK_WORDS]) {
-        match self {
-            Container::Array(v) => {
-                for &p in v {
-                    out[p as usize / 64] |= 1u64 << (p % 64);
-                }
-            }
-            Container::Bitset(w) => bitvec::or_words(&mut out[..], &w[..]),
-            Container::Runs(r) => {
-                for &(s, e) in r {
-                    for_run_words(s, e, |wi, mask| out[wi] |= mask);
-                }
-            }
         }
     }
 
@@ -331,163 +305,6 @@ impl Container {
                 }
                 bitvec::clear_bit_range(words, next, CHUNK_BITS);
             }
-        }
-    }
-}
-
-/// Sorted-array two-pointer intersection.
-fn intersect_sorted(a: &[u16], b: &[u16]) -> Vec<u16> {
-    let mut out = Vec::with_capacity(a.len().min(b.len()));
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                out.push(a[i]);
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    out
-}
-
-/// Galloping-free array × run-list intersection: keeps every array value
-/// covered by some run.
-fn intersect_array_runs(values: &[u16], runs: &[(u16, u16)]) -> Vec<u16> {
-    let mut out = Vec::new();
-    let mut ri = 0usize;
-    for &v in values {
-        while ri < runs.len() && runs[ri].1 < v {
-            ri += 1;
-        }
-        let Some(&(start, _)) = runs.get(ri) else {
-            break;
-        };
-        if start <= v {
-            out.push(v);
-        }
-    }
-    out
-}
-
-/// Run-list two-pointer intersection (output runs stay sorted, disjoint and
-/// non-adjacent because each operand's are).
-fn intersect_runs(a: &[(u16, u16)], b: &[(u16, u16)]) -> Vec<(u16, u16)> {
-    let mut out = Vec::new();
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < a.len() && j < b.len() {
-        let lo = a[i].0.max(b[j].0);
-        let hi = a[i].1.min(b[j].1);
-        if lo <= hi {
-            out.push((lo, hi));
-        }
-        if a[i].1 <= b[j].1 {
-            i += 1;
-        } else {
-            j += 1;
-        }
-    }
-    out
-}
-
-/// Sorted-array union (duplicates collapse).
-fn union_sorted(a: &[u16], b: &[u16]) -> Vec<u16> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => {
-                out.push(a[i]);
-                i += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                out.push(b[j]);
-                j += 1;
-            }
-            std::cmp::Ordering::Equal => {
-                out.push(a[i]);
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
-    out
-}
-
-/// Run-list union: merge by start, coalescing overlapping *and adjacent*
-/// runs so the output stays canonical-maximal.
-fn union_runs(a: &[(u16, u16)], b: &[(u16, u16)]) -> Vec<(u16, u16)> {
-    let mut out: Vec<(u16, u16)> = Vec::new();
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < a.len() || j < b.len() {
-        let take_a = match (a.get(i), b.get(j)) {
-            (Some(ra), Some(rb)) => ra.0 <= rb.0,
-            (Some(_), None) => true,
-            _ => false,
-        };
-        let (s, e) = if take_a {
-            i += 1;
-            a[i - 1]
-        } else {
-            j += 1;
-            b[j - 1]
-        };
-        match out.last_mut() {
-            Some(last) if u32::from(s) <= u32::from(last.1) + 1 => last.1 = last.1.max(e),
-            _ => out.push((s, e)),
-        }
-    }
-    out
-}
-
-/// Compressed-domain pairwise intersection of two canonical containers.
-fn and_containers(a: &Container, b: &Container) -> Container {
-    use Container::{Array, Bitset, Runs};
-    match (a, b) {
-        (Array(x), Array(y)) => Container::from_sorted(intersect_sorted(x, y)),
-        (Array(x), Bitset(w)) | (Bitset(w), Array(x)) => Container::from_sorted(
-            x.iter()
-                .copied()
-                .filter(|&v| (w[v as usize / 64] >> (v % 64)) & 1 == 1)
-                .collect(),
-        ),
-        (Array(x), Runs(r)) | (Runs(r), Array(x)) => {
-            Container::from_sorted(intersect_array_runs(x, r))
-        }
-        (Bitset(x), Bitset(y)) => {
-            let mut out = x.clone();
-            bitvec::and_words(&mut out[..], &y[..]);
-            Container::from_words(&out[..])
-        }
-        (Bitset(w), Runs(r)) | (Runs(r), Bitset(w)) => {
-            let mut out = zero_words();
-            for &(s, e) in r {
-                for_run_words(s, e, |wi, mask| out[wi] |= w[wi] & mask);
-            }
-            Container::from_words(&out[..])
-        }
-        (Runs(x), Runs(y)) => Container::from_runs(intersect_runs(x, y)),
-    }
-}
-
-/// Compressed-domain pairwise union of two canonical containers.
-fn or_containers(a: &Container, b: &Container) -> Container {
-    use Container::{Array, Runs};
-    match (a, b) {
-        (Array(x), Array(y)) => Container::from_sorted(union_sorted(x, y)),
-        (Runs(x), Runs(y)) => Container::from_runs(union_runs(x, y)),
-        // Any operand with a bitset (or the array × runs mix) materialises
-        // one 8 KiB chunk and re-canonicalises — still chunk-local, never a
-        // whole-bitmap decompress.
-        _ => {
-            let mut words = zero_words();
-            a.write_into_words(&mut words);
-            b.write_into_words(&mut words);
-            Container::from_words(&words[..])
         }
     }
 }
@@ -580,78 +397,6 @@ impl RoaringBitmap {
                 .iter()
                 .map(|c| CONTAINER_HEADER_BYTES + c.payload_bytes())
                 .sum::<usize>()
-    }
-
-    /// Compressed-domain intersection.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lengths differ.
-    #[must_use]
-    pub fn and(&self, other: &RoaringBitmap) -> RoaringBitmap {
-        RoaringBitmap::and_many(&[self, other])
-    }
-
-    /// Compressed-domain multi-way intersection: every chunk is intersected
-    /// container-by-container with chunk-level early exit (an empty
-    /// accumulator chunk skips all remaining operands), never materialising
-    /// a plain bitmap.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bitmaps` is empty or the lengths differ.
-    #[must_use]
-    pub fn and_many(bitmaps: &[&RoaringBitmap]) -> RoaringBitmap {
-        let Some((&first, rest)) = bitmaps.split_first() else {
-            panic!(
-                "RoaringBitmap::and_many of zero operands has no defined length; \
-                 pass at least one bitmap"
-            )
-        };
-        assert!(
-            rest.iter().all(|b| b.len == first.len),
-            "bitmap length mismatch"
-        );
-        let containers = first
-            .containers
-            .iter()
-            .enumerate()
-            .map(|(ci, c)| {
-                let mut acc: Option<Container> = None;
-                for b in rest {
-                    let lhs = acc.as_ref().unwrap_or(c);
-                    if lhs.is_empty() {
-                        break;
-                    }
-                    acc = Some(and_containers(lhs, &b.containers[ci]));
-                }
-                acc.unwrap_or_else(|| c.clone())
-            })
-            .collect();
-        RoaringBitmap {
-            len: first.len,
-            containers,
-        }
-    }
-
-    /// Compressed-domain union.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lengths differ.
-    #[must_use]
-    pub fn or(&self, other: &RoaringBitmap) -> RoaringBitmap {
-        assert_eq!(self.len, other.len, "bitmap length mismatch");
-        let containers = self
-            .containers
-            .iter()
-            .zip(&other.containers)
-            .map(|(a, b)| or_containers(a, b))
-            .collect();
-        RoaringBitmap {
-            len: self.len,
-            containers,
-        }
     }
 
     /// Iterates over set-bit positions in ascending order, directly over the
@@ -945,35 +690,12 @@ mod tests {
     }
 
     #[test]
-    fn and_or_match_plain_across_container_mixes() {
-        let n = 2 * CHUNK_BITS + 123;
-        // One operand per flavour: scatter (arrays), block (runs), dense
-        // (bitsets) — every pairwise container combination is exercised.
-        let scatter = Bitmap::from_positions(n, (0..n).step_by(701));
-        let block = Bitmap::from_positions(n, 60_000..70_000);
-        let dense = Bitmap::from_positions(n, (0..n).filter(|i| i % 2 == 0));
-        let operands = [&scatter, &block, &dense];
-        for a in operands {
-            for b in operands {
-                let ra = RoaringBitmap::compress(a);
-                let rb = RoaringBitmap::compress(b);
-                assert_eq!(ra.and(&rb).decompress(), a.and(b));
-                assert_eq!(ra.or(&rb).decompress(), a.or(b));
-            }
-        }
-        let all: Vec<&RoaringBitmap> = operands
-            .iter()
-            .map(|b| Box::leak(Box::new(RoaringBitmap::compress(b))) as &RoaringBitmap)
-            .collect();
-        let expected = scatter.and(&block).and(&dense);
-        assert_eq!(RoaringBitmap::and_many(&all).decompress(), expected);
-    }
-
-    #[test]
     fn empty_and_single_operand() {
         let b = Bitmap::from_positions(100, [1, 2, 3]);
         let r = RoaringBitmap::compress(&b);
-        assert_eq!(RoaringBitmap::and_many(&[&r]).decompress(), b);
+        let mut out = Bitmap::ones(100);
+        r.and_into(&mut out, false);
+        assert_eq!(out, b);
         let empty = RoaringBitmap::compress(&Bitmap::new(0));
         assert!(empty.is_empty());
         assert_eq!(empty.decompress(), Bitmap::new(0));
@@ -981,17 +703,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one bitmap")]
-    fn and_many_rejects_empty_input() {
-        let _ = RoaringBitmap::and_many(&[]);
-    }
-
-    #[test]
     #[should_panic(expected = "length mismatch")]
     fn and_many_rejects_length_mismatch() {
         let a = RoaringBitmap::compress(&Bitmap::new(10));
         let b = RoaringBitmap::compress(&Bitmap::new(11));
-        let _ = RoaringBitmap::and_many(&[&a, &b]);
+        let mut out = a.decompress();
+        b.and_into(&mut out, false);
     }
 
     #[test]
@@ -1048,28 +765,6 @@ mod prop_tests {
                     bitmap.iter_ones().collect::<Vec<_>>()
                 );
             }
-        }
-
-        /// Compressed-domain AND/OR equal the plain-domain results.
-        #[test]
-        fn prop_and_or_match_plain(
-            len in 0usize..140_000,
-            run_start in 0usize..140_000,
-            run_len in 0usize..140_000,
-            shape_a in 0u8..4,
-            shape_b in 0u8..4,
-            seed in 0u64..1_000,
-        ) {
-            let a = crate::test_shapes::shaped_bitmap(len, shape_a, run_start, run_len, seed);
-            let b = crate::test_shapes::shaped_bitmap(len, shape_b, run_len, run_start, seed ^ 0xff);
-            let ra = RoaringBitmap::compress(&a);
-            let rb = RoaringBitmap::compress(&b);
-            prop_assert_eq!(ra.and(&rb).decompress(), a.and(&b));
-            prop_assert_eq!(ra.or(&rb).decompress(), a.or(&b));
-            prop_assert_eq!(
-                RoaringBitmap::and_many(&[&ra, &rb, &ra]).decompress(),
-                a.and(&b)
-            );
         }
     }
 }

@@ -26,8 +26,10 @@
 //!   across processing elements), optionally seeded in
 //!   [`allocation::PhysicalAllocation`] disk-affinity order.  Tasks from
 //!   all in-flight queries interleave (tagged with query id and disk
-//!   affinity); each worker runs bitmap-AND selection (compressed-domain
-//!   when every selection bitmap is compressed) and partial aggregation,
+//!   affinity); each worker runs bitmap-AND selection (a lone
+//!   simple-index bitmap is iterated in its stored form, anything else is
+//!   ANDed into a reused plain scratch bitmap in place, whatever the
+//!   representation) and partial aggregation,
 //!   and each query's partials are merged deterministically — results are
 //!   bit-identical to the serial run for every worker count, MPL and
 //!   representation policy.  The single-user mode is the same run at

@@ -6,9 +6,8 @@
 //! data, partitions it under `F_MonthGroup` into a [`FragmentStore`] with
 //! fragment-aligned bitmap join indices (§3.2/§4), and lets the
 //! [`StarJoinEngine`] plan and execute star queries: MDHF fragment pruning,
-//! bitmap-AND selection (compressed-domain WAH intersection where the
-//! adaptive representation chose compression, in-place multi-way AND
-//! otherwise) and aggregation.  Results are
+//! bitmap-AND selection (every selection bitmap, plain or compressed,
+//! ANDed into one plain bitmap in place) and aggregation.  Results are
 //! cross-checked against a brute-force scan and against a multi-way
 //! intersection over *global* (unfragmented) bitmap indices.
 //!
