@@ -51,14 +51,14 @@ fn predicted_node_imbalance(
     queries: &[BoundQuery],
     placement: &NodePlacement,
     io: &IoConfig,
-    rows_per_page: u64,
+    sizing: &schema::PageSizing,
 ) -> (f64, Vec<f64>) {
     let n = engine.store().fragment_count() as usize;
     let mut weights = vec![0.0f64; n];
     for query in queries {
         for &fragment in engine.plan(query).fragments() {
             let rows = engine.store().fragment(fragment).len() as u64;
-            weights[fragment as usize] = scan_service_ms(io, rows, rows_per_page);
+            weights[fragment as usize] = scan_service_ms(io, sizing, rows);
         }
     }
     let shares = node_load_shares(placement, &weights);
@@ -78,7 +78,6 @@ fn main() {
 
     let schema = study_schema();
     let sizing = schema::PageSizing::new(&schema);
-    let rows_per_page = sizing.fact_tuples_per_page();
     println!("Multi-node scale-out: shared-nothing vs shared-disk on the node-aware scheduler");
     println!(
         "warehouse: {rows} rows, F_MonthCode fragmentation; stream: {stream_len} \
@@ -137,14 +136,13 @@ fn main() {
                     let config = RunConfig {
                         workers,
                         mpl,
-                        placement: Some(*placement.allocation()),
                         io: Some(io),
                         ..RunConfig::default()
                     };
                     let metrics = engine.run(&plans, &config, None).metrics;
                     let io_metrics = metrics.pool.io.as_ref().expect("I/O metrics");
                     let (predicted, predicted_shares) =
-                        predicted_node_imbalance(&engine, &queries, &placement, &io, rows_per_page);
+                        predicted_node_imbalance(&engine, &queries, &placement, &io, &sizing);
                     // Simulated queries/sec — deterministic, the gated metric
                     // (the wall-clock one is machine-dependent, report-only).
                     let qps = stream_len as f64 / (io_metrics.elapsed_ms / 1e3).max(1e-12);
@@ -226,7 +224,6 @@ fn main() {
                 let config = RunConfig {
                     workers,
                     mpl: mpl_axis[0],
-                    placement: Some(*placement.allocation()),
                     io: Some(IoConfig::with_nodes(placement).cache(4_096)),
                     ..RunConfig::default()
                 };

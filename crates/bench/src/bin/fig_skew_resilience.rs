@@ -52,7 +52,7 @@ fn predicted_imbalances(
     engine: &StarJoinEngine,
     queries: &[BoundQuery],
     io: &IoConfig,
-    rows_per_page: u64,
+    sizing: &schema::PageSizing,
 ) -> (f64, f64) {
     let n = engine.store().fragment_count() as usize;
     let mut distinct = vec![0.0f64; n];
@@ -60,14 +60,14 @@ fn predicted_imbalances(
     for query in queries {
         for &fragment in engine.plan(query).fragments() {
             let rows = engine.store().fragment(fragment).len() as u64;
-            let service = scan_service_ms(io, rows, rows_per_page);
+            let service = scan_service_ms(io, sizing, rows);
             distinct[fragment as usize] = service;
             per_scan[fragment as usize] += service;
         }
     }
     (
-        load_imbalance(&disk_load_shares(&io.allocation, &distinct)),
-        load_imbalance(&disk_load_shares(&io.allocation, &per_scan)),
+        load_imbalance(&disk_load_shares(io.placement.allocation(), &distinct)),
+        load_imbalance(&disk_load_shares(io.placement.allocation(), &per_scan)),
     )
 }
 
@@ -85,7 +85,6 @@ fn main() {
 
     let schema = study_schema();
     let sizing = schema::PageSizing::new(&schema);
-    let rows_per_page = sizing.fact_tuples_per_page();
     println!("Skew resilience: Zipf data + query skew on the simulated disk subsystem");
     println!(
         "warehouse: {rows} rows, F_MonthCode fragmentation; stream: {stream_len} \
@@ -130,7 +129,6 @@ fn main() {
             let placed = |workers, io| RunConfig {
                 workers,
                 mpl,
-                placement: Some(allocation),
                 io: Some(io),
                 ..RunConfig::default()
             };
@@ -138,7 +136,7 @@ fn main() {
                 &engine,
                 &queries,
                 &IoConfig::with_allocation(allocation),
-                rows_per_page,
+                &sizing,
             );
 
             // The uncached reference: every scan hits the platter, so the

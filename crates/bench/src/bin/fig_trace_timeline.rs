@@ -42,7 +42,6 @@ fn run(
     let config = RunConfig {
         workers,
         mpl,
-        placement: Some(allocation),
         io: Some(IoConfig::with_allocation(allocation).cache(4_096)),
         obs: ObsConfig::enabled(),
     };

@@ -149,21 +149,21 @@ pub fn skewed_engine_and_stream(
     (StarJoinEngine::new(store), queries)
 }
 
-/// Analytic service time of one uncached scan of a `rows`-row fragment, in
-/// ms: one average seek, then settle + transfer per prefetch granule — the
-/// same disk parameters and granule size the simulated subsystem charges,
-/// read straight from its configuration so they cannot drift apart.  An
-/// empty fragment is never scanned and costs nothing.
+/// Analytic service time of one uncached read of a stored `rows`-row fact
+/// fragment, in ms: one average seek, then settle + transfer per prefetch
+/// granule — the footprint, disk parameters and granule size the
+/// simulated subsystem charges, read straight from its configuration so
+/// they cannot drift apart.  An empty fragment is never scanned and costs
+/// nothing.
 #[must_use]
-pub fn scan_service_ms(io: &IoConfig, rows: u64, rows_per_page: u64) -> f64 {
-    if rows == 0 {
+pub fn scan_service_ms(io: &IoConfig, sizing: &schema::PageSizing, rows: u64) -> f64 {
+    let fact = SubqueryFootprint::stored(sizing, rows, 0, io.fact_prefetch_pages);
+    if fact.fact_pages == 0 {
         return 0.0;
     }
-    let pages = rows.div_ceil(rows_per_page);
-    let granules = pages.div_ceil(io.fact_prefetch_pages.max(1));
     io.disk.avg_seek_ms
-        + granules as f64 * io.disk.settle_controller_ms
-        + pages as f64 * io.disk.per_page_ms
+        + fact.fact_granules as f64 * io.disk.settle_controller_ms
+        + fact.fact_pages as f64 * io.disk.per_page_ms
 }
 
 /// The number of cores this process may run on.

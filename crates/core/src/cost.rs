@@ -21,6 +21,7 @@ use bitmap::IndexCatalog;
 use schema::{PageSizing, StarSchema};
 
 use crate::classify::{classify, Classification};
+use crate::footprint::SubqueryFootprint;
 use crate::fragmentation::Fragmentation;
 use crate::query::StarQuery;
 
@@ -187,64 +188,35 @@ impl CostModel {
         query: &StarQuery,
         classification: &Classification,
     ) -> QueryIoCost {
-        let n = fragmentation.fragment_count();
         let frags_q = classification.fragments_to_process;
-        let rows_per_frag = self.sizing.fact_rows() as f64 / n as f64;
-        let rows_per_page = self.sizing.fact_tuples_per_page() as f64;
-        let pages_per_frag = (rows_per_frag / rows_per_page).ceil().max(1.0);
-        let granules_per_frag = (pages_per_frag / self.params.fact_prefetch_pages as f64)
-            .ceil()
-            .max(1.0);
-
         let expected_hits = query.expected_hits(&self.schema);
-        let hits_per_frag = expected_hits / frags_q as f64;
+        // IOC1 reads every row of the selected fragments; IOC2 only the
+        // hits, spread uniformly over them.
+        let hits_per_frag =
+            (!classification.needs_no_bitmaps()).then(|| expected_hits / frags_q as f64);
+        let bitmaps_per_fragment = classification.bitmaps_per_subquery(&self.catalog);
+        let footprint = SubqueryFootprint::uniform(
+            &self.sizing,
+            fragmentation.fragment_count(),
+            hits_per_frag,
+            bitmaps_per_fragment,
+            &self.params,
+        );
 
-        let (fact_io_ops, fact_pages_read) = if classification.needs_no_bitmaps() {
-            // IOC1: every row of the selected fragments is relevant — read the
-            // whole fragment sequentially with full prefetch efficiency.
-            let ops = frags_q as f64 * granules_per_frag;
-            let pages = frags_q as f64 * pages_per_frag;
-            (ops, pages)
-        } else {
-            // IOC2: only the hit rows are relevant.  Estimate the expected
-            // number of prefetch granules (and of pages within them) that
-            // contain at least one hit, assuming uniformly distributed hits.
-            let sel_in_frag = (hits_per_frag / rows_per_frag).min(1.0);
-            let rows_per_granule = rows_per_page * self.params.fact_prefetch_pages as f64;
-            let p_granule_has_hit = 1.0 - (1.0 - sel_in_frag).powf(rows_per_granule);
-            let granules_with_hits = granules_per_frag * p_granule_has_hit;
-            let ops = frags_q as f64 * granules_with_hits;
-            // A prefetch I/O always transfers the whole granule.
-            let pages = ops * self.params.fact_prefetch_pages as f64;
-            (ops, pages.min(frags_q as f64 * pages_per_frag))
-        };
-
-        // Bitmap I/O: for every fragment to process, read the fragments of
-        // every bitmap the query still needs.
-        let bitmaps_per_fragment: u64 = classification
-            .bitmap_requirements
-            .iter()
-            .map(|req| {
-                self.catalog
-                    .spec(req.attr.dimension)
-                    .bitmaps_for_selection(req.attr.level)
-            })
-            .sum();
-        let (bitmap_io_ops, bitmap_pages_read) = if bitmaps_per_fragment == 0 {
-            (0.0, 0.0)
-        } else {
-            // Compressed representations shrink the stored bitmap fragment;
-            // a fragment still costs at least one page to read.
-            let bitmap_frag_pages = (self.sizing.bitmap_fragment_pages(n)
-                / self.params.bitmap_compression_ratio)
-                .ceil()
-                .max(1.0);
-            let ops_per_bitmap_frag =
-                (bitmap_frag_pages / self.params.bitmap_prefetch_pages as f64).ceil();
-            let ops = frags_q as f64 * bitmaps_per_fragment as f64 * ops_per_bitmap_frag;
-            let pages = frags_q as f64 * bitmaps_per_fragment as f64 * bitmap_frag_pages;
-            (ops, pages)
-        };
+        // The model keeps expected values: every selected fragment reads
+        // its expected granules with a hit, and a prefetch I/O transfers
+        // its whole granule, but never more than the fragment.
+        let frags = frags_q as f64;
+        let fact_io_ops = frags * footprint.hit_granules;
+        let fact_pages_read = (fact_io_ops * self.params.fact_prefetch_pages as f64)
+            .min(frags * footprint.fact_pages as f64);
+        // Bitmap I/O: every selected fragment reads one fragment of every
+        // bitmap the query still needs.
+        let bitmap_frag_pages = footprint.bitmap_pages as f64;
+        let ops_per_bitmap_frag =
+            (bitmap_frag_pages / self.params.bitmap_prefetch_pages as f64).ceil();
+        let bitmap_io_ops = frags * bitmaps_per_fragment as f64 * ops_per_bitmap_frag;
+        let bitmap_pages_read = frags * bitmaps_per_fragment as f64 * bitmap_frag_pages;
 
         QueryIoCost {
             fragments_to_process: frags_q,

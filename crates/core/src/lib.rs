@@ -17,6 +17,9 @@
 //!   `n_max = N / (8 · PgSize · PrefetchGran)`,
 //! * [`enumerate`] — enumeration of all candidate fragmentations of a schema
 //!   and the Table 2 census under size constraints,
+//! * [`footprint::SubqueryFootprint`] — what one subquery reads: fact
+//!   pages, prefetch granules, bitmap fragments and relevant rows, the one
+//!   count the cost model, SIMPAD and the engine's I/O charger share,
 //! * [`cost`] — the analytic I/O cost model (re-derivation of the paper's
 //!   companion report; validated against Table 3),
 //! * [`advisor`] — the §4.7 guidelines packaged as a fragmentation advisor
@@ -46,6 +49,7 @@ pub mod advisor;
 pub mod classify;
 pub mod cost;
 pub mod enumerate;
+pub mod footprint;
 pub mod fragmentation;
 pub mod query;
 pub mod thresholds;
@@ -54,6 +58,7 @@ pub use advisor::{Advisor, AdvisorConfig, RankedFragmentation};
 pub use classify::{classify, BitmapRequirement, Classification, IoClass, QueryClass};
 pub use cost::{CostModel, CostParameters, MultiUserEstimate, QueryIoCost};
 pub use enumerate::{enumerate_fragmentations, table2_census, Table2Row};
+pub use footprint::SubqueryFootprint;
 pub use fragmentation::{FragmentCoordinates, Fragmentation, FragmentationError};
 pub use query::{Predicate, StarQuery};
 pub use thresholds::{check_fragmentation, FragmentationConstraints, ThresholdReport};

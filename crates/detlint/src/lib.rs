@@ -16,6 +16,7 @@
 //! | `panic-budget` | `unwrap`/`expect`/indexing beyond the checked-in per-crate budget |
 //! | `unsafe-safety` | `unsafe` without a `// SAFETY:` comment |
 //! | `measure-sum` | `.sum()`/`.fold(` over a `measure_column(` outside the engine's lane kernel |
+//! | `footprint` | `bitmaps_for_selection(`/`fact_tuples_per_page(` outside `mdhf::footprint` and the defining crates |
 //!
 //! Any site can be justified in place:
 //!
@@ -138,6 +139,7 @@ pub fn check_workspace(root: &Path, budget_path: &Path) -> io::Result<Report> {
         diags.extend(rules::unsafe_safety(file));
         diags.extend(rules::lock_unwrap(file, file.krate == "exec"));
         diags.extend(rules::measure_sum(file));
+        diags.extend(rules::footprint(file));
         let (violations, allowed) = apply_allowlist(file, diags);
         report.violations.extend(violations);
         report.allowed.extend(allowed);

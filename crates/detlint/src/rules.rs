@@ -115,6 +115,40 @@ pub fn measure_sum(file: &SourceFile) -> Vec<Diagnostic> {
     out
 }
 
+/// `footprint`: how many pages, granules and bitmaps one subquery reads is
+/// counted in one place, `mdhf::footprint` — the count the cost model,
+/// SIMPAD and the engine's I/O charger share.  A call to
+/// `bitmaps_for_selection(` or `fact_tuples_per_page(` anywhere else is a
+/// second copy of that arithmetic, free to round differently.  The crates
+/// that define the two methods (`bitmap`, `schema`) may use them
+/// internally.
+pub fn footprint(file: &SourceFile) -> Vec<Diagnostic> {
+    if file.rel_path.ends_with("core/src/footprint.rs") {
+        return Vec::new();
+    }
+    let mut out = Vec::new();
+    for (call, owner) in [
+        ("bitmaps_for_selection(", "bitmap"),
+        ("fact_tuples_per_page(", "schema"),
+    ] {
+        if file.krate == owner {
+            continue;
+        }
+        for line in token_lines(file, call) {
+            out.push(Diagnostic {
+                rule: "footprint",
+                file: file.rel_path.clone(),
+                line,
+                message: format!(
+                    "`{call}` outside `mdhf::footprint` copies the subquery arithmetic; read \
+                     it from a `SubqueryFootprint` (or `Classification::bitmaps_per_subquery`)"
+                ),
+            });
+        }
+    }
+    out
+}
+
 /// `unsafe-safety`: every `unsafe` occurrence must carry a `// SAFETY:`
 /// comment on the same line or within the three lines above it.
 pub fn unsafe_safety(file: &SourceFile) -> Vec<Diagnostic> {

@@ -29,6 +29,7 @@ pub const RULES: &[&str] = &[
     "panic-budget",
     "unsafe-safety",
     "measure-sum",
+    "footprint",
 ];
 
 /// One parsed `// detlint: allow(rule, reason = "...")` directive.

@@ -106,6 +106,53 @@ fn binary_targets_are_exempt_from_the_measure_sum_rule() {
 }
 
 #[test]
+fn hand_counted_subquery_pages_are_flagged() {
+    let f = fixture("footprint_positive.rs");
+    let (violations, allowed) = apply_allowlist(&f, rules::footprint(&f));
+    // `bitmaps_for_selection(` and `fact_tuples_per_page(`, one line each.
+    assert_eq!(
+        violations.iter().map(|d| d.line).collect::<Vec<_>>(),
+        [4, 5],
+        "{violations:?}"
+    );
+    assert!(allowed.is_empty());
+    assert!(violations.iter().all(|d| d.rule == "footprint"));
+}
+
+#[test]
+fn footprint_reads_look_alikes_and_test_code_pass_the_footprint_rule() {
+    let f = fixture("footprint_negative.rs");
+    assert!(rules::footprint(&f).is_empty());
+}
+
+#[test]
+fn the_footprint_module_and_the_defining_crates_may_count() {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("fixtures")
+        .join("footprint_positive.rs");
+    let text = std::fs::read_to_string(path).expect("fixture readable");
+    let module = SourceFile::from_text(&text, "crates/core/src/footprint.rs", "core");
+    assert!(rules::footprint(&module).is_empty());
+    // Each defining crate may call its own method, not the other's.
+    let bitmap = SourceFile::from_text(&text, "crates/bitmap/src/index.rs", "bitmap");
+    assert_eq!(
+        rules::footprint(&bitmap)
+            .iter()
+            .map(|d| d.line)
+            .collect::<Vec<_>>(),
+        [5]
+    );
+    let schema = SourceFile::from_text(&text, "crates/schema/src/size.rs", "schema");
+    assert_eq!(
+        rules::footprint(&schema)
+            .iter()
+            .map(|d| d.line)
+            .collect::<Vec<_>>(),
+        [4]
+    );
+}
+
+#[test]
 fn lock_order_inversion_is_a_cycle() {
     let f = fixture("lock_cycle.rs");
     let analysis = locks::analyze(&[&f], false);

@@ -23,17 +23,16 @@
 //! **bit-identical for every worker count, MPL and representation
 //! policy**.
 //!
-//! When a [`RunConfig::placement`] is set, each worker's initial deque
-//! chunk follows the physical allocation's disk-affinity order
-//! ([`PhysicalAllocation::subquery_disks`]) instead of naive fragment
-//! order, so the pool starts on placement-aligned partitions.
-//!
 //! When a [`RunConfig::io`] is set, every fragment scan is charged
 //! against the simulated disk subsystem ([`crate::io::SimulatedIo`]) —
 //! deterministically, in plan order — and each task's simulated I/O time
 //! becomes its steal weight (and, with a throttle, a real wall-clock
-//! delay).  The charges never touch row evaluation, so results stay
-//! bit-identical with the I/O layer on or off.
+//! delay).  Each worker's initial deque chunk then follows the
+//! subsystem's disk-affinity order
+//! ([`PhysicalAllocation::subquery_disks`]) instead of naive fragment
+//! order, so the pool starts on placement-aligned partitions.  The
+//! charges never touch row evaluation, so results stay bit-identical with
+//! the I/O layer on or off.
 
 use std::num::NonZeroUsize;
 use std::sync::Arc;
@@ -42,21 +41,19 @@ use std::thread;
 use allocation::PhysicalAllocation;
 use bitmap::{Bitmap, BitmapRepr};
 use obs::{ObsConfig, Trace};
-use workload::BoundQuery;
+use workload::{BoundQuery, PredicateBinding, QueryPlan};
 
 use crate::file::StorageError;
 use crate::io::IoConfig;
 use crate::metrics::ExecMetrics;
-use crate::plan::{PredicateBinding, QueryPlan};
 use crate::pool::WorkerPool;
 use crate::scheduler::StreamOutcome;
 use crate::source::ScanSource;
 use crate::store::{ColumnarFragment, FragmentStore};
 
-/// The configuration of one run: pool size, admission limit, placement,
-/// simulated I/O and tracing.  The default runs on the machine's available
-/// parallelism, one query at a time, placement-unaware, with the I/O layer
-/// and tracing off.
+/// The configuration of one run: pool size, admission limit, simulated
+/// I/O and tracing.  The default runs on the machine's available
+/// parallelism, one query at a time, with the I/O layer and tracing off.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct RunConfig {
     /// Number of workers — the calling thread plus helpers of the engine's
@@ -66,16 +63,13 @@ pub struct RunConfig {
     /// into tasks at any time (the multi-programming level).  `0` runs
     /// as 1, the single-user regime ([`RunConfig::resolved_mpl`]).
     pub mpl: usize,
-    /// Optional physical allocation: when set, each admitted query's tasks
-    /// are seeded in disk-affinity order rather than naive fragment order.
-    /// Never affects results, only the initial work partition.
-    pub placement: Option<PhysicalAllocation>,
     /// Optional simulated disk subsystem: when set, fragment scans charge
-    /// simulated I/O, tasks are steal-weighted by it, and
-    /// [`ExecMetrics::io`] reports per-disk and cache statistics.  One
-    /// fresh subsystem serves each run unless [`StarJoinEngine::run`] is
-    /// handed an existing one.  Never affects results, only cost
-    /// accounting (and wall time when a throttle is configured).
+    /// simulated I/O, tasks are steal-weighted by it and seeded in its
+    /// placement's disk-affinity order, and [`ExecMetrics::io`] reports
+    /// per-disk and cache statistics.  One fresh subsystem serves each run
+    /// unless [`StarJoinEngine::run`] is handed an existing one.  Never
+    /// affects results, only cost accounting and task order (and wall time
+    /// when a throttle is configured).
     pub io: Option<IoConfig>,
     /// Deterministic tracing: when enabled, the run records typed events
     /// (query lifecycle, scans, disk service, per-worker task runs) into a
@@ -256,7 +250,7 @@ pub(crate) fn placement_seed_order(
     catalog: &bitmap::IndexCatalog,
     placement: &PhysicalAllocation,
 ) -> Vec<usize> {
-    let bitmap_count = plan.bitmap_fragments_per_subquery(catalog);
+    let bitmap_count = plan.classification().bitmaps_per_subquery(catalog);
     let mut tasks: Vec<usize> = (0..plan.fragments().len()).collect();
     tasks
         .sort_by_cached_key(|&task| placement.subquery_disks(plan.fragments()[task], bitmap_count));
@@ -660,13 +654,16 @@ mod tests {
             .resolved_mpl(),
             3
         );
-        assert_eq!(RunConfig::default().placement, None);
+        assert_eq!(RunConfig::default().io, None);
         let placed = RunConfig {
             workers: 2,
-            placement: Some(PhysicalAllocation::round_robin(8)),
+            io: Some(IoConfig::with_disks(8)),
             ..RunConfig::default()
         };
-        assert_eq!(placed.placement, Some(PhysicalAllocation::round_robin(8)));
+        assert_eq!(
+            placed.io.map(|io| *io.placement.allocation()),
+            Some(PhysicalAllocation::round_robin(8))
+        );
     }
 
     #[test]
@@ -681,7 +678,9 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(sorted, (0..plan.fragments().len()).collect::<Vec<_>>());
         assert_ne!(order, sorted, "disk-affinity order should reorder tasks");
-        let k = plan.bitmap_fragments_per_subquery(engine.store().catalog());
+        let k = plan
+            .classification()
+            .bitmaps_per_subquery(engine.store().catalog());
         let first_disks: Vec<Vec<u64>> = order
             .iter()
             .map(|&t| placement.subquery_disks(plan.fragments()[t], k))
@@ -700,7 +699,7 @@ mod tests {
             &bound,
             &RunConfig {
                 workers: 4,
-                placement: Some(placement),
+                io: Some(IoConfig::with_allocation(placement)),
                 ..RunConfig::default()
             },
         );

@@ -45,19 +45,23 @@
 //! skewed fragments are expensive in real time too and the stealing path is
 //! exercised exactly as the paper's dynamic load balancing intends.
 //!
-//! The page arithmetic reuses the existing storage sizing model
-//! ([`schema::PageSizing`]): 4 KB pages, `page / tuple-size` fact rows per
-//! page, one bit per row for bitmap fragments.
+//! What a scan reads is its [`SubqueryFootprint`], the count the analytic
+//! cost model and SIMPAD share: the fragment's fact pages in prefetch
+//! granules plus one fragment of every bitmap the plan still needs, over
+//! the schema's [`schema::PageSizing`] (4 KB pages, `page / tuple-size`
+//! fact rows per page, one bit per row for bitmap fragments).  The charger
+//! reads each stored fragment whole, at its actual row count.
 
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use allocation::{NodePlacement, NodeStrategy, PhysicalAllocation};
+use allocation::{NodePlacement, PhysicalAllocation};
+use mdhf::SubqueryFootprint;
 use obs::{us_from_ms, EventKind, FieldKey, TraceRecorder, Track};
 use schema::{PageSizing, StarSchema};
 use storage::{BufferPoolStats, DiskModel, DiskParameters, FcfsQueue, PagePool};
+use workload::QueryPlan;
 
-use crate::plan::QueryPlan;
 use crate::source::ScanSource;
 use crate::sync::PoisonLock;
 
@@ -68,8 +72,14 @@ const OBJECT_STRIDE: u64 = 128;
 /// Configuration of the simulated disk subsystem.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IoConfig {
-    /// Placement of fact and bitmap fragments onto the simulated disks.
-    pub allocation: PhysicalAllocation,
+    /// Placement of fact and bitmap fragments onto the simulated disks, and
+    /// of the disks onto simulated nodes in equal contiguous ranges (one
+    /// node by default).  Under
+    /// [`allocation::NodeStrategy::SharedNothing`] a scan executing on one
+    /// node whose pages miss the cache on another node's disk ships them
+    /// over the interconnect; [`allocation::NodeStrategy::SharedDisk`]
+    /// reaches every disk directly.
+    pub placement: NodePlacement,
     /// Per-disk service-time parameters (Table 4 defaults).
     pub disk: DiskParameters,
     /// Capacity of the shared LRU page cache, in pages; `0` disables the
@@ -87,17 +97,8 @@ pub struct IoConfig {
     /// simulated I/O; `false` falls back to plain deque-length weighting
     /// (the skew-oblivious baseline of the resilience experiments).
     pub steal_by_io: bool,
-    /// Number of simulated nodes owning the disks in equal contiguous
-    /// ranges; 1 (the default) is the flat single-machine subsystem.
-    pub nodes: u64,
-    /// How nodes reach each other's disks: under
-    /// [`NodeStrategy::SharedNothing`] a scan executing on one node whose
-    /// pages miss the cache on another node's disk ships them over the
-    /// interconnect; [`NodeStrategy::SharedDisk`] (the default) reaches
-    /// every disk directly.
-    pub node_strategy: NodeStrategy,
     /// Simulated interconnect cost per cross-node page, in ms (only charged
-    /// under [`NodeStrategy::SharedNothing`]).
+    /// under [`allocation::NodeStrategy::SharedNothing`]).
     pub network_ms_per_page: f64,
 }
 
@@ -114,21 +115,10 @@ impl IoConfig {
         Self::with_allocation(PhysicalAllocation::round_robin(disks))
     }
 
-    /// The default configuration over an explicit placement.
+    /// The default configuration over an explicit placement on one node.
     #[must_use]
     pub fn with_allocation(allocation: PhysicalAllocation) -> Self {
-        IoConfig {
-            allocation,
-            disk: DiskParameters::default(),
-            cache_pages: 1_000,
-            fact_prefetch_pages: 8,
-            bitmap_prefetch_pages: 5,
-            wall_ns_per_sim_ms: 0,
-            steal_by_io: true,
-            nodes: 1,
-            node_strategy: NodeStrategy::SharedDisk,
-            network_ms_per_page: 0.1,
-        }
+        Self::with_nodes(NodePlacement::single(allocation))
     }
 
     /// The default configuration over a two-level node → disk placement:
@@ -137,9 +127,14 @@ impl IoConfig {
     #[must_use]
     pub fn with_nodes(placement: NodePlacement) -> Self {
         IoConfig {
-            nodes: placement.nodes(),
-            node_strategy: placement.strategy(),
-            ..Self::with_allocation(*placement.allocation())
+            placement,
+            disk: DiskParameters::default(),
+            cache_pages: 1_000,
+            fact_prefetch_pages: 8,
+            bitmap_prefetch_pages: 5,
+            wall_ns_per_sim_ms: 0,
+            steal_by_io: true,
+            network_ms_per_page: 0.1,
         }
     }
 
@@ -175,17 +170,7 @@ impl IoConfig {
     /// Number of simulated disks.
     #[must_use]
     pub fn disks(&self) -> u64 {
-        self.allocation.disks()
-    }
-
-    /// The two-level placement this configuration describes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nodes` does not divide the disk count.
-    #[must_use]
-    pub fn node_placement(&self) -> NodePlacement {
-        NodePlacement::over(self.allocation, self.nodes, self.node_strategy)
+        self.placement.total_disks()
     }
 }
 
@@ -467,29 +452,15 @@ impl IoState {
 #[derive(Debug)]
 pub struct SimulatedIo {
     config: IoConfig,
-    rows_per_page: u64,
-    page_bytes: u64,
+    sizing: PageSizing,
     state: Mutex<IoState>,
 }
 
 impl SimulatedIo {
     /// Creates an idle subsystem; page arithmetic derives from `schema`'s
     /// [`PageSizing`] (4 KB pages, tuple-size rows per page).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configured node count is zero or does not divide the
-    /// disk count (nodes own equal, contiguous disk ranges).
     #[must_use]
     pub fn new(config: IoConfig, schema: &StarSchema) -> Self {
-        assert!(config.nodes > 0, "need at least one node");
-        assert!(
-            config.disks().is_multiple_of(config.nodes),
-            "node count {} must divide disk count {}",
-            config.nodes,
-            config.disks()
-        );
-        let sizing = PageSizing::new(schema);
         let disks = (0..config.disks())
             .map(|_| DiskSim {
                 model: DiskModel::new(config.disk),
@@ -501,10 +472,9 @@ impl SimulatedIo {
                 cache_misses: 0,
             })
             .collect();
-        let nodes = usize::try_from(config.nodes).expect("node count fits usize");
+        let nodes = usize::try_from(config.placement.nodes()).expect("node count fits usize");
         SimulatedIo {
-            rows_per_page: sizing.fact_tuples_per_page().max(1),
-            page_bytes: sizing.page_size_bytes(),
+            sizing: PageSizing::new(schema),
             state: Mutex::new(IoState {
                 disks,
                 caches: if config.cache_pages > 0 {
@@ -521,22 +491,20 @@ impl SimulatedIo {
         }
     }
 
-    /// The node owning `disk` — disks are owned in equal contiguous ranges.
-    fn node_of_disk(&self, disk: u64) -> u64 {
-        let per_node = self.config.disks() / self.config.nodes;
-        (disk / per_node).min(self.config.nodes - 1)
-    }
-
     /// The subsystem's configuration.
     #[must_use]
     pub fn config(&self) -> &IoConfig {
         &self.config
     }
 
-    /// Charges one fragment scan: the fragment's fact pages on its
-    /// allocation disk plus `bitmap_fragments` bitmap fragments on their
-    /// staggered disks, each in prefetch granules through the shared cache.
-    /// Returns the scan's simulated cost.
+    /// Charges one fragment scan reading `footprint`: the fragment's fact
+    /// pages on its allocation disk plus one fragment of each of
+    /// `footprint.bitmaps` bitmaps on their staggered disks, each in
+    /// prefetch granules through the executing node's cache.  Returns the
+    /// scan's simulated cost.  When `recorder` is present, emits one
+    /// `DiskService` event per charged object on its disk's track and one
+    /// `Scan` event on the query's track, all stamped from the simulated
+    /// clock, so the trace inherits the charge order's determinism.
     ///
     /// Charges must arrive in a deterministic order (plan order, query
     /// after query in query-id order) — that order, not thread
@@ -547,69 +515,46 @@ impl SimulatedIo {
     /// Panics if the scan needs more than `OBJECT_STRIDE - 1` bitmap
     /// fragments (the per-fragment cache-object budget) or the state lock
     /// is poisoned.
-    pub fn charge_scan(&self, fragment_no: u64, rows: u64, bitmap_fragments: u64) -> TaskIo {
-        self.charge_scan_traced(
-            fragment_no,
-            rows,
-            bitmap_fragments,
-            ScanCtx::default(),
-            None,
-        )
-    }
-
-    /// [`Self::charge_scan`] with trace attribution: when `recorder` is
-    /// present, emits one `DiskService` event per charged object on its
-    /// disk's track and one `Scan` event on the query's track, all stamped
-    /// from the simulated clock.  The trace therefore inherits the charge
-    /// order's determinism.
-    ///
-    /// # Panics
-    ///
-    /// As [`Self::charge_scan`].
-    pub fn charge_scan_traced(
+    pub fn charge_scan(
         &self,
         fragment_no: u64,
-        rows: u64,
-        bitmap_fragments: u64,
+        footprint: &SubqueryFootprint,
         ctx: ScanCtx,
         recorder: Option<&TraceRecorder>,
     ) -> TaskIo {
         assert!(
-            bitmap_fragments < OBJECT_STRIDE,
+            footprint.bitmaps < OBJECT_STRIDE,
             "at most {} bitmap fragments per scan",
             OBJECT_STRIDE - 1
         );
-        let fact_disk = self.config.allocation.fact_disk(fragment_no);
+        let placement = &self.config.placement;
+        let fact_disk = placement.allocation().fact_disk(fragment_no);
         let mut out = TaskIo {
             fact_disk,
-            node: self.node_of_disk(fact_disk),
+            node: placement.node_of_disk(fact_disk),
             ..TaskIo::default()
         };
-        if rows == 0 {
+        if footprint.fact_pages == 0 {
             return out;
         }
         let mut state = self.state.plock("simulated I/O state");
-        let fact_pages = rows.div_ceil(self.rows_per_page);
         let (mut start_ms, mut end_ms) = self.charge_object(
             &mut state,
             out.fact_disk,
             fragment_no * OBJECT_STRIDE,
-            fact_pages,
+            footprint.fact_pages,
             self.config.fact_prefetch_pages,
             &mut out,
             ctx,
             recorder,
         );
-        // One bitmap fragment per required bitmap, each covering this
-        // fragment's rows at one bit per row (at least one page).
-        let bitmap_pages = rows.div_ceil(8).div_ceil(self.page_bytes).max(1);
-        for b in 0..bitmap_fragments {
-            let disk = self.config.allocation.bitmap_disk(fragment_no, b);
+        for b in 0..footprint.bitmaps {
+            let disk = placement.allocation().bitmap_disk(fragment_no, b);
             let (object_start, object_end) = self.charge_object(
                 &mut state,
                 disk,
                 fragment_no * OBJECT_STRIDE + 1 + b,
-                bitmap_pages,
+                footprint.bitmap_pages,
                 self.config.bitmap_prefetch_pages,
                 &mut out,
                 ctx,
@@ -656,7 +601,7 @@ impl SimulatedIo {
                 vec![
                     (FieldKey::Task, u64::from(ctx.task)),
                     (FieldKey::Fragment, fragment_no),
-                    (FieldKey::Rows, rows),
+                    (FieldKey::Rows, footprint.relevant_rows as u64),
                     (FieldKey::Pages, out.pages_read),
                     (FieldKey::CacheHits, out.cache_hits),
                     (FieldKey::CacheMisses, out.cache_misses),
@@ -690,8 +635,7 @@ impl SimulatedIo {
         // shared-nothing misses on a remote disk additionally ship their
         // pages over the interconnect (charged once per scan by the caller).
         let exec_node = usize::try_from(out.node).expect("node fits usize");
-        let remote = matches!(self.config.node_strategy, NodeStrategy::SharedNothing)
-            && self.node_of_disk(disk) != out.node;
+        let remote = !self.config.placement.is_local(out.node, disk);
         let d = &mut state.disks[disk as usize];
         d.scans += 1;
         let start_ms = d.queue.free_at();
@@ -763,15 +707,21 @@ impl SimulatedIo {
         query: u32,
         recorder: Option<&TraceRecorder>,
     ) -> Vec<TaskIo> {
-        let bitmap_fragments = plan.bitmap_fragments_per_subquery(source.catalog());
+        let bitmaps = plan.classification().bitmaps_per_subquery(source.catalog());
         plan.fragments()
             .iter()
             .enumerate()
             .map(|(task, &f)| {
-                self.charge_scan_traced(
-                    f,
+                // The charger reads each stored fragment whole.
+                let footprint = SubqueryFootprint::stored(
+                    &self.sizing,
                     source.fragment_rows(f),
-                    bitmap_fragments,
+                    bitmaps,
+                    self.config.fact_prefetch_pages,
+                );
+                self.charge_scan(
+                    f,
+                    &footprint,
                     ScanCtx {
                         query,
                         task: task as u32,
@@ -822,7 +772,7 @@ impl SimulatedIo {
                 cache_misses: d.cache_misses,
             })
             .collect();
-        let per_node = (0..self.config.nodes)
+        let per_node = (0..self.config.placement.nodes())
             .map(|n| {
                 let i = usize::try_from(n).expect("node fits usize");
                 let (pool_hits, pool_misses) = state
@@ -834,7 +784,7 @@ impl SimulatedIo {
                     node: n,
                     disk_busy_ms: per_disk
                         .iter()
-                        .filter(|d| self.node_of_disk(d.disk) == n)
+                        .filter(|d| self.config.placement.node_of_disk(d.disk) == n)
                         .map(|d| d.busy_ms)
                         .sum(),
                     net_ms: state.net[i].busy_ms(),
@@ -883,7 +833,16 @@ pub(crate) fn throttle_for(sim_ms: f64, wall_ns_per_sim_ms: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use allocation::NodeStrategy;
     use schema::apb1::apb1_scaled_down;
+
+    /// Charges a whole stored fragment of `rows` rows reading `bitmaps`
+    /// bitmap fragments, untraced.
+    fn scan(io: &SimulatedIo, fragment: u64, rows: u64, bitmaps: u64) -> TaskIo {
+        let footprint =
+            SubqueryFootprint::stored(&io.sizing, rows, bitmaps, io.config.fact_prefetch_pages);
+        io.charge_scan(fragment, &footprint, ScanCtx::default(), None)
+    }
 
     fn subsystem(disks: u64, cache_pages: usize) -> SimulatedIo {
         SimulatedIo::new(
@@ -895,9 +854,7 @@ mod tests {
     #[test]
     fn charging_is_deterministic_across_runs() {
         let charge = |io: &SimulatedIo| -> Vec<TaskIo> {
-            (0..20)
-                .map(|f| io.charge_scan(f, 5_000 + f * 131, 3))
-                .collect()
+            (0..20).map(|f| scan(io, f, 5_000 + f * 131, 3)).collect()
         };
         let a = subsystem(4, 256);
         let b = subsystem(4, 256);
@@ -909,7 +866,7 @@ mod tests {
     #[test]
     fn scans_land_on_their_allocation_disks() {
         let io = subsystem(4, 0);
-        let t = io.charge_scan(6, 1_000, 2);
+        let t = scan(&io, 6, 1_000, 2);
         assert_eq!(t.fact_disk, 2);
         let m = io.metrics();
         // Fact pages on disk 2; two staggered bitmap fragments on disks 3, 0.
@@ -923,8 +880,8 @@ mod tests {
     #[test]
     fn cache_absorbs_repeated_scans() {
         let io = subsystem(2, 512);
-        let first = io.charge_scan(0, 10_000, 0);
-        let second = io.charge_scan(0, 10_000, 0);
+        let first = scan(&io, 0, 10_000, 0);
+        let second = scan(&io, 0, 10_000, 0);
         assert!(first.cache_misses > 0);
         assert_eq!(first.cache_hits, 0);
         assert_eq!(second.cache_misses, 0);
@@ -939,8 +896,8 @@ mod tests {
     #[test]
     fn disabled_cache_reads_every_page_every_time() {
         let io = subsystem(2, 0);
-        let first = io.charge_scan(0, 2_000, 1);
-        let second = io.charge_scan(0, 2_000, 1);
+        let first = scan(&io, 0, 2_000, 1);
+        let second = scan(&io, 0, 2_000, 1);
         assert_eq!(first.pages_read, second.pages_read);
         assert!(second.sim_ms > 0.0);
         assert_eq!(io.metrics().cache, BufferPoolStats::default());
@@ -953,7 +910,7 @@ mod tests {
         // sequential transfers, so mean service per op approaches
         // settle + prefetch × per-page.
         let io = subsystem(1, 0);
-        let t = io.charge_scan(0, 200 * 204, 0); // 200 pages → 25 granules
+        let t = scan(&io, 0, 200 * 204, 0); // 200 pages → 25 granules
         let m = io.metrics();
         assert_eq!(m.per_disk[0].io_ops, 25);
         let sequential_floor = 25.0 * (3.0 + 8.0);
@@ -965,7 +922,7 @@ mod tests {
     #[test]
     fn empty_fragments_cost_nothing() {
         let io = subsystem(3, 16);
-        let t = io.charge_scan(5, 0, 4);
+        let t = scan(&io, 5, 0, 4);
         assert_eq!(
             t,
             TaskIo {
@@ -992,9 +949,9 @@ mod tests {
     fn clock_models_fifo_queues() {
         // Fragments 0 and 2 land on disk 0, fragment 1 on disk 1.
         let io = subsystem(2, 0);
-        let first = io.charge_scan(0, 2_000, 0);
-        let second = io.charge_scan(2, 2_000, 0);
-        let other = io.charge_scan(1, 2_000, 0);
+        let first = scan(&io, 0, 2_000, 0);
+        let second = scan(&io, 2, 2_000, 0);
+        let other = scan(&io, 1, 2_000, 0);
         assert_eq!((first.sim_start_ms, first.sim_end_ms), (0.0, first.sim_ms));
         // The second request on disk 0 queues behind the first.
         assert_eq!(second.sim_start_ms, first.sim_end_ms);
@@ -1012,7 +969,7 @@ mod tests {
         let io = subsystem(2, 0);
         for f in 0..8 {
             // All on disk 0 (even fragments of a 2-disk round robin).
-            io.charge_scan(f * 2, 4_000, 0);
+            scan(&io, f * 2, 4_000, 0);
         }
         let m = io.metrics();
         assert!(m.per_disk[0].mean_queue_depth > 0.0);
@@ -1028,9 +985,9 @@ mod tests {
     fn skewed_loads_show_up_in_the_imbalance() {
         let io = subsystem(4, 0);
         // Fragment 0 is 20x the size of the others.
-        io.charge_scan(0, 80_000, 0);
+        scan(&io, 0, 80_000, 0);
         for f in 1..16 {
-            io.charge_scan(f, 4_000, 0);
+            scan(&io, f, 4_000, 0);
         }
         let m = io.metrics();
         assert!(m.disk_imbalance() > 2.0, "{}", m.disk_imbalance());
@@ -1056,8 +1013,8 @@ mod tests {
         let flat = subsystem(4, 256);
         let noded = node_subsystem(1, 4, NodeStrategy::SharedDisk, 256);
         for f in 0..20 {
-            let a = flat.charge_scan(f, 5_000 + f * 131, 3);
-            let b = noded.charge_scan(f, 5_000 + f * 131, 3);
+            let a = scan(&flat, f, 5_000 + f * 131, 3);
+            let b = scan(&noded, f, 5_000 + f * 131, 3);
             assert_eq!(a.sim_ms.to_bits(), b.sim_ms.to_bits());
             assert_eq!(a.pages_read, b.pages_read);
             assert_eq!(a.cache_hits, b.cache_hits);
@@ -1079,7 +1036,7 @@ mod tests {
         // to node 0 (disk 0) but its staggered bitmaps land on disks 1 and
         // 2 — disk 2 is node 1's, so those pages ship over the wire.
         let io = node_subsystem(2, 2, NodeStrategy::SharedNothing, 0);
-        let t = io.charge_scan(0, 4_000, 2);
+        let t = scan(&io, 0, 4_000, 2);
         assert_eq!(t.node, 0);
         assert!(t.remote_pages > 0);
         assert!(t.net_ms > 0.0);
@@ -1098,7 +1055,7 @@ mod tests {
     #[test]
     fn shared_disk_never_pays_the_interconnect() {
         let io = node_subsystem(2, 2, NodeStrategy::SharedDisk, 0);
-        let t = io.charge_scan(0, 4_000, 2);
+        let t = scan(&io, 0, 4_000, 2);
         assert_eq!(t.remote_pages, 0);
         assert_eq!(t.net_ms, 0.0);
         assert_eq!(io.metrics().total_net_ms(), 0.0);
@@ -1108,9 +1065,7 @@ mod tests {
     #[test]
     fn node_charging_is_deterministic_across_runs() {
         let charge = |io: &SimulatedIo| -> Vec<TaskIo> {
-            (0..24)
-                .map(|f| io.charge_scan(f, 3_000 + f * 97, 3))
-                .collect()
+            (0..24).map(|f| scan(io, f, 3_000 + f * 97, 3)).collect()
         };
         let a = node_subsystem(4, 2, NodeStrategy::SharedNothing, 128);
         let b = node_subsystem(4, 2, NodeStrategy::SharedNothing, 128);
@@ -1123,9 +1078,9 @@ mod tests {
     fn per_node_cache_counters_attribute_to_the_executing_node() {
         let io = node_subsystem(2, 2, NodeStrategy::SharedNothing, 512);
         // Fragment 0 executes on node 0, fragment 2 on node 1.
-        io.charge_scan(0, 4_000, 0);
-        io.charge_scan(0, 4_000, 0);
-        io.charge_scan(2, 4_000, 0);
+        scan(&io, 0, 4_000, 0);
+        scan(&io, 0, 4_000, 0);
+        scan(&io, 2, 4_000, 0);
         let m = io.metrics();
         assert!(m.per_node[0].cache_hits > 0);
         assert!(m.per_node[0].cache_misses > 0);
@@ -1145,8 +1100,8 @@ mod tests {
     fn node_imbalance_reflects_a_hot_node() {
         let io = node_subsystem(2, 2, NodeStrategy::SharedNothing, 0);
         // All load on node 0's disks (fragments 0, 1 → disks 0, 1).
-        io.charge_scan(0, 40_000, 0);
-        io.charge_scan(1, 40_000, 0);
+        scan(&io, 0, 40_000, 0);
+        scan(&io, 1, 40_000, 0);
         let m = io.metrics();
         assert!(
             (m.node_imbalance() - 2.0).abs() < 1e-9,
@@ -1159,17 +1114,18 @@ mod tests {
     #[test]
     #[should_panic(expected = "must divide")]
     fn uneven_node_split_rejected() {
-        let config = IoConfig {
-            nodes: 3,
-            ..IoConfig::with_disks(4)
-        };
-        let _ = SimulatedIo::new(config, &apb1_scaled_down());
+        let placement = NodePlacement::over(
+            PhysicalAllocation::round_robin(4),
+            3,
+            NodeStrategy::SharedDisk,
+        );
+        let _ = SimulatedIo::new(IoConfig::with_nodes(placement), &apb1_scaled_down());
     }
 
     #[test]
     #[should_panic(expected = "bitmap fragments per scan")]
     fn oversized_bitmap_count_rejected() {
-        subsystem(2, 0).charge_scan(0, 100, OBJECT_STRIDE);
+        scan(&subsystem(2, 0), 0, 100, OBJECT_STRIDE);
     }
 
     #[test]

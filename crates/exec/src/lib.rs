@@ -83,7 +83,6 @@ pub mod engine;
 pub mod file;
 pub mod io;
 pub mod metrics;
-pub mod plan;
 mod pool;
 mod queue;
 pub mod scheduler;
@@ -99,7 +98,7 @@ pub use file::{
 pub use io::{DiskIoStats, IoConfig, IoMetrics, NodeIoStats, ScanCtx, SimulatedIo, TaskIo};
 pub use metrics::{ExecMetrics, ThroughputMetrics, WorkerMetrics};
 pub use obs::ObsConfig;
-pub use plan::{PredicateBinding, QueryPlan};
 pub use scheduler::{ScheduledQuery, StreamOutcome};
 pub use source::{FragmentRef, ScanSource};
 pub use store::{ColumnarFragment, FragmentStore};
+pub use workload::{PredicateBinding, QueryPlan};

@@ -13,8 +13,8 @@
 //!   are decomposed into per-fragment tasks at any time, the rest wait in
 //!   FIFO order,
 //! * every task is tagged with its query's in-flight slot and its plan
-//!   position, and carries its disk affinity: when a placement is
-//!   configured, each admitted query's tasks are dealt to the workers in
+//!   position, and carries its disk affinity: when the simulated I/O
+//!   layer is on, each admitted query's tasks are dealt to the workers in
 //!   [`allocation::PhysicalAllocation::subquery_disks`] order (the
 //!   engine's placement seed order), so a worker's chunk maps to a
 //!   contiguous disk stripe,
@@ -38,7 +38,7 @@
 //!   hits and measure sums are bit-identical to its isolated serial run,
 //!   for every MPL, worker count and scheduling interleave,
 //! * when the I/O layer simulates a **shared-nothing multi-node** system
-//!   ([`crate::io::IoConfig::nodes`] > 1 with
+//!   (a [`crate::io::IoConfig::placement`] of more than one node under
 //!   [`allocation::NodeStrategy::SharedNothing`]), the pool splits into
 //!   per-node worker ranges: each admitted task is dealt to a worker on its
 //!   fragment's *home node* ([`allocation::NodePlacement::home_node`]), a
@@ -62,6 +62,7 @@ use std::time::{Duration, Instant};
 use allocation::{NodePlacement, NodeStrategy};
 use bitmap::Bitmap;
 use obs::{us_from_ms, EventKind, FieldKey, Trace, TraceRecorder, Track};
+use workload::{PredicateBinding, QueryPlan};
 
 use crate::engine::{
     merge_partials, placement_seed_order, process_fragment, FragmentPartial, RunConfig,
@@ -69,7 +70,6 @@ use crate::engine::{
 };
 use crate::io::{throttle_for, SimulatedIo};
 use crate::metrics::{ExecMetrics, ThroughputMetrics, WorkerMetrics};
-use crate::plan::{PredicateBinding, QueryPlan};
 use crate::pool::Job;
 use crate::queue::StealDeques;
 use crate::source::ScanSource;
@@ -150,8 +150,8 @@ struct Prepared {
     query_name: String,
     /// Plan fragment numbers, in plan (merge) order.
     fragments: Vec<u64>,
-    /// Task indices in seeding order: the disk-affinity permutation when a
-    /// placement is configured, plan order otherwise.
+    /// Task indices in seeding order: the disk-affinity permutation of the
+    /// I/O layer's placement when it is on, plan order otherwise.
     seed_order: Vec<usize>,
     bindings: Vec<PredicateBinding>,
     /// Per plan position: the task's precomputed simulated I/O (empty with
@@ -653,7 +653,6 @@ impl StarJoinEngine {
         io: Option<&SimulatedIo>,
     ) -> StreamOutcome {
         let source = self.source();
-        let placement = config.placement.as_ref();
         let recorder = config
             .obs
             .enabled
@@ -684,8 +683,12 @@ impl StarJoinEngine {
                     Some(io) => charge(io, plan, source, query_id, recorder.as_ref()),
                     None => (Vec::new(), query_id as u64, query_id as u64),
                 };
-                let seed_order = match placement {
-                    Some(placement) => placement_seed_order(plan, source.catalog(), placement),
+                let seed_order = match io {
+                    Some(io) => placement_seed_order(
+                        plan,
+                        source.catalog(),
+                        io.config().placement.allocation(),
+                    ),
                     None => (0..plan.task_count()).collect(),
                 };
                 Prepared {
@@ -715,9 +718,9 @@ impl StarJoinEngine {
         // more than one node.  Shared-disk multi-node subsystems keep the
         // single-node pool: every node reads every disk at equal cost, so
         // there is no home-node locality to preserve.
-        let nodes = io.map(SimulatedIo::config).and_then(|io_config| {
-            (io_config.nodes > 1 && io_config.node_strategy == NodeStrategy::SharedNothing)
-                .then(|| NodeTopology::new(io_config.node_placement(), workers))
+        let nodes = io.map(|io| io.config().placement).and_then(|placement| {
+            (placement.nodes() > 1 && placement.strategy() == NodeStrategy::SharedNothing)
+                .then(|| NodeTopology::new(placement, workers))
         });
         let shared = Shared {
             source: Arc::clone(&self.source),
@@ -814,7 +817,6 @@ fn charge(
 mod tests {
     use super::*;
     use crate::store::FragmentStore;
-    use allocation::PhysicalAllocation;
     use mdhf::Fragmentation;
     use schema::apb1::apb1_scaled_down;
     use workload::{BoundQuery, InterleavedStream, QueryType};
@@ -965,7 +967,7 @@ mod tests {
             &engine,
             &queries,
             &RunConfig {
-                placement: Some(PhysicalAllocation::round_robin(10)),
+                io: Some(crate::io::IoConfig::with_disks(10)),
                 ..config(4, 4)
             },
         );
@@ -1034,8 +1036,7 @@ mod tests {
         );
         let flat = crate::io::IoConfig::with_disks(8).cache(2_000);
         let shared_nothing = crate::io::IoConfig {
-            nodes: 4,
-            node_strategy: NodeStrategy::SharedNothing,
+            placement: NodePlacement::new(4, 2, NodeStrategy::SharedNothing),
             ..flat
         };
         for io in [flat, shared_nothing] {
@@ -1052,7 +1053,12 @@ mod tests {
             // completion order would, gives different metrics.
             let mut scan_last: Vec<usize> = (1..queries.len()).collect();
             scan_last.push(0);
-            assert_ne!(charged_in(&scan_last), expected, "{} nodes", io.nodes);
+            assert_ne!(
+                charged_in(&scan_last),
+                expected,
+                "{} nodes",
+                io.placement.nodes()
+            );
             for (workers, mpl) in [(1usize, 1usize), (2, 4), (4, 8)] {
                 let outcome = run_queries(
                     &engine,
@@ -1066,7 +1072,7 @@ mod tests {
                     outcome.metrics.pool.io.as_ref(),
                     Some(&expected),
                     "{} nodes, {workers} workers, MPL {mpl}",
-                    io.nodes
+                    io.placement.nodes()
                 );
             }
         }
@@ -1087,8 +1093,7 @@ mod tests {
         for nodes in [1u64, 2, 4, 8] {
             for strategy in [NodeStrategy::SharedNothing, NodeStrategy::SharedDisk] {
                 let io = crate::io::IoConfig {
-                    nodes,
-                    node_strategy: strategy,
+                    placement: NodePlacement::new(nodes, 8 / nodes, strategy),
                     ..crate::io::IoConfig::with_disks(8).cache(20_000)
                 };
                 let outcome = run_queries(
@@ -1114,8 +1119,7 @@ mod tests {
         let engine = engine();
         let queries = stream(&engine, 10);
         let io = crate::io::IoConfig {
-            nodes: 4,
-            node_strategy: NodeStrategy::SharedNothing,
+            placement: NodePlacement::new(4, 2, NodeStrategy::SharedNothing),
             ..crate::io::IoConfig::with_disks(8).cache(50_000)
         };
         let outcome = run_queries(
@@ -1146,7 +1150,7 @@ mod tests {
         assert_eq!(again.metrics.pool.io, outcome.metrics.pool.io);
         // The shared-disk twin never touches the interconnect.
         let shared_disk = crate::io::IoConfig {
-            node_strategy: NodeStrategy::SharedDisk,
+            placement: NodePlacement::new(4, 2, NodeStrategy::SharedDisk),
             ..io
         };
         let disk_outcome = run_queries(
@@ -1168,11 +1172,8 @@ mod tests {
         // One worker on a two-node subsystem: node 1 owns no workers, so
         // every task homed there executes on node 0 — each counted as a
         // migration, each distinct fragment replicated exactly once.
-        let io = crate::io::IoConfig {
-            nodes: 2,
-            node_strategy: NodeStrategy::SharedNothing,
-            ..crate::io::IoConfig::with_disks(4)
-        };
+        let io =
+            crate::io::IoConfig::with_nodes(NodePlacement::new(2, 2, NodeStrategy::SharedNothing));
         let outcome = run_queries(
             &engine,
             &queries,
@@ -1329,7 +1330,10 @@ mod prop_tests {
             let with_io = |io| RunConfig { io: Some(io), ..config(workers, 2) };
             let baseline = run_queries(&engine, &queries, &with_io(flat));
             for nodes in [2u64, 8] {
-                let io = crate::io::IoConfig { nodes, node_strategy: strategy, ..flat };
+                let io = crate::io::IoConfig {
+                    placement: NodePlacement::new(nodes, 8 / nodes, strategy),
+                    ..flat
+                };
                 let outcome = run_queries(&engine, &queries, &with_io(io));
                 for (a, b) in baseline.queries.iter().zip(&outcome.queries) {
                     prop_assert_eq!(a.hits, b.hits);

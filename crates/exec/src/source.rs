@@ -20,9 +20,9 @@ use std::sync::Arc;
 use bitmap::{IndexCatalog, RepresentationPolicy};
 use mdhf::Fragmentation;
 use schema::StarSchema;
+use workload::QueryPlan;
 
 use crate::file::{FileIoMetrics, FileStore, StorageError};
-use crate::plan::QueryPlan;
 use crate::store::{ColumnarFragment, FragmentStore};
 
 /// Where a [`crate::StarJoinEngine`] reads its fragments from.

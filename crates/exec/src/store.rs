@@ -24,6 +24,7 @@ use bitmap::{
 };
 use mdhf::Fragmentation;
 use schema::{PageSizing, StarSchema};
+use workload::QueryPlan;
 
 use crate::file::{StorageError, StoredParts};
 
@@ -477,7 +478,7 @@ impl FragmentStore {
     /// of that plan scans, used to cross-check scheduler accounting against
     /// the sum of per-query plans.
     #[must_use]
-    pub fn planned_rows(&self, plan: &crate::plan::QueryPlan) -> u64 {
+    pub fn planned_rows(&self, plan: &QueryPlan) -> u64 {
         plan.fragments()
             .iter()
             .map(|&f| self.fragment(f).len() as u64)

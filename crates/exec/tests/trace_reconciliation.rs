@@ -53,7 +53,6 @@ fn run(
         } else {
             ObsConfig::default()
         },
-        ..RunConfig::default()
     };
     engine.run(&plans, &config, None)
 }

@@ -1,10 +1,11 @@
 //! The event-driven Shared Disk execution engine.
 //!
-//! The engine executes one or more [`QueryPlan`]s on a simulated Shared Disk
-//! PDBS: `p` processing nodes (one 50-MIPS CPU each, modelled as a FCFS
-//! server), `d` disks (FCFS servers with a track-based service-time model),
-//! an idealised network and LRU buffer pools.  Query processing follows §4.3
-//! and §5 of the paper:
+//! The engine executes one or more planned queries — each a [`QueryPlan`]
+//! and the [`SubqueryFootprint`] of its subqueries — on a simulated Shared
+//! Disk PDBS: `p` processing nodes (one 50-MIPS CPU each, modelled as a
+//! FCFS server), `d` disks (FCFS servers with a track-based service-time
+//! model), an idealised network and LRU buffer pools.  Query processing
+//! follows §4.3 and §5 of the paper:
 //!
 //! 1. a randomly selected **coordinator** node plans the query and builds the
 //!    task list of subqueries (one per relevant fact fragment, in allocation
@@ -18,12 +19,14 @@
 //! 4. partial aggregates travel back to the coordinator, which terminates the
 //!    query once every subquery has reported.
 
+use allocation::PhysicalAllocation;
+use mdhf::SubqueryFootprint;
 use storage::{BufferManager, DiskModel, FcfsQueue};
+use workload::QueryPlan;
 
 use crate::config::SimConfig;
 use crate::events::EventQueue;
 use crate::metrics::QueryMetrics;
-use crate::plan::QueryPlan;
 use crate::rng::RngStream;
 use crate::time::SimTime;
 
@@ -115,7 +118,7 @@ struct SubqueryState {
     index: usize,
     node: usize,
     bitmap_outstanding: usize,
-    serial_bitmap_next: usize,
+    serial_bitmap_next: u64,
     fact_granules_done: u64,
 }
 
@@ -131,12 +134,15 @@ fn serve(queue: &mut FcfsQueue, at: SimTime, service_ms: f64) -> SimTime {
 /// The simulation engine for one experiment run.
 pub struct Engine {
     config: SimConfig,
+    allocation: PhysicalAllocation,
     layout: DiskLayout,
     disks: Vec<DiskState>,
     nodes: Vec<NodeState>,
     buffer: BufferManager,
     events: EventQueue<Event>,
-    plans: Vec<QueryPlan>,
+    /// Each query's plan and the footprint of its subqueries, in whole
+    /// I/Os and whole rows.
+    plans: Vec<(QueryPlan, SubqueryFootprint)>,
     queries: Vec<QueryState>,
     subqueries: Vec<SubqueryState>,
     rng: RngStream,
@@ -152,15 +158,18 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Creates an engine executing `plans` (in order) under `config`.
+    /// Creates an engine executing `plans` (in order, each with the
+    /// footprint of its subqueries) under `config`, with fragments on the
+    /// disks of `allocation`.
     ///
     /// `concurrency` is the number of query streams: 1 reproduces the paper's
     /// single-user mode; larger values run a closed multi-user workload.
     #[must_use]
     pub fn new(
         config: SimConfig,
+        allocation: PhysicalAllocation,
         layout: DiskLayout,
-        plans: Vec<QueryPlan>,
+        plans: Vec<(QueryPlan, SubqueryFootprint)>,
         concurrency: usize,
     ) -> Self {
         assert!(config.nodes > 0, "need at least one processing node");
@@ -190,6 +199,7 @@ impl Engine {
             concurrency: concurrency.max(1),
             inflight_subqueries: 0,
             config,
+            allocation,
             layout,
             plans,
         }
@@ -280,7 +290,7 @@ impl Engine {
         if self.queries[query].done {
             return;
         }
-        let plan_len = self.plans[query].subqueries.len();
+        let plan_len = self.plans[query].0.task_count();
         loop {
             if self.queries[query].next_task >= plan_len {
                 return;
@@ -332,26 +342,25 @@ impl Engine {
         }
     }
 
-    fn work(&self, sq: usize) -> &crate::plan::SubqueryWork {
+    /// The fact fragment a subquery processes, and what it reads.
+    fn work(&self, sq: usize) -> (u64, SubqueryFootprint) {
         let state = &self.subqueries[sq];
-        &self.plans[state.query].subqueries[state.index]
+        let (plan, footprint) = &self.plans[state.query];
+        (plan.fragments()[state.index], *footprint)
     }
 
     /// Starts the bitmap phase of a subquery (or skips straight to the fact
     /// phase if no bitmaps are needed).
     fn start_bitmap_phase(&mut self, now: SimTime, sq: usize) {
-        let bitmap_reads = self.work(sq).bitmap_reads.clone();
-        if bitmap_reads.is_empty() {
+        let bitmaps = self.work(sq).1.bitmaps;
+        if bitmaps == 0 {
             self.start_fact_granule(now, sq);
             return;
         }
-        let fragment = self.work(sq).fragment;
         if self.config.parallel_bitmap_io {
             let mut outstanding = 0;
-            for read in &bitmap_reads {
-                let done =
-                    self.bitmap_io(now, sq, fragment, read.disk, read.bitmap_index, read.pages);
-                match done {
+            for bitmap_index in 0..bitmaps {
+                match self.bitmap_io(now, sq, bitmap_index) {
                     Some(t) => {
                         outstanding += 1;
                         self.events.schedule(t, Event::BitmapIoDone { sq });
@@ -376,20 +385,13 @@ impl Engine {
     fn issue_next_serial_bitmap(&mut self, now: SimTime, sq: usize) {
         loop {
             let next = self.subqueries[sq].serial_bitmap_next;
-            let reads = &self.plans[self.subqueries[sq].query].subqueries
-                [self.subqueries[sq].index]
-                .bitmap_reads;
-            if next >= reads.len() {
+            if next >= self.work(sq).1.bitmaps {
                 // All bitmap fragments read: process them on the CPU.
                 self.finish_bitmap_io(now, sq);
                 return;
             }
-            let read = reads[next];
             self.subqueries[sq].serial_bitmap_next += 1;
-            let fragment = self.work(sq).fragment;
-            if let Some(done) =
-                self.bitmap_io(now, sq, fragment, read.disk, read.bitmap_index, read.pages)
-            {
+            if let Some(done) = self.bitmap_io(now, sq, next) {
                 self.events.schedule(done, Event::BitmapIoDone { sq });
                 return;
             }
@@ -397,18 +399,13 @@ impl Engine {
         }
     }
 
-    /// Performs buffer lookup + disk I/O for one bitmap fragment; returns the
-    /// completion time, or `None` if every page was a buffer hit.
-    fn bitmap_io(
-        &mut self,
-        now: SimTime,
-        sq: usize,
-        fragment: u64,
-        disk: u64,
-        bitmap_index: u64,
-        pages: u64,
-    ) -> Option<SimTime> {
+    /// Performs buffer lookup + disk I/O for the subquery's fragment of
+    /// bitmap `bitmap_index`, on its staggered disk; returns the completion
+    /// time, or `None` if every page was a buffer hit.
+    fn bitmap_io(&mut self, now: SimTime, sq: usize, bitmap_index: u64) -> Option<SimTime> {
         let query = self.subqueries[sq].query;
+        let (fragment, footprint) = self.work(sq);
+        let pages = footprint.bitmap_pages;
         let misses = if self.config.use_buffer {
             let object = bitmap_object_id(fragment, bitmap_index);
             let misses = self.buffer.bitmap().request_range(object, 0, pages);
@@ -425,13 +422,14 @@ impl Engine {
         let offset = self
             .layout
             .bitmap_page_offset(self.config.disks, fragment, bitmap_index);
+        let disk = self.allocation.bitmap_disk(fragment, bitmap_index);
         Some(self.disk_request(disk, now, offset, pages))
     }
 
     /// Called when the last outstanding bitmap I/O of a subquery finished.
     fn finish_bitmap_io(&mut self, now: SimTime, sq: usize) {
-        let work = self.work(sq);
-        let pages = work.bitmap_pages;
+        let (_, footprint) = self.work(sq);
+        let pages = footprint.bitmaps * footprint.bitmap_pages;
         let node = self.subqueries[sq].node;
         let instr = pages
             * (self.config.instructions.read_page + self.config.instructions.process_bitmap_page);
@@ -441,19 +439,19 @@ impl Engine {
 
     /// Issues the I/O for the next fact granule of a subquery.
     fn start_fact_granule(&mut self, now: SimTime, sq: usize) {
-        let work = self.work(sq).clone();
         let granule = self.subqueries[sq].fact_granules_done;
-        if granule >= work.fact_granules {
+        let (fragment, footprint) = self.work(sq);
+        if granule as f64 >= footprint.hit_granules {
             self.terminate_subquery(now, sq);
             return;
         }
         let query = self.subqueries[sq].query;
-        let pages = work.fact_pages_per_granule;
+        let pages = self.config.fact_prefetch_pages;
         let misses = if self.config.use_buffer {
             let misses = self
                 .buffer
                 .fact()
-                .request_range(work.fragment, granule * pages, pages);
+                .request_range(fragment, granule * pages, pages);
             self.queries[query].buffer_hits += pages - misses;
             misses
         } else {
@@ -467,18 +465,17 @@ impl Engine {
         self.queries[query].pages += pages;
         let offset = self
             .layout
-            .fact_page_offset(self.config.disks, work.fragment, granule, pages);
-        let done = self.disk_request(work.fact_disk, now, offset, pages);
+            .fact_page_offset(self.config.disks, fragment, granule, pages);
+        let done = self.disk_request(self.allocation.fact_disk(fragment), now, offset, pages);
         self.events.schedule(done, Event::FactIoDone { sq });
     }
 
     /// CPU processing of the granule that just arrived from disk.
     fn process_fact_granule(&mut self, now: SimTime, sq: usize) {
-        let work = self.work(sq).clone();
+        let (_, footprint) = self.work(sq);
+        let rows_per_granule = (footprint.relevant_rows / footprint.hit_granules).ceil() as u64;
         let node = self.subqueries[sq].node;
-        let rows_per_granule =
-            (work.relevant_rows as f64 / work.fact_granules.max(1) as f64).ceil() as u64;
-        let instr = work.fact_pages_per_granule * self.config.instructions.read_page
+        let instr = self.config.fact_prefetch_pages * self.config.instructions.read_page
             + rows_per_granule
                 * (self.config.instructions.extract_row + self.config.instructions.aggregate_row);
         let done = self.cpu_burst(node, now, instr);
@@ -499,7 +496,7 @@ impl Engine {
         match event {
             Event::QueryArrive { query } => {
                 self.queries[query].started_at = now;
-                self.queries[query].results_outstanding = self.plans[query].subqueries.len();
+                self.queries[query].results_outstanding = self.plans[query].0.task_count();
                 let coordinator = self.queries[query].coordinator;
                 self.nodes[coordinator].running += 1;
                 let done =
@@ -507,7 +504,7 @@ impl Engine {
                 self.events.schedule(done, Event::QueryPlanned { query });
             }
             Event::QueryPlanned { query } => {
-                if self.plans[query].subqueries.is_empty() {
+                if self.plans[query].0.task_count() == 0 {
                     // Degenerate query touching nothing: finish immediately.
                     let coordinator = self.queries[query].coordinator;
                     let done =
@@ -574,7 +571,7 @@ impl Engine {
                 let query = self.subqueries[sq].query;
                 self.queries[query].results_outstanding -= 1;
                 if self.queries[query].results_outstanding == 0
-                    && self.queries[query].next_task == self.plans[query].subqueries.len()
+                    && self.queries[query].next_task == self.plans[query].0.task_count()
                 {
                     let coordinator = self.queries[query].coordinator;
                     let done =
@@ -592,7 +589,7 @@ impl Engine {
                 let state = &self.queries[query];
                 self.metrics.push(QueryMetrics {
                     response_ms: (now - state.started_at).as_millis(),
-                    subqueries: self.plans[query].subqueries.len(),
+                    subqueries: self.plans[query].0.task_count(),
                     disk_io_ops: state.io_ops,
                     pages_read: state.pages,
                     buffer_hits: state.buffer_hits,
@@ -621,12 +618,23 @@ fn bitmap_object_id(fragment: u64, bitmap_index: u64) -> u64 {
 mod tests {
     use super::*;
     use crate::plan::plan_query;
-    use allocation::PhysicalAllocation;
     use bitmap::IndexCatalog;
     use mdhf::Fragmentation;
     use schema::apb1::apb1_schema;
-    use schema::PageSizing;
     use workload::{BoundQuery, QueryType};
+
+    type Planned = (QueryPlan, SubqueryFootprint);
+
+    /// An engine over round-robin placement on the configured disks.
+    fn engine(
+        config: SimConfig,
+        layout: DiskLayout,
+        plans: Vec<Planned>,
+        streams: usize,
+    ) -> Engine {
+        let allocation = PhysicalAllocation::round_robin(config.disks);
+        Engine::new(config, allocation, layout, plans, streams)
+    }
 
     fn small_config() -> SimConfig {
         SimConfig {
@@ -642,22 +650,19 @@ mod tests {
         fragmentation_spec: &[&str],
         qt: QueryType,
         values: Vec<u64>,
-    ) -> (QueryPlan, DiskLayout) {
+    ) -> (Planned, DiskLayout) {
         let s = apb1_schema();
         let catalog = IndexCatalog::default_for(&s);
         let f = Fragmentation::parse(&s, fragmentation_spec).unwrap();
-        let a = PhysicalAllocation::round_robin(config.disks);
         let bound = BoundQuery::new(&s, qt.to_star_query(&s), values);
-        let plan = plan_query(&s, &catalog, &f, &a, config, &bound);
-        let sizing = PageSizing::with_page_size(&s, config.page_size);
+        let (plan, footprint) = plan_query(&s, &catalog, &f, config, &bound);
         let layout = DiskLayout {
             total_fragments: f.fragment_count(),
-            fragment_pages: plan.subqueries.first().map_or(1, |w| w.fragment_pages),
-            bitmap_fragment_pages: (sizing.bitmap_fragment_pages(f.fragment_count()).ceil() as u64)
-                .max(1),
+            fragment_pages: footprint.fact_pages,
+            bitmap_fragment_pages: footprint.bitmap_pages,
             bitmaps_per_fragment: 32,
         };
-        (plan, layout)
+        ((plan, footprint), layout)
     }
 
     #[test]
@@ -673,7 +678,7 @@ mod tests {
             vec![3, 17],
         );
         let disks = config.disks;
-        let engine = Engine::new(config, layout, vec![plan], 1);
+        let engine = engine(config, layout, vec![plan], 1);
         let (metrics, disk_utils, cpu_util, simulated) = engine.run();
         assert_eq!(metrics.len(), 1);
         let m = &metrics[0];
@@ -700,8 +705,8 @@ mod tests {
             QueryType::OneCode,
             vec![65],
         );
-        assert_eq!(plan.subqueries.len(), 24);
-        let engine = Engine::new(config, layout, vec![plan], 1);
+        assert_eq!(plan.0.task_count(), 24);
+        let engine = engine(config, layout, vec![plan], 1);
         let (metrics, _, _, _) = engine.run();
         assert_eq!(metrics.len(), 1);
         assert_eq!(metrics[0].subqueries, 24);
@@ -723,7 +728,7 @@ mod tests {
                 QueryType::OneMonth,
                 vec![5],
             );
-            let engine = Engine::new(cfg, layout, vec![plan], 1);
+            let engine = engine(cfg, layout, vec![plan], 1);
             engine.run().0[0].response_ms
         };
         let slow = run(slow_cfg);
@@ -753,7 +758,7 @@ mod tests {
                 QueryType::OneMonth,
                 vec![5],
             );
-            let engine = Engine::new(cfg, layout, vec![plan], 1);
+            let engine = engine(cfg, layout, vec![plan], 1);
             engine.run().0[0].response_ms
         };
         let few = run(2);
@@ -777,7 +782,7 @@ mod tests {
                 QueryType::OneCodeOneQuarter,
                 vec![100, 2],
             );
-            let engine = Engine::new(cfg, layout, vec![plan], 1);
+            let engine = engine(cfg, layout, vec![plan], 1);
             engine.run().0[0].response_ms
         };
         let parallel = run(true);
@@ -803,7 +808,7 @@ mod tests {
             QueryType::OneMonthOneGroup,
             vec![2, 2],
         );
-        let engine = Engine::new(config, layout, vec![plan1, plan2], 1);
+        let engine = engine(config, layout, vec![plan1, plan2], 1);
         let (metrics, _, _, simulated) = engine.run();
         assert_eq!(metrics.len(), 2);
         // Total simulated time covers both queries executed sequentially.
@@ -823,9 +828,9 @@ mod tests {
         };
         let (plan1, layout) = build(1);
         let (plan2, _) = build(2);
-        let serial = Engine::new(config, layout, vec![plan1.clone(), plan2.clone()], 1);
+        let serial = engine(config, layout, vec![plan1.clone(), plan2.clone()], 1);
         let (_, _, _, serial_time) = serial.run();
-        let overlapped = Engine::new(config, layout, vec![plan1, plan2], 2);
+        let overlapped = engine(config, layout, vec![plan1, plan2], 2);
         let (metrics, _, _, overlapped_time) = overlapped.run();
         assert_eq!(metrics.len(), 2);
         assert!(

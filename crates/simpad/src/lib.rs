@@ -60,5 +60,5 @@ mod time;
 pub use config::{InstructionCosts, SimConfig};
 pub use engine::Engine;
 pub use metrics::{QueryMetrics, RunSummary};
-pub use plan::{plan_query, BitmapRead, QueryPlan, SubqueryWork};
+pub use plan::plan_query;
 pub use runner::{run_experiment, ExperimentSetup};

@@ -7,14 +7,14 @@
 
 use allocation::PhysicalAllocation;
 use bitmap::IndexCatalog;
-use mdhf::Fragmentation;
+use mdhf::{Fragmentation, SubqueryFootprint};
 use schema::{PageSizing, StarSchema};
 use workload::{QueryGenerator, QueryStream, QueryType};
 
 use crate::config::SimConfig;
 use crate::engine::{DiskLayout, Engine};
 use crate::metrics::RunSummary;
-use crate::plan::plan_query;
+use crate::plan::{plan_query, sim_cost_parameters};
 
 /// Everything needed to run one experiment point.
 #[derive(Debug, Clone)]
@@ -82,19 +82,22 @@ pub fn run_experiment(setup: &ExperimentSetup) -> RunSummary {
                 &setup.schema,
                 &catalog,
                 &setup.fragmentation,
-                &setup.allocation,
                 &setup.config,
                 &bound,
             )
         })
         .collect();
 
-    let sizing = PageSizing::with_page_size(&setup.schema, setup.config.page_size);
+    // The disk regions hold whole fragments: the footprint of a subquery
+    // that reads every row.
     let n = setup.fragmentation.fragment_count();
-    let rows_per_page = sizing.fact_tuples_per_page();
-    let fragment_pages = (sizing.fact_rows() as f64 / n as f64 / rows_per_page as f64)
-        .ceil()
-        .max(1.0) as u64;
+    let whole = SubqueryFootprint::uniform(
+        &PageSizing::with_page_size(&setup.schema, setup.config.page_size),
+        n,
+        None,
+        0,
+        &sim_cost_parameters(&setup.config),
+    );
     let frag_attrs: Vec<(usize, usize)> = setup
         .fragmentation
         .attrs()
@@ -103,12 +106,18 @@ pub fn run_experiment(setup: &ExperimentSetup) -> RunSummary {
         .collect();
     let layout = DiskLayout {
         total_fragments: n,
-        fragment_pages,
-        bitmap_fragment_pages: (sizing.bitmap_fragment_pages(n).ceil() as u64).max(1),
+        fragment_pages: whole.fact_pages,
+        bitmap_fragment_pages: whole.bitmap_pages,
         bitmaps_per_fragment: catalog.total_bitmaps_under_fragmentation(&frag_attrs),
     };
 
-    let engine = Engine::new(setup.config, layout, plans, setup.stream.concurrency());
+    let engine = Engine::new(
+        setup.config,
+        setup.allocation,
+        layout,
+        plans,
+        setup.stream.concurrency(),
+    );
     let (metrics, disk_utils, cpu_util, simulated_ms) = engine.run();
 
     RunSummary::from_queries(

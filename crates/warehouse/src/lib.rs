@@ -75,6 +75,7 @@ pub mod prelude {
     };
     pub use mdhf::{
         classify, Advisor, AdvisorConfig, CostModel, Fragmentation, IoClass, QueryClass, StarQuery,
+        SubqueryFootprint,
     };
     pub use schema::{self, StarSchema};
     pub use simpad::{run_experiment, ExperimentSetup, SimConfig};

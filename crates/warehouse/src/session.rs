@@ -4,7 +4,7 @@
 //! [`Warehouse`] owns a star-join engine over either an in-memory
 //! [`FragmentStore`] or a persistent `FGMT` file ([`Warehouse::open`]);
 //! [`Warehouse::session`] returns a [`SessionBuilder`] that gathers every
-//! execution knob — worker count, physical placement, simulated I/O,
+//! execution knob — worker count, simulated I/O and its placement,
 //! deterministic tracing, admission policy — and [`SessionBuilder::build`]
 //! freezes them into a [`Session`] whose [`Session::execute`] and
 //! [`Session::stream`] run queries with bit-identical results across
@@ -30,7 +30,7 @@
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-use allocation::{NodePlacement, PhysicalAllocation};
+use allocation::NodePlacement;
 use bitmap::ReprDecodeError;
 use exec::{
     write_store, FileStore, FileStoreOptions, FragmentStore, IoConfig, QueryPlan, QueryResult,
@@ -235,8 +235,8 @@ impl Warehouse {
         self.engine.plan(bound)
     }
 
-    /// Starts configuring a session: serial, no placement, no simulated
-    /// I/O, no tracing, exclusive admission.
+    /// Starts configuring a session: serial, no simulated I/O, no tracing,
+    /// exclusive admission.
     #[must_use]
     pub fn session(&self) -> SessionBuilder<'_> {
         SessionBuilder {
@@ -266,14 +266,8 @@ impl<'a> SessionBuilder<'a> {
         self
     }
 
-    /// Seeds worker queues in `placement`'s disk-affinity order.
-    #[must_use]
-    pub fn placement(mut self, placement: PhysicalAllocation) -> Self {
-        self.config.placement = Some(placement);
-        self
-    }
-
-    /// Charges fragment scans against a simulated disk subsystem.
+    /// Charges fragment scans against a simulated disk subsystem, and seeds
+    /// worker queues in its placement's disk-affinity order.
     #[must_use]
     pub fn io(mut self, io: IoConfig) -> Self {
         self.config.io = Some(io);
@@ -288,19 +282,13 @@ impl<'a> SessionBuilder<'a> {
     /// placement's disk-affinity order.  Results stay bit-identical to the
     /// single-node session for every node count and strategy.
     ///
-    /// Replaces the allocation and node fields of any previously set
-    /// [`SessionBuilder::io`] configuration, keeping its other knobs.
+    /// Replaces the placement of any previously set [`SessionBuilder::io`]
+    /// configuration, keeping its other knobs.
     #[must_use]
     pub fn nodes(mut self, placement: NodePlacement) -> Self {
-        self.config.placement = Some(*placement.allocation());
-        self.config.io = Some(match self.config.io {
-            Some(io) => IoConfig {
-                allocation: *placement.allocation(),
-                nodes: placement.nodes(),
-                node_strategy: placement.strategy(),
-                ..io
-            },
-            None => IoConfig::with_nodes(placement),
+        self.config.io = Some(IoConfig {
+            placement,
+            ..self.config.io.unwrap_or(IoConfig::with_nodes(placement))
         });
         self
     }
@@ -508,7 +496,10 @@ mod tests {
         for nodes in [2u64, 4] {
             let placement = NodePlacement::new(nodes, 2, allocation::NodeStrategy::SharedNothing);
             let session = warehouse.session().workers(4).nodes(placement).build();
-            assert_eq!(session.config().io.map(|io| io.nodes), Some(nodes));
+            assert_eq!(
+                session.config().io.map(|io| io.placement.nodes()),
+                Some(nodes)
+            );
             let result = session.execute(&bound);
             assert_eq!(result.hits, serial.hits);
             assert_eq!(result.measure_sums, serial.measure_sums);
@@ -526,7 +517,8 @@ mod tests {
             .build();
         let io = session.config().io.expect("io configured");
         assert_eq!(io.cache_pages, 9_999);
-        assert_eq!(io.nodes, 2);
+        assert_eq!(io.placement, placement);
+        assert_eq!(io.placement.nodes(), 2);
         assert_eq!(io.disks(), 6);
     }
 

@@ -11,6 +11,9 @@
 //! * [`bound::BoundQuery`] — a query *instance* with concrete attribute
 //!   values, able to compute exactly which fact fragments it touches under a
 //!   given fragmentation,
+//! * [`plan::QueryPlan`] — an instance's pruned fragment list and the
+//!   predicates that still need bitmap access: the one plan type the
+//!   engine executes and SIMPAD simulates,
 //! * [`generator::QueryGenerator`] — reproducible random instantiation and
 //!   single-user / multi-user query streams,
 //! * [`generator::InterleavedStream`] — a deterministic multi-type stream in
@@ -39,10 +42,12 @@
 
 pub mod bound;
 pub mod generator;
+pub mod plan;
 pub mod queries;
 pub mod skew;
 
 pub use bound::BoundQuery;
 pub use generator::{InterleavedStream, QueryGenerator, QueryStream};
+pub use plan::{PredicateBinding, QueryPlan};
 pub use queries::QueryType;
 pub use skew::ZipfSampler;

@@ -1,7 +1,8 @@
-//! Physical query planning: MDHF fragment pruning plus bitmap predicates.
+//! Query planning: MDHF fragment pruning plus bitmap predicates.
 //!
-//! A [`QueryPlan`] is the engine-facing rendering of §4.3's processing
-//! algorithm for one bound query instance:
+//! A [`QueryPlan`] is §4.3's processing algorithm for one bound query
+//! instance — the task list of the engine's scheduler and of SIMPAD's
+//! coordinator alike:
 //!
 //! 1. **Fragment pruning** — the relevant fragments are exactly
 //!    [`BoundQuery::relevant_fragments`] under the store's fragmentation,
@@ -14,12 +15,14 @@
 //!
 //! The per-predicate decision is taken straight from
 //! [`mdhf::classify()`]'s `bitmap_requirements`, keeping the physical
-//! engine and the analytic cost model on one shared rulebook.
+//! engine, the simulator and the analytic cost model on one shared
+//! rulebook.  What each per-fragment subquery reads is its
+//! [`mdhf::SubqueryFootprint`].
 
-use bitmap::IndexCatalog;
 use mdhf::{classify, Classification, Fragmentation};
 use schema::StarSchema;
-use workload::BoundQuery;
+
+use crate::bound::BoundQuery;
 
 /// One bound selection predicate, annotated with whether the engine must
 /// evaluate it through a bitmap index.
@@ -114,25 +117,13 @@ impl QueryPlan {
     pub fn classification(&self) -> &Classification {
         &self.classification
     }
-
-    /// Number of physical bitmap fragments one fragment subquery of this
-    /// plan must read under `catalog` — the `k` of the paper's staggered
-    /// allocation ([`allocation::PhysicalAllocation::subquery_disks`]).
-    #[must_use]
-    pub fn bitmap_fragments_per_subquery(&self, catalog: &IndexCatalog) -> u64 {
-        self.predicates
-            .iter()
-            .filter(|p| p.needs_bitmap)
-            .map(|p| catalog.spec(p.dimension).bitmaps_for_selection(p.level))
-            .sum()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::QueryType;
     use schema::apb1::apb1_scaled_down;
-    use workload::QueryType;
 
     fn plan_for(query_type: QueryType, values: Vec<u64>) -> QueryPlan {
         let schema = apb1_scaled_down();
@@ -169,25 +160,6 @@ mod tests {
         assert_eq!(bitmap_preds.len(), 1);
         assert!(bitmap_preds[0].needs_bitmap);
         assert_eq!(bitmap_preds[0].value, 7);
-    }
-
-    #[test]
-    fn bitmap_fragments_per_subquery_sums_selection_costs() {
-        let schema = apb1_scaled_down();
-        let catalog = IndexCatalog::default_for(&schema);
-        // Q1 needs no bitmaps at all.
-        let q1 = plan_for(QueryType::OneMonthOneGroup, vec![3, 1]);
-        assert_eq!(q1.bitmap_fragments_per_subquery(&catalog), 0);
-        // 1STORE consults the customer index's selection bitmaps.
-        let store_plan = plan_for(QueryType::OneStore, vec![7]);
-        let customer = schema.dimension_index("customer").unwrap();
-        let store_attr = schema.attr("customer", "store").unwrap();
-        assert_eq!(
-            store_plan.bitmap_fragments_per_subquery(&catalog),
-            catalog
-                .spec(customer)
-                .bitmaps_for_selection(store_attr.level)
-        );
     }
 
     #[test]

@@ -51,6 +51,17 @@ fn fractional_table(schema: &StarSchema, seed: u64) -> MaterialisedFactTable {
     MaterialisedFactTable::from_rows(rows, generated.dimension_cardinalities().to_vec())
 }
 
+/// The 4-disk allocation of the I/O layer, whose disk-affinity order
+/// seeds the tasks: plain round robin, or with a one-disk gap per round
+/// so the seed order differs.
+fn placement(gapped: bool) -> PhysicalAllocation {
+    if gapped {
+        PhysicalAllocation::round_robin_with_gap(4, 1)
+    } else {
+        PhysicalAllocation::round_robin(4)
+    }
+}
+
 /// A uniquely named file in the system temp directory, removed on drop.
 struct TempFile(PathBuf);
 
@@ -135,9 +146,9 @@ fn fractional_results_match_compensated_brute_force_for_all_query_types() {
 }
 
 /// Every query of the standard mix over the fractional store gives the
-/// same hits and sum bits for every worker count, placement, I/O mode
-/// (off, flat, 2-node shared nothing) and MPL as the serial run, on the
-/// in-memory store and on its `FGMT` file alike.
+/// same hits and sum bits for every worker count, I/O mode (off, flat,
+/// 2-node shared nothing) over either placement, and MPL as the serial
+/// run, on the in-memory store and on its `FGMT` file alike.
 #[test]
 fn fractional_sums_agree_across_configurations() {
     let schema = tiny_schema();
@@ -173,15 +184,15 @@ fn fractional_sums_agree_across_configurations() {
             .flat_map(|q| &q.measure_sums)
             .any(|s| s.fract() != 0.0));
         let reference = bits(&serial);
-        let flat = IoConfig::with_disks(4).cache(256);
         for workers in 1..=4 {
-            for placed in [false, true] {
+            for gapped in [false, true] {
+                let allocation = placement(gapped);
+                let flat = IoConfig::with_allocation(allocation).cache(256);
                 for io in [
                     None,
                     Some(flat),
                     Some(IoConfig {
-                        nodes: 2,
-                        node_strategy: NodeStrategy::SharedNothing,
+                        placement: NodePlacement::over(allocation, 2, NodeStrategy::SharedNothing),
                         ..flat
                     }),
                 ] {
@@ -189,7 +200,6 @@ fn fractional_sums_agree_across_configurations() {
                         let config = RunConfig {
                             workers,
                             mpl,
-                            placement: placed.then(|| PhysicalAllocation::round_robin(4)),
                             io,
                             obs: ObsConfig::default(),
                         };
@@ -212,8 +222,8 @@ proptest! {
 
     /// `Session::execute(q)`, `Session::execute_plan`, `Session::stream(&[q])`
     /// under `AdmissionPolicy::Exclusive` and `engine.run` at MPL 1 agree for
-    /// every worker count, with and without placement, with the I/O layer
-    /// off, flat or on a 2-node shared-nothing subsystem, traced or not:
+    /// every worker count, with the I/O layer off, flat or on a 2-node
+    /// shared-nothing subsystem over either placement, traced or not:
     /// the same hits, sum bits, simulated I/O metrics and deterministic
     /// trace section.
     #[test]
@@ -222,7 +232,7 @@ proptest! {
         raw_values in proptest::collection::vec(0u64..100_000, 2),
         seed in 1u64..1_000,
         workers in 1usize..5,
-        placed in proptest::bool::ANY,
+        gapped in proptest::bool::ANY,
         io_mode in 0usize..3,
         traced in proptest::bool::ANY,
     ) {
@@ -242,17 +252,16 @@ proptest! {
             .collect();
         let bound = BoundQuery::new(&schema, shape, values);
 
-        let flat = IoConfig::with_disks(4).cache(256);
+        let allocation = placement(gapped);
+        let flat = IoConfig::with_allocation(allocation).cache(256);
         let config = RunConfig {
             workers,
             mpl: 1,
-            placement: placed.then(|| PhysicalAllocation::round_robin(4)),
             io: [
                 None,
                 Some(flat),
                 Some(IoConfig {
-                    nodes: 2,
-                    node_strategy: NodeStrategy::SharedNothing,
+                    placement: NodePlacement::over(allocation, 2, NodeStrategy::SharedNothing),
                     ..flat
                 }),
             ][io_mode],
@@ -263,9 +272,6 @@ proptest! {
             .workers(workers)
             .obs(config.obs)
             .policy(AdmissionPolicy::Exclusive);
-        if let Some(placement) = config.placement {
-            builder = builder.placement(placement);
-        }
         if let Some(io) = config.io {
             builder = builder.io(io);
         }

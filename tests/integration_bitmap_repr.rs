@@ -150,7 +150,7 @@ fn placement_seeded_execution_is_bit_identical_to_unseeded() {
         for workers in [2usize, 4] {
             let config = RunConfig {
                 workers,
-                placement: Some(PhysicalAllocation::round_robin(disks)),
+                io: Some(IoConfig::with_disks(disks)),
                 ..RunConfig::default()
             };
             let placed = engine.execute(&bound, &config);

@@ -3,9 +3,11 @@
 //!
 //! The paper uses the analytic formulas (report [33]) to pre-select
 //! fragmentations and the simulator to validate them; both must therefore
-//! agree on the *ordering* of alternatives.  The materialised scaled-down
-//! warehouse additionally validates that the logical bitmap model (how many
-//! bitmaps, which rows match) corresponds to real data.
+//! agree on the *ordering* of alternatives, and they read the same
+//! per-subquery footprint, as does the engine's I/O charger.  The
+//! materialised scaled-down warehouse additionally validates that the
+//! logical bitmap model (how many bitmaps, which rows match) corresponds to
+//! real data.
 
 use warehouse::bitmap::{MaterialisedFactTable, MaterialisedIndex};
 use warehouse::prelude::*;
@@ -52,9 +54,11 @@ fn cost_model_and_simulator_rank_fragmentations_identically() {
     );
 }
 
-/// The number of pages the simulator actually reads for a query is in the
-/// same ballpark as the analytic estimate (within a factor of two for the
-/// IOC1 query, where both models are exact up to rounding).
+/// For the IOC1 query the analytic model and the simulator read the same
+/// footprint, each with its own rounding, and both counts are exact: the
+/// model reads every page of each fragment (795 for a 1MONTH1GROUP
+/// fragment), SIMPAD whole prefetch granules, the last one whole too
+/// (100 × 8 = 800).
 #[test]
 fn simulated_page_counts_match_analytic_estimates_for_ioc1() {
     let schema = schema::apb1::apb1_schema();
@@ -62,7 +66,22 @@ fn simulated_page_counts_match_analytic_estimates_for_ioc1() {
     let model = CostModel::new(schema.clone(), catalog);
     let fragmentation = Fragmentation::parse(&schema, &["time::month", "product::group"]).unwrap();
     let query = QueryType::OneMonthOneGroup.to_star_query(&schema);
-    let (_, cost) = model.evaluate(&fragmentation, &query);
+    let (classification, cost) = model.evaluate(&fragmentation, &query);
+    let footprint = SubqueryFootprint::uniform(
+        model.sizing(),
+        fragmentation.fragment_count(),
+        None,
+        0,
+        &model.parameters(),
+    );
+    assert_eq!((footprint.fact_pages, footprint.fact_granules), (795, 100));
+    let fragments = classification.fragments_to_process;
+    assert_eq!(fragments, 1);
+    assert_eq!(
+        cost.total_pages(),
+        (fragments * footprint.fact_pages) as f64
+    );
+    assert_eq!(cost.total_pages(), 795.0);
 
     let config = SimConfig {
         disks: 10,
@@ -79,12 +98,62 @@ fn simulated_page_counts_match_analytic_estimates_for_ioc1() {
         1,
     );
     let summary = run_experiment(&setup);
-    let simulated_pages = summary.queries[0].pages_read as f64;
-    assert!(
-        simulated_pages > cost.total_pages() / 2.0 && simulated_pages < cost.total_pages() * 2.0,
-        "simulated {simulated_pages} vs analytic {}",
-        cost.total_pages()
+    assert_eq!(summary.queries[0].subqueries as u64, fragments);
+    assert_eq!(
+        summary.queries[0].pages_read,
+        fragments * footprint.fact_granules * config.fact_prefetch_pages
     );
+    assert_eq!(summary.queries[0].pages_read, 800);
+}
+
+/// The engine's I/O charger reads exactly what the plan's footprints say:
+/// with the cache off, the pages it reads for a plan are the sum of the
+/// plan's per-fragment footprints, for every named query type.
+#[test]
+fn io_charger_reads_exactly_the_plan_footprints_for_every_query_type() {
+    let schema = schema::apb1::apb1_scaled_down();
+    let fragmentation = Fragmentation::parse(&schema, &["time::month", "product::group"]).unwrap();
+    let engine = StarJoinEngine::new(FragmentStore::build(&schema, &fragmentation, 2024));
+    let source = engine.source();
+    let sizing = schema::PageSizing::new(&schema);
+    let io_config = IoConfig::with_disks(4).cache(0);
+    for query_type in [
+        QueryType::OneStore,
+        QueryType::OneMonth,
+        QueryType::OneCode,
+        QueryType::OneMonthOneGroup,
+        QueryType::OneCodeOneQuarter,
+        QueryType::OneGroup,
+        QueryType::OneQuarter,
+        QueryType::OneGroupOneStore,
+    ] {
+        let bound = QueryGenerator::new(&schema, query_type.clone(), 11).next_instance();
+        let plan = engine.plan(&bound);
+        let bitmaps = plan.classification().bitmaps_per_subquery(source.catalog());
+        let footprint_pages: u64 = plan
+            .fragments()
+            .iter()
+            .map(|&f| {
+                SubqueryFootprint::stored(
+                    &sizing,
+                    source.fragment_rows(f),
+                    bitmaps,
+                    io_config.fact_prefetch_pages,
+                )
+                .total_pages()
+            })
+            .sum();
+        let io = SimulatedIo::new(io_config, &schema);
+        let charged = io.charge_plan(&plan, source);
+        let name = query_type.name();
+        assert!(footprint_pages > 0, "{name}");
+        assert_eq!(io.metrics().total_pages_read(), footprint_pages, "{name}");
+        assert_eq!(
+            charged.iter().map(|t| t.pages_read).sum::<u64>(),
+            footprint_pages,
+            "{name}"
+        );
+    }
 }
 
 /// The logical bitmap-index model matches materialised data: the number of

@@ -130,8 +130,10 @@ fn per_disk_accounting_is_conserved() {
 #[test]
 fn skewed_streams_stay_bit_identical_to_serial_with_io_enabled() {
     let (engine, queries) = skewed_setup(1.0);
+    // The I/O layer seeds each query's tasks in its placement's
+    // disk-affinity order.
     let placed = RunConfig {
-        placement: Some(PhysicalAllocation::round_robin(7)),
+        io: Some(IoConfig::with_allocation(PhysicalAllocation::round_robin(7)).cache(256)),
         ..cached(256)
     };
     let outcome = run(&engine, &queries, placed);

@@ -83,8 +83,9 @@ fn every_layer_is_reachable_through_the_facade() {
         subqueries_per_node: 2,
         ..SimConfig::default()
     };
-    let plan = simpad::plan_query(&full, &catalog, &fragmentation, &alloc, &config, &bound);
-    assert!(!plan.subqueries.is_empty());
+    let (plan, footprint) = simpad::plan_query(&full, &catalog, &fragmentation, &config, &bound);
+    assert!(plan.task_count() > 0);
+    assert!(footprint.total_pages() > 0);
     let setup = ExperimentSetup::new(
         full.clone(),
         fragmentation.clone(),
